@@ -15,6 +15,7 @@
 
 #include "api/experiment.h"
 #include "api/report.h"
+#include "api/sim_config.h"
 #include "common/json_writer.h"
 #include "common/stats.h"
 #include "common/logging.h"

@@ -1,13 +1,5 @@
 #include "workload_mix.h"
 
-#include <cctype>
-#include <fstream>
-#include <set>
-#include <sstream>
-
-#include "common/logging.h"
-#include "common/parse_util.h"
-
 namespace g10 {
 
 const char*
@@ -20,189 +12,69 @@ mixSchedName(MixSched sched)
     return "?";
 }
 
-namespace {
-
-/** Parse an integer; fatal with location on malformed input. */
-long long
-parseInt(const std::string& v, const std::string& path, std::size_t line,
-         const std::string& key)
+const SpecFormat<WorkloadMix>&
+mixFileFormat()
 {
-    long long out = 0;
-    if (!parseIntStrict(v, &out))
-        fatal("%s:%zu: '%s' needs an integer, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
+    using M = WorkloadMix;
+    using J = JobSpec;
+    using T = SpecType;
+    static const SpecFormat<M> format = [] {
+        SpecFormat<M> f{"mix file", {}, {}};
+        f.keys = {
+            fieldKey(kScaleKey, &M::scaleDown),
+            specKey<M>({"sched", T::Word, {}, "priority",
+                        "roundrobin | priority"},
+                       [](M& m, const SpecValue& v) {
+                           if (v.text == "roundrobin" ||
+                               v.text == "round-robin")
+                               m.sched = MixSched::RoundRobin;
+                           else if (v.text == "priority")
+                               m.sched = MixSched::Priority;
+                           else
+                               v.unknown(v.key.c_str(),
+                                         "roundrobin | priority");
+                       }),
+            fieldKey(kSeedKey, &M::seed),
+            fieldKey({"isolated", T::Int, {}, "0",
+                      "nonzero: per-job isolated baselines"},
+                     &M::isolatedBaseline),
+        };
+        for (SpecKey<M>& k : platformKeys(&M::sys))
+            f.keys.push_back(std::move(k));
+        f.lines.push_back(specLine<M, J>(
+            {"job", "<Model>", "job", "one tenant"},
+            {
+                fieldKey(kBatchKey, &J::batchSize),
+                designKey(&J::design, "memory-management design"),
+                fieldKey(kPriorityKey, &J::priority),
+                specKey<J>({"arrival_ms", T::Number, within(0), "2",
+                            "arrival time"},
+                           [](J& j, const SpecValue& v) {
+                               j.arrivalNs = static_cast<TimeNs>(
+                                   v.d * static_cast<double>(MSEC));
+                           }),
+                fieldKey(kIterationsKey, &J::iterations),
+                fieldKey(kWeightKey, &J::memWeight),
+                fieldKey(kNameKey, &J::name),
+            },
+            [](M& m, J job, const SpecLineArgs& args) {
+                job.model = modelKindOf(args.head(0, "model"));
+                if (job.batchSize <= 0)
+                    job.batchSize = paperBatchSize(job.model);
+                m.jobs.push_back(std::move(job));
+            }));
+        return f;
+    }();
+    return format;
 }
-
-/** Parse a double; fatal with location on malformed input. */
-double
-parseDouble(const std::string& v, const std::string& path,
-            std::size_t line, const std::string& key)
-{
-    double out = 0.0;
-    if (!parseDoubleStrict(v, &out))
-        fatal("%s:%zu: '%s' needs a number, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Parse one "job = <Model> k=v ..." payload into a JobSpec. */
-JobSpec
-parseJobLine(const std::string& payload, const std::string& path,
-             std::size_t line)
-{
-    std::stringstream ss(payload);
-    std::string model_name;
-    if (!(ss >> model_name))
-        fatal("%s:%zu: 'job =' needs at least a model name",
-              path.c_str(), line);
-
-    JobSpec job;
-    job.model = modelKindFromName(model_name);
-    std::string tok;
-    while (ss >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-            fatal("%s:%zu: job attribute '%s' is not key=value",
-                  path.c_str(), line, tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        if (key == "batch") {
-            job.batchSize =
-                static_cast<int>(parseInt(val, path, line, key));
-        } else if (key == "design") {
-            if (!PolicyRegistry::instance().contains(val))
-                fatal("%s:%zu: unknown design '%s' (registered: %s)",
-                      path.c_str(), line, val.c_str(),
-                      PolicyRegistry::instance().knownNames().c_str());
-            job.design = val;
-        } else if (key == "priority") {
-            job.priority =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (job.priority < 1 || job.priority > 1000)
-                fatal("%s:%zu: priority must be in [1, 1000]",
-                      path.c_str(), line);
-        } else if (key == "arrival_ms") {
-            job.arrivalNs = static_cast<TimeNs>(
-                parseDouble(val, path, line, key) *
-                static_cast<double>(MSEC));
-            if (job.arrivalNs < 0)
-                fatal("%s:%zu: arrival_ms must be >= 0", path.c_str(),
-                      line);
-        } else if (key == "iterations") {
-            job.iterations =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (job.iterations < 1)
-                fatal("%s:%zu: iterations must be >= 1", path.c_str(),
-                      line);
-        } else if (key == "weight") {
-            job.memWeight = parseDouble(val, path, line, key);
-            if (job.memWeight <= 0.0)
-                fatal("%s:%zu: weight must be > 0", path.c_str(), line);
-        } else if (key == "name") {
-            job.name = val;
-        } else {
-            fatal("%s:%zu: unknown job attribute '%s' (expected batch, "
-                  "design, priority, arrival_ms, iterations, weight, "
-                  "name)",
-                  path.c_str(), line, key.c_str());
-        }
-    }
-    if (job.batchSize <= 0)
-        job.batchSize = paperBatchSize(job.model);
-    return job;
-}
-
-}  // namespace
 
 WorkloadMix
 parseMixFile(const std::string& path)
 {
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open mix file '%s'", path.c_str());
-
     WorkloadMix mix;
-    std::set<std::string> seen;  // scalar keys may not repeat
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-
-        std::stringstream ss(line);
-        std::string key, eq;
-        if (!(ss >> key))
-            continue;  // blank / comment-only line
-        if (!(ss >> eq) || eq != "=")
-            fatal("%s:%zu: expected 'key = value'", path.c_str(),
-                  lineno);
-
-        if (key == "job") {
-            std::string payload;
-            std::getline(ss, payload);
-            mix.jobs.push_back(parseJobLine(payload, path, lineno));
-            continue;
-        }
-
-        std::string value, extra;
-        if (!(ss >> value))
-            fatal("%s:%zu: '%s =' is missing a value", path.c_str(),
-                  lineno, key.c_str());
-        if (ss >> extra)
-            fatal("%s:%zu: trailing garbage '%s' after value",
-                  path.c_str(), lineno, extra.c_str());
-        if (!seen.insert(key).second)
-            fatal("%s:%zu: duplicate key '%s'", path.c_str(), lineno,
-                  key.c_str());
-
-        if (key == "scale") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: scale must be >= 1", path.c_str(),
-                      lineno);
-            mix.scaleDown = static_cast<unsigned>(v);
-        } else if (key == "sched") {
-            if (value == "roundrobin" || value == "round-robin")
-                mix.sched = MixSched::RoundRobin;
-            else if (value == "priority")
-                mix.sched = MixSched::Priority;
-            else
-                fatal("%s:%zu: unknown sched '%s' (roundrobin | "
-                      "priority)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "seed") {
-            mix.seed = static_cast<std::uint64_t>(
-                parseInt(value, path, lineno, key));
-        } else if (key == "isolated") {
-            long long v = parseInt(value, path, lineno, key);
-            mix.isolatedBaseline = (v != 0);
-        } else if (key == "gpu_mem_gb") {
-            double v = parseDouble(value, path, lineno, key);
-            if (v <= 0.0)
-                fatal("%s:%zu: gpu_mem_gb must be > 0", path.c_str(),
-                      lineno);
-            mix.sys.gpuMemBytes = static_cast<Bytes>(v * 1e9);
-        } else if (key == "host_mem_gb") {
-            mix.sys.hostMemBytes = static_cast<Bytes>(
-                parseDouble(value, path, lineno, key) * 1e9);
-        } else if (key == "ssd_gbps") {
-            mix.sys.setSsdBandwidthGBps(
-                parseDouble(value, path, lineno, key));
-        } else if (key == "pcie_gbps") {
-            mix.sys.pcieGBps = parseDouble(value, path, lineno, key);
-        } else {
-            fatal("%s:%zu: unknown key '%s' (expected job, scale, "
-                  "sched, seed, isolated, gpu_mem_gb, host_mem_gb, "
-                  "ssd_gbps, pcie_gbps)",
-                  path.c_str(), lineno, key.c_str());
-        }
-    }
-
+    readSpecFile(path, mixFileFormat(), mix);
     if (mix.jobs.empty())
-        fatal("%s: mix defines no jobs", path.c_str());
+        SpecLoc{path}.fail("mix defines no jobs");
     return mix;
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_reader.h"
 #include "common/system_config.h"
 #include "common/types.h"
 #include "models/model_zoo.h"
@@ -90,18 +91,16 @@ struct WorkloadMix
     bool isolatedBaseline = true;
 };
 
+/** The mix-file format (`g10multi --help` lists the keys). */
+const SpecFormat<WorkloadMix>& mixFileFormat();
+
 /**
- * Parse a mix file. Unknown keys, malformed values, and empty mixes are
- * fatal (exit 1) with file/line diagnostics. Format:
+ * Parse a mix file (mixFileFormat()). Unknown keys, malformed values,
+ * and empty mixes are fatal (exit 1) with file/line diagnostics.
+ * Example:
  *
- *   # mix-level keys
- *   scale    = 16            # 1/N platform scale
- *   sched    = roundrobin    # roundrobin | priority
- *   seed     = 42
- *   isolated = 1             # compute per-job isolated baselines
- *   gpu_mem_gb / host_mem_gb / ssd_gbps / pcie_gbps = <platform knobs>
- *
- *   # one line per job: "job = <Model> key=value ..."
+ *   scale = 16
+ *   sched = priority
  *   job = ResNet152 batch=512 design=g10 priority=1 arrival_ms=0
  *   job = BERT batch=128 design=g10 priority=2 iterations=2 weight=1.5
  */

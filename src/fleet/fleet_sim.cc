@@ -339,25 +339,25 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
     return out;
 }
 
-/** Everything a fleet probe's outcome is a pure function of: each
- *  node's serve scenario (platform, slots, queue, seed split), the
- *  affinity pins, the shared stream parameters, and the placement
- *  list (the probe's lane is a placement index). */
-static std::uint64_t
+std::uint64_t
 fingerprintFleetSpec(const FleetSpec& spec)
 {
     SpecHash h;
+    mixScenarioSpec(h, spec);
     h.mix(spec.nodes.size());
-    for (std::size_t n = 0; n < spec.nodes.size(); ++n) {
-        h.mix(fingerprintServeSpec(spec.nodeServeSpec(n)));
-        h.mixString(spec.nodes[n].name);
-        h.mix(spec.nodes[n].families.size());
-        for (ModelKind fam : spec.nodes[n].families)
+    for (const FleetNodeSpec& node : spec.nodes) {
+        h.mixString(node.name);
+        h.mixDouble(node.gpuGb);
+        h.mixDouble(node.hostGb);
+        h.mixDouble(node.ssdGbps);
+        h.mixDouble(node.pcieGbps);
+        h.mix(static_cast<std::uint64_t>(node.slots));
+        h.mix(static_cast<std::uint64_t>(node.queue));
+        h.mix(node.families.size());
+        for (ModelKind fam : node.families)
             h.mix(static_cast<std::uint64_t>(fam));
     }
     h.mixString(spec.design);
-    h.mix(spec.seed);
-    h.mix(static_cast<std::uint64_t>(spec.requests));
     h.mix(spec.placements.size());
     for (PlacementKind k : spec.placements)
         h.mix(static_cast<std::uint64_t>(k));

@@ -169,6 +169,15 @@ struct FleetObsRequest
  *  node * stride + node-local request index). */
 inline constexpr int kFleetPidStride = 100000;
 
+/**
+ * Fingerprint of everything a fleet probe's outcome is a pure function
+ * of: the shared scenario (mixScenarioSpec), every node's overrides,
+ * name and affinity pins, the design, and the placement list (a
+ * probe's lane is a placement index). The knee-search knobs and the
+ * fixed `rate` are excluded, as in fingerprintServeSpec().
+ */
+std::uint64_t fingerprintFleetSpec(const FleetSpec& spec);
+
 /** Simulates one fleet spec across its placement policies. */
 class FleetSim
 {

@@ -1,183 +1,10 @@
 #include "fleet_spec.h"
 
-#include <fstream>
 #include <set>
-#include <sstream>
 
-#include "common/logging.h"
-#include "common/parse_util.h"
 #include "policies/registry.h"
 
 namespace g10 {
-
-namespace {
-
-/** Parse an integer; fatal with location on malformed input. */
-long long
-parseInt(const std::string& v, const std::string& path, std::size_t line,
-         const std::string& key)
-{
-    long long out = 0;
-    if (!parseIntStrict(v, &out))
-        fatal("%s:%zu: '%s' needs an integer, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Parse a double; fatal with location on malformed input. */
-double
-parseDouble(const std::string& v, const std::string& path,
-            std::size_t line, const std::string& key)
-{
-    double out = 0.0;
-    if (!parseDoubleStrict(v, &out))
-        fatal("%s:%zu: '%s' needs a number, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Split a comma list ("a,b,c"); empty items are malformed. */
-std::vector<std::string>
-splitCommaList(const std::string& v, const std::string& path,
-               std::size_t line, const std::string& key)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::stringstream ss(v);
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            fatal("%s:%zu: '%s' has an empty list item", path.c_str(),
-                  line, key.c_str());
-        out.push_back(item);
-    }
-    if (out.empty() || v.back() == ',')
-        fatal("%s:%zu: '%s' needs a comma-separated list", path.c_str(),
-              line, key.c_str());
-    return out;
-}
-
-/** Parse one "class = <Model> k=v ..." payload (serve-file format). */
-ServeJobClass
-parseClassLine(const std::string& payload, const std::string& path,
-               std::size_t line)
-{
-    std::stringstream ss(payload);
-    std::string model_name;
-    if (!(ss >> model_name))
-        fatal("%s:%zu: 'class =' needs at least a model name",
-              path.c_str(), line);
-
-    ServeJobClass cls;
-    cls.model = modelKindFromName(model_name);
-    std::string tok;
-    while (ss >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-            fatal("%s:%zu: class attribute '%s' is not key=value",
-                  path.c_str(), line, tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        if (key == "batch") {
-            cls.batchSize =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.batchSize < 1)
-                fatal("%s:%zu: batch must be >= 1", path.c_str(), line);
-        } else if (key == "iterations") {
-            cls.iterations =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.iterations < 1)
-                fatal("%s:%zu: iterations must be >= 1", path.c_str(),
-                      line);
-        } else if (key == "priority") {
-            cls.priority =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.priority < 1 || cls.priority > 1000)
-                fatal("%s:%zu: priority must be in [1, 1000]",
-                      path.c_str(), line);
-        } else if (key == "weight") {
-            cls.weight = parseDouble(val, path, line, key);
-            if (cls.weight <= 0.0)
-                fatal("%s:%zu: weight must be > 0", path.c_str(), line);
-        } else if (key == "name") {
-            cls.name = val;
-        } else {
-            fatal("%s:%zu: unknown class attribute '%s' (expected "
-                  "batch, iterations, priority, weight, name)",
-                  path.c_str(), line, key.c_str());
-        }
-    }
-    if (cls.batchSize <= 0)
-        cls.batchSize = paperBatchSize(cls.model);
-    if (cls.name.empty())
-        cls.name = std::string(modelName(cls.model)) + "-" +
-                   std::to_string(cls.batchSize);
-    return cls;
-}
-
-/** Parse one "node = <name> k=v ..." payload. */
-FleetNodeSpec
-parseNodeLine(const std::string& payload, const std::string& path,
-              std::size_t line)
-{
-    std::stringstream ss(payload);
-    FleetNodeSpec node;
-    if (!(ss >> node.name))
-        fatal("%s:%zu: 'node =' needs at least a node name",
-              path.c_str(), line);
-
-    std::string tok;
-    while (ss >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-            fatal("%s:%zu: node attribute '%s' is not key=value",
-                  path.c_str(), line, tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        if (key == "gpu_gb") {
-            node.gpuGb = parseDouble(val, path, line, key);
-            if (node.gpuGb <= 0.0)
-                fatal("%s:%zu: gpu_gb must be > 0", path.c_str(), line);
-        } else if (key == "host_gb") {
-            node.hostGb = parseDouble(val, path, line, key);
-            if (node.hostGb <= 0.0)
-                fatal("%s:%zu: host_gb must be > 0", path.c_str(),
-                      line);
-        } else if (key == "ssd_gbps") {
-            node.ssdGbps = parseDouble(val, path, line, key);
-            if (node.ssdGbps <= 0.0)
-                fatal("%s:%zu: ssd_gbps must be > 0", path.c_str(),
-                      line);
-        } else if (key == "pcie_gbps") {
-            node.pcieGbps = parseDouble(val, path, line, key);
-            if (node.pcieGbps <= 0.0)
-                fatal("%s:%zu: pcie_gbps must be > 0", path.c_str(),
-                      line);
-        } else if (key == "slots") {
-            node.slots =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (node.slots < 1)
-                fatal("%s:%zu: slots must be >= 1", path.c_str(),
-                      line);
-        } else if (key == "queue") {
-            node.queue = parseInt(val, path, line, key);
-            if (node.queue < 0)
-                fatal("%s:%zu: queue must be >= 0", path.c_str(),
-                      line);
-        } else if (key == "families") {
-            for (const std::string& item :
-                 splitCommaList(val, path, line, key))
-                node.families.push_back(modelKindFromName(item));
-        } else {
-            fatal("%s:%zu: unknown node attribute '%s' (expected "
-                  "gpu_gb, host_gb, ssd_gbps, pcie_gbps, slots, "
-                  "queue, families)",
-                  path.c_str(), line, key.c_str());
-        }
-    }
-    return node;
-}
-
-}  // namespace
 
 const char*
 placementKindName(PlacementKind kind)
@@ -241,252 +68,104 @@ FleetSpec::nodeServeSpec(std::size_t i) const
 {
     const FleetNodeSpec& node = nodes.at(i);
     ServeSpec out;
+    static_cast<ScenarioSpec&>(out) = *this;
     out.sys = nodeSystem(i);
-    out.scaleDown = scaleDown;
     out.seed = fleetNodeSeed(seed, i);
     out.slots = node.slots > 0 ? node.slots : slots;
-    out.partitionPolicy = partitionPolicy;
-    out.resizeHysteresis = resizeHysteresis;
     out.queueCapacity = node.queue >= 0
                             ? static_cast<std::size_t>(node.queue)
                             : queueCapacity;
-    out.admit = admit;
-    out.starvationNs = starvationNs;
-    out.sloFactor = sloFactor;
-    out.requests = requests;
-    out.arrival = arrival;
     out.rates = {rate};
     out.designs = {design};
-    out.classes = classes;
     return out;
+}
+
+const SpecFormat<FleetSpec>&
+fleetFileFormat()
+{
+    using S = FleetSpec;
+    using N = FleetNodeSpec;
+    using T = SpecType;
+    static const SpecFormat<S> format = [] {
+        SpecFormat<S> f =
+            inheritFormat<S>("fleet file", scenarioFormat(false));
+        f.keys.push_back(specKey<S>(
+            {"rate", T::Number, above(0), "3",
+             "fleet-wide offered req/s, or auto (fleet knee)", true, "auto",
+             true},
+            [](S& s, const SpecValue& v) {
+                s.ratesAuto = v.keyword;
+                if (!v.keyword)
+                    s.rate = v.d;
+            }));
+        f.keys.push_back(
+            designKey(&S::design, "the design every node runs"));
+        f.keys.push_back(specKey<S>(
+            {"placements", T::Words, {}, "jsq,affinity",
+             "jsq | planaware | affinity (sweep axis)", false, nullptr,
+             true},
+            [](S& s, const SpecValue& v) {
+                PlacementKind kind = PlacementKind::JoinShortestQueue;
+                if (!placementKindFromName(v.text, &kind))
+                    v.unknown("placement", "jsq | planaware | affinity");
+                s.placements.push_back(kind);
+            }));
+        f.lines.push_back(specLine<S, N>(
+            {"node", "<name>", "node", "one serving node of the fleet"},
+            {
+                fieldKey({"gpu_gb", T::Number, above(0), "40",
+                          "GPU memory override, GB"},
+                         &N::gpuGb),
+                fieldKey({"host_gb", T::Number, above(0), "96",
+                          "host DRAM override, GB"},
+                         &N::hostGb),
+                fieldKey(kSsdGbpsKey, &N::ssdGbps),
+                fieldKey(kPcieGbpsKey, &N::pcieGbps),
+                fieldKey({"slots", T::Int, within(1), "1",
+                          "partition slots override"},
+                         &N::slots),
+                fieldKey({"queue", T::Int, within(0), "16",
+                          "admission queue bound override"},
+                         &N::queue),
+                specKey<N>({"families", T::Words, {}, "BERT,ViT",
+                            "model families pinned here (affinity)"},
+                           [](N& n, const SpecValue& v) {
+                               n.families.push_back(modelKindOf(v));
+                           }),
+            },
+            [](S& s, N node, const SpecLineArgs& args) {
+                node.name = args.heads[0];
+                s.nodes.push_back(std::move(node));
+            }));
+        return f;
+    }();
+    return format;
 }
 
 FleetSpec
 parseFleetFile(const std::string& path)
 {
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open fleet file '%s'", path.c_str());
-
     FleetSpec spec;
-    spec.placements.clear();
-
-    std::set<std::string> seen;  // scalar keys may not repeat
-    std::string line;
-    std::size_t lineno = 0;
-    bool have_rate = false;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-
-        std::stringstream ss(line);
-        std::string key, eq;
-        if (!(ss >> key))
-            continue;  // blank / comment-only line
-        if (!(ss >> eq) || eq != "=")
-            fatal("%s:%zu: expected 'key = value'", path.c_str(),
-                  lineno);
-
-        if (key == "class") {
-            std::string payload;
-            std::getline(ss, payload);
-            spec.classes.push_back(
-                parseClassLine(payload, path, lineno));
-            continue;
-        }
-        if (key == "node") {
-            std::string payload;
-            std::getline(ss, payload);
-            spec.nodes.push_back(parseNodeLine(payload, path, lineno));
-            continue;
-        }
-
-        std::string value, extra;
-        if (!(ss >> value))
-            fatal("%s:%zu: '%s =' is missing a value", path.c_str(),
-                  lineno, key.c_str());
-        if (ss >> extra)
-            fatal("%s:%zu: trailing garbage '%s' after value",
-                  path.c_str(), lineno, extra.c_str());
-        if (!seen.insert(key).second)
-            fatal("%s:%zu: duplicate key '%s'", path.c_str(), lineno,
-                  key.c_str());
-
-        if (key == "scale") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: scale must be >= 1", path.c_str(),
-                      lineno);
-            spec.scaleDown = static_cast<unsigned>(v);
-        } else if (key == "seed") {
-            spec.seed = static_cast<std::uint64_t>(
-                parseInt(value, path, lineno, key));
-        } else if (key == "slots") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: slots must be >= 1", path.c_str(),
-                      lineno);
-            spec.slots = static_cast<int>(v);
-        } else if (key == "queue") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 0)
-                fatal("%s:%zu: queue must be >= 0", path.c_str(),
-                      lineno);
-            spec.queueCapacity = static_cast<std::size_t>(v);
-        } else if (key == "partition_policy") {
-            if (!partitionPolicyFromName(value, &spec.partitionPolicy))
-                fatal("%s:%zu: unknown partition_policy '%s' (static "
-                      "| proportional | ondemand)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "resize_hysteresis") {
-            spec.resizeHysteresis =
-                parseDouble(value, path, lineno, key);
-            if (spec.resizeHysteresis < 0.0 ||
-                spec.resizeHysteresis >= 1.0)
-                fatal("%s:%zu: resize_hysteresis must be in [0, 1)",
-                      path.c_str(), lineno);
-        } else if (key == "admission") {
-            if (!admitPolicyFromName(value, &spec.admit))
-                fatal("%s:%zu: unknown admission '%s' (fifo | sjf | "
-                      "priority)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "starvation_ms") {
-            spec.starvationNs = static_cast<TimeNs>(
-                parseDouble(value, path, lineno, key) *
-                static_cast<double>(MSEC));
-        } else if (key == "slo_factor") {
-            spec.sloFactor = parseDouble(value, path, lineno, key);
-            if (spec.sloFactor <= 0.0)
-                fatal("%s:%zu: slo_factor must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "requests") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: requests must be >= 1", path.c_str(),
-                      lineno);
-            spec.requests = static_cast<int>(v);
-        } else if (key == "arrival") {
-            if (!arrivalKindFromName(value, &spec.arrival.kind))
-                fatal("%s:%zu: unknown arrival '%s' (poisson | "
-                      "bursty)",
-                      path.c_str(), lineno, value.c_str());
-            if (spec.arrival.kind == ArrivalKind::Trace)
-                fatal("%s:%zu: fleet arrivals must be poisson or "
-                      "bursty (trace arrivals are per-node)",
-                      path.c_str(), lineno);
-        } else if (key == "burst_on_ms") {
-            spec.arrival.burstOnSec =
-                parseDouble(value, path, lineno, key) / 1e3;
-            if (spec.arrival.burstOnSec <= 0.0)
-                fatal("%s:%zu: burst_on_ms must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "burst_off_ms") {
-            spec.arrival.burstOffSec =
-                parseDouble(value, path, lineno, key) / 1e3;
-            if (spec.arrival.burstOffSec < 0.0)
-                fatal("%s:%zu: burst_off_ms must be >= 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate") {
-            if (value == "auto") {
-                spec.ratesAuto = true;
-            } else {
-                spec.rate = parseDouble(value, path, lineno, key);
-                if (spec.rate <= 0.0)
-                    fatal("%s:%zu: rate must be > 0", path.c_str(),
-                          lineno);
-            }
-            have_rate = true;
-        } else if (key == "rate_lo") {
-            spec.rateLo = parseDouble(value, path, lineno, key);
-            if (spec.rateLo <= 0.0)
-                fatal("%s:%zu: rate_lo must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate_hi") {
-            spec.rateHi = parseDouble(value, path, lineno, key);
-            if (spec.rateHi <= 0.0)
-                fatal("%s:%zu: rate_hi must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate_probes") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 2)
-                fatal("%s:%zu: rate_probes must be >= 2", path.c_str(),
-                      lineno);
-            spec.rateProbes = static_cast<int>(v);
-        } else if (key == "speculate") {
-            if (value == "on")
-                spec.speculativeProbes = true;
-            else if (value == "off")
-                spec.speculativeProbes = false;
-            else
-                fatal("%s:%zu: speculate must be 'on' or 'off'",
-                      path.c_str(), lineno);
-        } else if (key == "design") {
-            if (!PolicyRegistry::instance().contains(value))
-                fatal("%s:%zu: unknown design '%s' (registered: %s)",
-                      path.c_str(), lineno, value.c_str(),
-                      PolicyRegistry::instance().knownNames().c_str());
-            spec.design = value;
-        } else if (key == "placements") {
-            for (const std::string& item :
-                 splitCommaList(value, path, lineno, key)) {
-                PlacementKind kind;
-                if (!placementKindFromName(item, &kind))
-                    fatal("%s:%zu: unknown placement '%s' (jsq | "
-                          "planaware | affinity)",
-                          path.c_str(), lineno, item.c_str());
-                spec.placements.push_back(kind);
-            }
-        } else if (key == "gpu_mem_gb") {
-            double v = parseDouble(value, path, lineno, key);
-            if (v <= 0.0)
-                fatal("%s:%zu: gpu_mem_gb must be > 0", path.c_str(),
-                      lineno);
-            spec.sys.gpuMemBytes = static_cast<Bytes>(v * 1e9);
-        } else if (key == "host_mem_gb") {
-            spec.sys.hostMemBytes = static_cast<Bytes>(
-                parseDouble(value, path, lineno, key) * 1e9);
-        } else if (key == "ssd_gbps") {
-            spec.sys.setSsdBandwidthGBps(
-                parseDouble(value, path, lineno, key));
-        } else if (key == "pcie_gbps") {
-            spec.sys.pcieGBps = parseDouble(value, path, lineno, key);
-        } else {
-            fatal("%s:%zu: unknown key '%s' (expected class, node, "
-                  "scale, seed, slots, queue, partition_policy, "
-                  "resize_hysteresis, admission, starvation_ms, "
-                  "slo_factor, requests, arrival, burst_on_ms, "
-                  "burst_off_ms, rate, rate_lo, rate_hi, "
-                  "rate_probes, speculate, design, placements, "
-                  "gpu_mem_gb, host_mem_gb, ssd_gbps, pcie_gbps)",
-                  path.c_str(), lineno, key.c_str());
-        }
-    }
+    readSpecFile(path, fleetFileFormat(), spec);
 
     // Cross-key consistency.
-    if (!have_rate)
-        fatal("%s: fleet file needs 'rate = ...'", path.c_str());
-    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 &&
-        spec.rateHi < spec.rateLo)
-        fatal("%s: rate_hi must be >= rate_lo", path.c_str());
+    const SpecLoc file{path};
+    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 && spec.rateHi < spec.rateLo)
+        file.fail("rate_hi must be >= rate_lo");
     if (spec.classes.empty())
-        fatal("%s: fleet file defines no job classes", path.c_str());
+        file.fail("fleet file defines no job classes");
     if (spec.nodes.empty())
-        fatal("%s: fleet file defines no nodes", path.c_str());
-    if (spec.placements.empty())
-        fatal("%s: fleet file needs 'placements = ...'", path.c_str());
+        file.fail("fleet file defines no nodes");
     std::set<std::string> node_names;
     for (const FleetNodeSpec& node : spec.nodes)
         if (!node_names.insert(node.name).second)
-            fatal("%s: duplicate node name '%s'", path.c_str(),
-                  node.name.c_str());
+            file.fail("duplicate node name '%s'", node.name.c_str());
     std::set<int> pinned;
     for (const FleetNodeSpec& node : spec.nodes)
         for (ModelKind fam : node.families)
             if (!pinned.insert(static_cast<int>(fam)).second)
-                fatal("%s: family '%s' is pinned to two nodes",
-                      path.c_str(), modelName(fam));
+                file.fail("family '%s' is pinned to two nodes",
+                          modelName(fam));
     return spec;
 }
 
@@ -505,27 +184,7 @@ demoFleetSpec(unsigned scale)
     spec.placements = {PlacementKind::JoinShortestQueue,
                        PlacementKind::PlanAware,
                        PlacementKind::ClassAffinity};
-
-    // The serve demo's class mix: two ResNet batch shapes + BERT.
-    ServeJobClass big;
-    big.model = ModelKind::ResNet152;
-    big.batchSize = 512;
-    big.weight = 1.0;
-    ServeJobClass small;
-    small.model = ModelKind::ResNet152;
-    small.batchSize = 256;
-    small.weight = 2.0;
-    ServeJobClass bert;
-    bert.model = ModelKind::BertBase;
-    bert.weight = 1.0;
-    spec.classes = {big, small, bert};
-    for (ServeJobClass& c : spec.classes) {
-        if (c.batchSize <= 0)
-            c.batchSize = paperBatchSize(c.model);
-        c.name = std::string(modelName(c.model)) + "-" +
-                 std::to_string(c.batchSize);
-    }
-
+    spec.classes = demoClassMix();
     // Heterogeneous 4-node fleet: two big 40 GB nodes, a mid-size
     // 28 GB node, and a small single-slot 20 GB node that affinity
     // routing keeps warm with the BERT family.

@@ -41,13 +41,22 @@ tryModelKindFromName(const std::string& name, ModelKind* out)
 }
 
 ModelKind
+modelKindOf(const SpecValue& v)
+{
+    ModelKind kind = ModelKind::ResNet152;
+    if (!tryModelKindFromName(v.text, &kind))
+        v.unknown("model", "expected BERT/ViT/Inceptionv3/ResNet152/"
+                           "SENet154");
+    return kind;
+}
+
+ModelKind
 modelKindFromName(const std::string& name)
 {
-    ModelKind kind;
-    if (!tryModelKindFromName(name, &kind))
-        fatal("unknown model '%s' (expected BERT/ViT/Inceptionv3/"
-              "ResNet152/SENet154)", name.c_str());
-    return kind;
+    SpecValue v;
+    v.key = "model";
+    v.text = name;
+    return modelKindOf(v);
 }
 
 std::vector<ModelKind>

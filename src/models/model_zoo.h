@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_reader.h"
 #include "graph/trace.h"
 #include "models/cost_model.h"
 
@@ -36,6 +37,9 @@ const char* modelName(ModelKind kind);
 
 /** Parse a model name (case-insensitive); fatal() on unknown names. */
 ModelKind modelKindFromName(const std::string& name);
+
+/** modelKindFromName() for a spec-file value: fails at its location. */
+ModelKind modelKindOf(const SpecValue& v);
 
 /**
  * Non-fatal variant: false when @p name is not a zoo model (e.g. the

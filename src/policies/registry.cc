@@ -155,10 +155,18 @@ PolicyRegistry::contains(const std::string& name) const
 const PolicyInfo&
 PolicyRegistry::resolve(const std::string& name) const
 {
-    const PolicyInfo* info = find(name);
+    SpecValue v;
+    v.key = "design";
+    v.text = name;
+    return resolve(v);
+}
+
+const PolicyInfo&
+PolicyRegistry::resolve(const SpecValue& v) const
+{
+    const PolicyInfo* info = find(v.text);
     if (!info)
-        fatal("unknown design '%s' (registered: %s)", name.c_str(),
-              knownNames().c_str());
+        v.unknown("design", "registered: " + knownNames());
     return *info;
 }
 

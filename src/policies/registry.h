@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_reader.h"
 #include "common/system_config.h"
 #include "graph/trace.h"
 #include "policies/design_point.h"
@@ -98,6 +99,9 @@ class PolicyRegistry
      */
     const PolicyInfo& resolve(const std::string& name) const;
 
+    /** resolve() for a spec-file value: fails at its location. */
+    const PolicyInfo& resolve(const SpecValue& v) const;
+
     /** Instantiate @p name for @p trace on @p config (or fatal()). */
     DesignInstance make(const std::string& name,
                         const KernelTrace& trace,
@@ -134,6 +138,19 @@ struct RegisterPolicy
 
 /** Display name of a registered design (fatal on unknown names). */
 std::string designDisplayName(const std::string& name);
+
+/** The `design` key of mix, fleet and g10sim inputs: a registered
+ *  design name, stored as written. */
+template <class S>
+SpecKey<S>
+designKey(std::string S::*field, const char* help)
+{
+    return specKey<S>({"design", SpecType::Word, {}, "g10host", help},
+                      [field](S& s, const SpecValue& v) {
+                          PolicyRegistry::instance().resolve(v);
+                          s.*field = v.text;
+                      });
+}
 
 /** Canonical keys of the Fig. 11 designs, left-to-right. */
 std::vector<std::string> allDesignNames();

@@ -1,11 +1,8 @@
 #include "arrival.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "common/logging.h"
-#include "common/parse_util.h"
 
 namespace g10 {
 
@@ -79,113 +76,42 @@ generateArrivals(const ArrivalSpec& spec, double rate_per_sec,
     return out;
 }
 
-namespace {
-
-/** Parse a double attribute; fatal with location on malformed input. */
-double
-parseDoubleAt(const std::string& v, const std::string& path,
-              std::size_t line, const char* what)
+const SpecFormat<std::vector<TraceRequest>>&
+arrivalTraceFormat()
 {
-    double out = 0.0;
-    if (!parseDoubleStrict(v, &out))
-        fatal("%s:%zu: %s needs a number, got '%s'", path.c_str(), line,
-              what, v.c_str());
-    return out;
+    using Trace = std::vector<TraceRequest>;
+    using R = TraceRequest;
+    static const SpecFormat<Trace> format = [] {
+        SpecFormat<Trace> f{"arrival trace", {}, {}};
+        f.lines.push_back(specLine<Trace, R>(
+            {"req", "<arrival_ms> <Model>", "request",
+             "one request; arrival times are non-decreasing"},
+            {
+                fieldKey(kBatchKey, &R::batchSize),
+                fieldKey(kIterationsKey, &R::iterations),
+                fieldKey(kPriorityKey, &R::priority),
+            },
+            [](Trace& out, R req, const SpecLineArgs& args) {
+                req.arrivalNs = static_cast<TimeNs>(
+                    args.number(0, "arrival time", within(0)) *
+                    static_cast<double>(MSEC));
+                req.model = modelKindOf(args.head(1, "model"));
+                if (!out.empty() && req.arrivalNs < out.back().arrivalNs)
+                    args.at.fail("arrival times must be non-decreasing");
+                out.push_back(req);
+            }));
+        return f;
+    }();
+    return format;
 }
-
-/** Parse one "req = <arrival_ms> <Model> k=v ..." payload. */
-TraceRequest
-parseReqLine(const std::string& payload, const std::string& path,
-             std::size_t line)
-{
-    std::stringstream ss(payload);
-    std::string time_tok, model_name;
-    if (!(ss >> time_tok >> model_name))
-        fatal("%s:%zu: 'req =' needs '<arrival_ms> <Model>'",
-              path.c_str(), line);
-
-    TraceRequest req;
-    double ms = parseDoubleAt(time_tok, path, line, "arrival time");
-    if (ms < 0.0)
-        fatal("%s:%zu: arrival time must be >= 0", path.c_str(), line);
-    req.arrivalNs =
-        static_cast<TimeNs>(ms * static_cast<double>(MSEC));
-    req.model = modelKindFromName(model_name);
-
-    std::string tok;
-    while (ss >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-            fatal("%s:%zu: request attribute '%s' is not key=value",
-                  path.c_str(), line, tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        long long n = 0;
-        if (!parseIntStrict(val, &n))
-            fatal("%s:%zu: '%s' needs an integer, got '%s'",
-                  path.c_str(), line, key.c_str(), val.c_str());
-        if (key == "batch") {
-            if (n < 1)
-                fatal("%s:%zu: batch must be >= 1", path.c_str(), line);
-            req.batchSize = static_cast<int>(n);
-        } else if (key == "iterations") {
-            if (n < 1)
-                fatal("%s:%zu: iterations must be >= 1", path.c_str(),
-                      line);
-            req.iterations = static_cast<int>(n);
-        } else if (key == "priority") {
-            if (n < 1 || n > 1000)
-                fatal("%s:%zu: priority must be in [1, 1000]",
-                      path.c_str(), line);
-            req.priority = static_cast<int>(n);
-        } else {
-            fatal("%s:%zu: unknown request attribute '%s' (expected "
-                  "batch, iterations, priority)",
-                  path.c_str(), line, key.c_str());
-        }
-    }
-    return req;
-}
-
-}  // namespace
 
 std::vector<TraceRequest>
 parseArrivalTrace(const std::string& path)
 {
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open arrival trace '%s'", path.c_str());
-
     std::vector<TraceRequest> out;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-
-        std::stringstream ss(line);
-        std::string key, eq;
-        if (!(ss >> key))
-            continue;  // blank / comment-only line
-        if (!(ss >> eq) || eq != "=")
-            fatal("%s:%zu: expected 'req = ...'", path.c_str(), lineno);
-        if (key != "req")
-            fatal("%s:%zu: unknown key '%s' (expected req)",
-                  path.c_str(), lineno, key.c_str());
-
-        std::string payload;
-        std::getline(ss, payload);
-        TraceRequest req = parseReqLine(payload, path, lineno);
-        if (!out.empty() && req.arrivalNs < out.back().arrivalNs)
-            fatal("%s:%zu: arrival times must be non-decreasing",
-                  path.c_str(), lineno);
-        out.push_back(req);
-    }
-
+    readSpecFile(path, arrivalTraceFormat(), out);
     if (out.empty())
-        fatal("%s: arrival trace defines no requests", path.c_str());
+        SpecLoc{path}.fail("arrival trace defines no requests");
     return out;
 }
 

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_reader.h"
 #include "common/types.h"
 #include "models/model_zoo.h"
 
@@ -94,11 +95,13 @@ struct TraceRequest
     int priority = 1;
 };
 
+/** The arrival-trace (`.arr`) format: one `req =` line per request. */
+const SpecFormat<std::vector<TraceRequest>>& arrivalTraceFormat();
+
 /**
- * Parse an arrival-trace file. Unknown keys, malformed values,
- * decreasing timestamps, and empty traces are fatal (exit 1) with
- * file/line diagnostics — the same strictness contract as the mix
- * parser. Format:
+ * Parse an arrival-trace file (arrivalTraceFormat()). Unknown keys,
+ * malformed values, decreasing timestamps, and empty traces are fatal
+ * (exit 1) with file/line diagnostics. Format:
  *
  *   # '#' comments and blank lines are ignored
  *   # one request per line: "req = <arrival_ms> <Model> key=value ..."

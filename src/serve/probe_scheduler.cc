@@ -235,17 +235,15 @@ ProbeScheduler::stats() const
 
 // ---- Spec fingerprint ----------------------------------------------
 
-std::uint64_t
-fingerprintServeSpec(const ServeSpec& spec)
+void
+mixScenarioSpec(SpecHash& h, const ScenarioSpec& spec)
 {
-    SpecHash h;
     h.mix(fingerprintSystemConfig(spec.sys));
     h.mix(spec.scaleDown);
     h.mix(spec.seed);
     h.mix(static_cast<std::uint64_t>(spec.slots));
     h.mix(static_cast<std::uint64_t>(spec.partitionPolicy));
     h.mixDouble(spec.resizeHysteresis);
-    h.mix(static_cast<std::uint64_t>(spec.maxActive));
     h.mix(spec.queueCapacity);
     h.mix(static_cast<std::uint64_t>(spec.admit));
     h.mix(static_cast<std::uint64_t>(spec.starvationNs));
@@ -255,9 +253,6 @@ fingerprintServeSpec(const ServeSpec& spec)
     h.mixDouble(spec.arrival.burstOnSec);
     h.mixDouble(spec.arrival.burstOffSec);
     h.mixString(spec.arrival.tracePath);
-    h.mix(spec.designs.size());
-    for (const std::string& d : spec.designs)
-        h.mixString(d);
     h.mix(spec.classes.size());
     for (const ServeJobClass& c : spec.classes) {
         h.mixString(c.name);
@@ -267,6 +262,17 @@ fingerprintServeSpec(const ServeSpec& spec)
         h.mix(static_cast<std::uint64_t>(c.priority));
         h.mixDouble(c.weight);
     }
+}
+
+std::uint64_t
+fingerprintServeSpec(const ServeSpec& spec)
+{
+    SpecHash h;
+    mixScenarioSpec(h, spec);
+    h.mix(static_cast<std::uint64_t>(spec.maxActive));
+    h.mix(spec.designs.size());
+    for (const std::string& d : spec.designs)
+        h.mixString(d);
     return h.digest();
 }
 

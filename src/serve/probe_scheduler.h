@@ -313,8 +313,7 @@ class ProbeScheduler
  */
 std::uint64_t fingerprintServeSpec(const ServeSpec& spec);
 
-/** FNV-1a accumulator the spec fingerprints are built from (fleet
- *  composes node/stream fields onto its nodes' serve fingerprints). */
+/** FNV-1a accumulator the spec fingerprints are built from. */
 class SpecHash
 {
   public:
@@ -344,6 +343,10 @@ class SpecHash
   private:
     std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
+
+/** Mix the part of a scenario serve and fleet specs share into @p h:
+ *  every ScenarioSpec field except the knee-search knobs. */
+void mixScenarioSpec(SpecHash& h, const ScenarioSpec& spec);
 
 }  // namespace g10
 

@@ -1,120 +1,8 @@
 #include "serve_spec.h"
 
-#include <fstream>
-#include <set>
-#include <sstream>
-
-#include "common/logging.h"
-#include "common/parse_util.h"
 #include "policies/registry.h"
 
 namespace g10 {
-
-namespace {
-
-/** Parse an integer; fatal with location on malformed input. */
-long long
-parseInt(const std::string& v, const std::string& path, std::size_t line,
-         const std::string& key)
-{
-    long long out = 0;
-    if (!parseIntStrict(v, &out))
-        fatal("%s:%zu: '%s' needs an integer, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Parse a double; fatal with location on malformed input. */
-double
-parseDouble(const std::string& v, const std::string& path,
-            std::size_t line, const std::string& key)
-{
-    double out = 0.0;
-    if (!parseDoubleStrict(v, &out))
-        fatal("%s:%zu: '%s' needs a number, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Split a comma list ("a,b,c"); empty items are malformed. */
-std::vector<std::string>
-splitCommaList(const std::string& v, const std::string& path,
-               std::size_t line, const std::string& key)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::stringstream ss(v);
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            fatal("%s:%zu: '%s' has an empty list item", path.c_str(),
-                  line, key.c_str());
-        out.push_back(item);
-    }
-    if (out.empty() || v.back() == ',')
-        fatal("%s:%zu: '%s' needs a comma-separated list", path.c_str(),
-              line, key.c_str());
-    return out;
-}
-
-/** Parse one "class = <Model> k=v ..." payload. */
-ServeJobClass
-parseClassLine(const std::string& payload, const std::string& path,
-               std::size_t line)
-{
-    std::stringstream ss(payload);
-    std::string model_name;
-    if (!(ss >> model_name))
-        fatal("%s:%zu: 'class =' needs at least a model name",
-              path.c_str(), line);
-
-    ServeJobClass cls;
-    cls.model = modelKindFromName(model_name);
-    std::string tok;
-    while (ss >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-            fatal("%s:%zu: class attribute '%s' is not key=value",
-                  path.c_str(), line, tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        if (key == "batch") {
-            cls.batchSize =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.batchSize < 1)
-                fatal("%s:%zu: batch must be >= 1", path.c_str(), line);
-        } else if (key == "iterations") {
-            cls.iterations =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.iterations < 1)
-                fatal("%s:%zu: iterations must be >= 1", path.c_str(),
-                      line);
-        } else if (key == "priority") {
-            cls.priority =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.priority < 1 || cls.priority > 1000)
-                fatal("%s:%zu: priority must be in [1, 1000]",
-                      path.c_str(), line);
-        } else if (key == "weight") {
-            cls.weight = parseDouble(val, path, line, key);
-            if (cls.weight <= 0.0)
-                fatal("%s:%zu: weight must be > 0", path.c_str(), line);
-        } else if (key == "name") {
-            cls.name = val;
-        } else {
-            fatal("%s:%zu: unknown class attribute '%s' (expected "
-                  "batch, iterations, priority, weight, name)",
-                  path.c_str(), line, key.c_str());
-        }
-    }
-    if (cls.batchSize <= 0)
-        cls.batchSize = paperBatchSize(cls.model);
-    if (cls.name.empty())
-        cls.name = std::string(modelName(cls.model)) + "-" +
-                   std::to_string(cls.batchSize);
-    return cls;
-}
-
-}  // namespace
 
 const char*
 partitionPolicyName(PartitionPolicy policy)
@@ -144,237 +32,190 @@ partitionPolicyFromName(const std::string& name, PartitionPolicy* out)
     return true;
 }
 
+ServeJobClass
+resolvedClass(ServeJobClass cls)
+{
+    if (cls.batchSize <= 0)
+        cls.batchSize = paperBatchSize(cls.model);
+    if (cls.name.empty())
+        cls.name = std::string(modelName(cls.model)) + "-" +
+                   std::to_string(cls.batchSize);
+    return cls;
+}
+
+std::vector<ServeJobClass>
+demoClassMix()
+{
+    std::vector<ServeJobClass> mix(3);
+    mix[0].batchSize = 512;
+    mix[1].batchSize = 256;
+    mix[1].weight = 2.0;
+    mix[2].model = ModelKind::BertBase;
+    for (ServeJobClass& c : mix)
+        c = resolvedClass(c);
+    return mix;
+}
+
+SpecFormat<ScenarioSpec>
+scenarioFormat(bool traceArrivals)
+{
+    using S = ScenarioSpec;
+    using T = SpecType;
+    const char* arrivals =
+        traceArrivals ? "poisson | bursty | trace" : "poisson | bursty";
+    SpecFormat<S> f{"scenario", {}, {}};
+    f.keys = {
+        fieldKey(kScaleKey, &S::scaleDown),
+        fieldKey(kSeedKey, &S::seed),
+        fieldKey({"slots", T::Int, within(1), "3",
+                  "concurrent partition slots"},
+                 &S::slots),
+        specKey<S>({"partition_policy", T::Word, {}, "ondemand",
+                    "static | proportional | ondemand"},
+                   [](S& s, const SpecValue& v) {
+                       if (!partitionPolicyFromName(v.text,
+                                                    &s.partitionPolicy))
+                           v.unknown(v.key.c_str(),
+                                     "static | proportional | ondemand");
+                   }),
+        fieldKey({"resize_hysteresis", T::Number, within(0, 1, true), "0.5",
+                  "min relative growth worth a resize"},
+                 &S::resizeHysteresis),
+        fieldKey({"queue", T::Int, within(0), "4", "admission queue bound"},
+                 &S::queueCapacity),
+        specKey<S>({"admission", T::Word, {}, "sjf", "fifo | sjf | priority"},
+                   [](S& s, const SpecValue& v) {
+                       if (!admitPolicyFromName(v.text, &s.admit))
+                           v.unknown(v.key.c_str(), "fifo | sjf | priority");
+                   }),
+        specKey<S>({"starvation_ms", T::Number, {}, "250",
+                    "priority starvation guard (<= 0: off)"},
+                   [](S& s, const SpecValue& v) {
+                       s.starvationNs = static_cast<TimeNs>(
+                           v.d * static_cast<double>(MSEC));
+                   }),
+        fieldKey({"slo_factor", T::Number, above(0), "2.5",
+                  "SLO = factor x unloaded latency"},
+                 &S::sloFactor),
+        fieldKey({"requests", T::Int, within(1), "12", "offered requests"},
+                 &S::requests),
+        specKey<S>({"arrival", T::Word, {}, "bursty", arrivals},
+                   [arrivals, traceArrivals](S& s, const SpecValue& v) {
+                       if (!arrivalKindFromName(v.text, &s.arrival.kind))
+                           v.unknown(v.key.c_str(), arrivals);
+                       if (!traceArrivals &&
+                           s.arrival.kind == ArrivalKind::Trace)
+                           v.at.fail("fleet arrivals must be poisson or "
+                                     "bursty (trace arrivals are "
+                                     "per-node)");
+                   }),
+        specKey<S>({"burst_on_ms", T::Number, above(0), "20",
+                    "bursty ON window"},
+                   [](S& s, const SpecValue& v) {
+                       s.arrival.burstOnSec = v.d / 1e3;
+                   }),
+        specKey<S>({"burst_off_ms", T::Number, within(0), "100",
+                    "bursty OFF window"},
+                   [](S& s, const SpecValue& v) {
+                       s.arrival.burstOffSec = v.d / 1e3;
+                   }),
+        fieldKey({"rate_lo", T::Number, above(0), "0.2",
+                  "first knee-search probe rate (default 0.05)", true},
+                 &S::rateLo),
+        fieldKey({"rate_hi", T::Number, above(0), "9",
+                  "knee-search ceiling (default: unbounded)", true},
+                 &S::rateHi),
+        fieldKey({"rate_probes", T::Int, within(2), "6",
+                  "max knee-search probes per lane", true},
+                 &S::rateProbes),
+        fieldKey({"speculate", T::OnOff, {}, "off",
+                  "speculative parallel knee probes (wall-clock only)",
+                  true},
+                 &S::speculativeProbes),
+    };
+    for (SpecKey<S>& k : platformKeys(&S::sys))
+        f.keys.push_back(std::move(k));
+
+    using C = ServeJobClass;
+    f.lines.push_back(specLine<S, C>(
+        {"class", "<Model>", "class", "one job class of the arrival mix"},
+        {
+            fieldKey(kBatchKey, &C::batchSize),
+            fieldKey(kIterationsKey, &C::iterations),
+            fieldKey(kPriorityKey, &C::priority),
+            fieldKey(kWeightKey, &C::weight),
+            fieldKey(kNameKey, &C::name),
+        },
+        [](S& s, C cls, const SpecLineArgs& args) {
+            cls.model = modelKindOf(args.head(0, "model"));
+            s.classes.push_back(resolvedClass(cls));
+        }));
+    return f;
+}
+
+const SpecFormat<ServeSpec>&
+serveFileFormat()
+{
+    using S = ServeSpec;
+    using T = SpecType;
+    static const SpecFormat<S> format = [] {
+        SpecFormat<S> f =
+            inheritFormat<S>("serve file", scenarioFormat(true));
+        f.keys.push_back(fieldKey({"max_active", T::Int, within(0), "4",
+                                   "elastic concurrency cap (0 = derive)"},
+                                  &S::maxActive));
+        f.keys.push_back(specKey<S>(
+            {"trace", T::Text, {}, "requests.arr",
+             "arrival-trace file (arrival = trace)"},
+            [](S& s, const SpecValue& v) {
+                s.arrival.tracePath = v.text;
+            }));
+        f.keys.push_back(specKey<S>(
+            {"rates", T::Numbers, above(0), "5,10,20",
+             "offered req/s sweep (trace: multipliers), or auto", true,
+             "auto", true},
+            [](S& s, const SpecValue& v) {
+                s.ratesAuto = v.keyword;
+                s.rates = v.numbers;
+            }));
+        f.keys.push_back(
+            fieldKey({"sweep_cache", T::OnOff, {}, "off",
+                      "cross-probe plan-compile cache (wall-clock only)",
+                      true},
+                     &S::sweepPlanCache));
+        f.keys.push_back(specKey<S>(
+            {"designs", T::Words, {}, "baseuvm,g10",
+             "designs to sweep (registered names)", false, nullptr, true},
+            [](S& s, const SpecValue& v) {
+                PolicyRegistry::instance().resolve(v);
+                s.designs.push_back(v.text);
+            }));
+        return f;
+    }();
+    return format;
+}
+
 ServeSpec
 parseServeFile(const std::string& path)
 {
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open serve file '%s'", path.c_str());
-
     ServeSpec spec;
-    spec.rates.clear();
-    spec.designs.clear();
-
-    std::set<std::string> seen;  // scalar keys may not repeat
-    std::string line;
-    std::size_t lineno = 0;
-    bool have_trace_path = false;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-
-        std::stringstream ss(line);
-        std::string key, eq;
-        if (!(ss >> key))
-            continue;  // blank / comment-only line
-        if (!(ss >> eq) || eq != "=")
-            fatal("%s:%zu: expected 'key = value'", path.c_str(),
-                  lineno);
-
-        if (key == "class") {
-            std::string payload;
-            std::getline(ss, payload);
-            spec.classes.push_back(
-                parseClassLine(payload, path, lineno));
-            continue;
-        }
-
-        std::string value, extra;
-        if (!(ss >> value))
-            fatal("%s:%zu: '%s =' is missing a value", path.c_str(),
-                  lineno, key.c_str());
-        if (ss >> extra)
-            fatal("%s:%zu: trailing garbage '%s' after value",
-                  path.c_str(), lineno, extra.c_str());
-        if (!seen.insert(key).second)
-            fatal("%s:%zu: duplicate key '%s'", path.c_str(), lineno,
-                  key.c_str());
-
-        if (key == "scale") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: scale must be >= 1", path.c_str(),
-                      lineno);
-            spec.scaleDown = static_cast<unsigned>(v);
-        } else if (key == "seed") {
-            spec.seed = static_cast<std::uint64_t>(
-                parseInt(value, path, lineno, key));
-        } else if (key == "slots") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: slots must be >= 1", path.c_str(),
-                      lineno);
-            spec.slots = static_cast<int>(v);
-        } else if (key == "queue") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 0)
-                fatal("%s:%zu: queue must be >= 0", path.c_str(),
-                      lineno);
-            spec.queueCapacity = static_cast<std::size_t>(v);
-        } else if (key == "admission") {
-            if (!admitPolicyFromName(value, &spec.admit))
-                fatal("%s:%zu: unknown admission '%s' (fifo | sjf | "
-                      "priority)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "starvation_ms") {
-            spec.starvationNs = static_cast<TimeNs>(
-                parseDouble(value, path, lineno, key) *
-                static_cast<double>(MSEC));
-        } else if (key == "slo_factor") {
-            spec.sloFactor = parseDouble(value, path, lineno, key);
-            if (spec.sloFactor <= 0.0)
-                fatal("%s:%zu: slo_factor must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "requests") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: requests must be >= 1", path.c_str(),
-                      lineno);
-            spec.requests = static_cast<int>(v);
-        } else if (key == "arrival") {
-            if (!arrivalKindFromName(value, &spec.arrival.kind))
-                fatal("%s:%zu: unknown arrival '%s' (poisson | bursty "
-                      "| trace)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "burst_on_ms") {
-            spec.arrival.burstOnSec =
-                parseDouble(value, path, lineno, key) / 1e3;
-            if (spec.arrival.burstOnSec <= 0.0)
-                fatal("%s:%zu: burst_on_ms must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "burst_off_ms") {
-            spec.arrival.burstOffSec =
-                parseDouble(value, path, lineno, key) / 1e3;
-            if (spec.arrival.burstOffSec < 0.0)
-                fatal("%s:%zu: burst_off_ms must be >= 0", path.c_str(),
-                      lineno);
-        } else if (key == "trace") {
-            spec.arrival.tracePath = value;
-            have_trace_path = true;
-        } else if (key == "partition_policy") {
-            if (!partitionPolicyFromName(value, &spec.partitionPolicy))
-                fatal("%s:%zu: unknown partition_policy '%s' (static "
-                      "| proportional | ondemand)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "resize_hysteresis") {
-            spec.resizeHysteresis =
-                parseDouble(value, path, lineno, key);
-            if (spec.resizeHysteresis < 0.0 ||
-                spec.resizeHysteresis >= 1.0)
-                fatal("%s:%zu: resize_hysteresis must be in [0, 1)",
-                      path.c_str(), lineno);
-        } else if (key == "max_active") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 0)
-                fatal("%s:%zu: max_active must be >= 0 (0 = derive)",
-                      path.c_str(), lineno);
-            spec.maxActive = static_cast<int>(v);
-        } else if (key == "rates") {
-            if (value == "auto") {
-                spec.ratesAuto = true;
-            } else {
-                for (const std::string& item :
-                     splitCommaList(value, path, lineno, key)) {
-                    double r = parseDouble(item, path, lineno, key);
-                    if (r <= 0.0)
-                        fatal("%s:%zu: rates must be > 0",
-                              path.c_str(), lineno);
-                    spec.rates.push_back(r);
-                }
-            }
-        } else if (key == "rate_lo") {
-            spec.rateLo = parseDouble(value, path, lineno, key);
-            if (spec.rateLo <= 0.0)
-                fatal("%s:%zu: rate_lo must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate_hi") {
-            spec.rateHi = parseDouble(value, path, lineno, key);
-            if (spec.rateHi <= 0.0)
-                fatal("%s:%zu: rate_hi must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate_probes") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 2)
-                fatal("%s:%zu: rate_probes must be >= 2", path.c_str(),
-                      lineno);
-            spec.rateProbes = static_cast<int>(v);
-        } else if (key == "sweep_cache") {
-            if (value == "on")
-                spec.sweepPlanCache = true;
-            else if (value == "off")
-                spec.sweepPlanCache = false;
-            else
-                fatal("%s:%zu: sweep_cache must be 'on' or 'off'",
-                      path.c_str(), lineno);
-        } else if (key == "speculate") {
-            if (value == "on")
-                spec.speculativeProbes = true;
-            else if (value == "off")
-                spec.speculativeProbes = false;
-            else
-                fatal("%s:%zu: speculate must be 'on' or 'off'",
-                      path.c_str(), lineno);
-        } else if (key == "designs") {
-            for (const std::string& item :
-                 splitCommaList(value, path, lineno, key)) {
-                if (!PolicyRegistry::instance().contains(item))
-                    fatal("%s:%zu: unknown design '%s' (registered: "
-                          "%s)",
-                          path.c_str(), lineno, item.c_str(),
-                          PolicyRegistry::instance()
-                              .knownNames()
-                              .c_str());
-                spec.designs.push_back(item);
-            }
-        } else if (key == "gpu_mem_gb") {
-            double v = parseDouble(value, path, lineno, key);
-            if (v <= 0.0)
-                fatal("%s:%zu: gpu_mem_gb must be > 0", path.c_str(),
-                      lineno);
-            spec.sys.gpuMemBytes = static_cast<Bytes>(v * 1e9);
-        } else if (key == "host_mem_gb") {
-            spec.sys.hostMemBytes = static_cast<Bytes>(
-                parseDouble(value, path, lineno, key) * 1e9);
-        } else if (key == "ssd_gbps") {
-            spec.sys.setSsdBandwidthGBps(
-                parseDouble(value, path, lineno, key));
-        } else if (key == "pcie_gbps") {
-            spec.sys.pcieGBps = parseDouble(value, path, lineno, key);
-        } else {
-            fatal("%s:%zu: unknown key '%s' (expected class, scale, "
-                  "seed, slots, partition_policy, resize_hysteresis, "
-                  "max_active, queue, admission, starvation_ms, "
-                  "slo_factor, requests, arrival, burst_on_ms, "
-                  "burst_off_ms, trace, rates, rate_lo, rate_hi, "
-                  "rate_probes, sweep_cache, speculate, designs, "
-                  "gpu_mem_gb, host_mem_gb, ssd_gbps, pcie_gbps)",
-                  path.c_str(), lineno, key.c_str());
-        }
-    }
+    readSpecFile(path, serveFileFormat(), spec);
 
     // Cross-key consistency.
-    if (spec.rates.empty() && !spec.ratesAuto)
-        fatal("%s: serve file needs 'rates = ...'", path.c_str());
+    const SpecLoc file{path};
     if (spec.maxActive > 0 && spec.maxActive < spec.slots)
-        fatal("%s: max_active (%d) must be >= slots (%d)",
-              path.c_str(), spec.maxActive, spec.slots);
-    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 &&
-        spec.rateHi < spec.rateLo)
-        fatal("%s: rate_hi must be >= rate_lo", path.c_str());
-    if (spec.designs.empty())
-        fatal("%s: serve file needs 'designs = ...'", path.c_str());
+        file.fail("max_active (%d) must be >= slots (%d)", spec.maxActive,
+                  spec.slots);
+    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 && spec.rateHi < spec.rateLo)
+        file.fail("rate_hi must be >= rate_lo");
     if (spec.arrival.kind == ArrivalKind::Trace) {
-        if (!have_trace_path)
-            fatal("%s: 'arrival = trace' needs 'trace = <file>'",
-                  path.c_str());
+        if (spec.arrival.tracePath.empty())
+            file.fail("'arrival = trace' needs 'trace = <file>'");
         if (!spec.classes.empty())
-            fatal("%s: 'class =' lines are only for poisson/bursty "
-                  "arrivals (trace files carry their own requests)",
-                  path.c_str());
+            file.fail("'class =' lines are only for poisson/bursty "
+                      "arrivals (trace files carry their own requests)");
     } else if (spec.classes.empty()) {
-        fatal("%s: serve file defines no job classes", path.c_str());
+        file.fail("serve file defines no job classes");
     }
     return spec;
 }
@@ -389,25 +230,7 @@ demoServeSpec(unsigned scale)
     spec.requests = 12;
     spec.rates = {0.2, 0.6, 1.8};
     spec.designs = {"baseuvm", "deepum", "g10"};
-
-    ServeJobClass big;
-    big.model = ModelKind::ResNet152;
-    big.batchSize = 512;
-    big.weight = 1.0;
-    ServeJobClass small;
-    small.model = ModelKind::ResNet152;
-    small.batchSize = 256;
-    small.weight = 2.0;
-    ServeJobClass bert;
-    bert.model = ModelKind::BertBase;
-    bert.weight = 1.0;
-    spec.classes = {big, small, bert};
-    for (ServeJobClass& c : spec.classes) {
-        if (c.batchSize <= 0)
-            c.batchSize = paperBatchSize(c.model);
-        c.name = std::string(modelName(c.model)) + "-" +
-                 std::to_string(c.batchSize);
-    }
+    spec.classes = demoClassMix();
     return spec;
 }
 

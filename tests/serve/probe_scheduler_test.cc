@@ -17,9 +17,11 @@
 
 #include "api/report.h"
 #include "engine/experiment_engine.h"
+#include "fleet/fleet_sim.h"
 #include "serve/probe_scheduler.h"
 #include "serve/serve_sim.h"
 #include "serve/serve_spec.h"
+#include "tests/test_util.h"
 
 namespace g10 {
 namespace {
@@ -335,6 +337,75 @@ TEST(ProbeScheduler, SpeculationOffNeverIssuesAheadOfTheDecision)
     EXPECT_EQ(static_cast<std::uint64_t>(calls.load()), stats.issued);
 }
 
+/**
+ * Set each key of @p format (and each attribute of its payload lines)
+ * declared with searchOnly == @p searchOnly to its table sample on top
+ * of @p base: a result-affecting key must move the fingerprint, a
+ * search-only or wall-clock key must not. A new key cannot then
+ * silently collide the probe or plan caches.
+ */
+template <class S>
+void
+expectFingerprintFollowsTable(
+    const char* tag, const SpecFormat<S>& format,
+    const std::vector<std::string>& base,
+    const std::function<std::uint64_t(const std::string&)>& fingerprint,
+    bool searchOnly)
+{
+    std::string path = test::writeSpecLines(tag, base);
+    const std::uint64_t fp = fingerprint(path);
+    std::remove(path.c_str());
+
+    auto check = [&](const SpecKeyInfo& k,
+                     const std::vector<std::string>& lines) {
+        if (k.searchOnly != searchOnly)
+            return;
+        std::string p = test::writeSpecLines(tag, lines);
+        const std::uint64_t vfp = fingerprint(p);
+        std::remove(p.c_str());
+        if (k.searchOnly)
+            EXPECT_EQ(vfp, fp) << k.name << " = " << k.sample;
+        else
+            EXPECT_NE(vfp, fp) << k.name << " = " << k.sample;
+    };
+    for (const SpecKey<S>& k : format.keys)
+        check(k, test::withKey(base, k.name, k.sample));
+    for (const SpecLine<S>& line : format.lines) {
+        for (const SpecKeyInfo& k : line.attrs) {
+            // Append the attribute to the base's first such line.
+            std::vector<std::string> lines = base;
+            for (std::string& l : lines) {
+                if (l.rfind(std::string(line.name) + " =", 0) == 0) {
+                    l += std::string(" ") + k.name + "=" + k.sample;
+                    break;
+                }
+            }
+            check(k, lines);
+        }
+    }
+}
+
+/** Both formats' tables against their fingerprints. */
+void
+expectFingerprintsFollowTables(bool searchOnly)
+{
+    expectFingerprintFollowsTable(
+        "fp_serve", serveFileFormat(),
+        {"rates = 1", "designs = g10", "class = ResNet152 batch=256"},
+        [](const std::string& p) {
+            return fingerprintServeSpec(parseServeFile(p));
+        },
+        searchOnly);
+    expectFingerprintFollowsTable(
+        "fp_fleet", fleetFileFormat(),
+        {"rate = 1", "placements = jsq", "class = ResNet152 batch=256",
+         "node = n0"},
+        [](const std::string& p) {
+            return fingerprintFleetSpec(parseFleetFile(p));
+        },
+        searchOnly);
+}
+
 TEST(SpecFingerprint, DistinguishesEveryScenarioKnob)
 {
     const ServeSpec base = demoServeSpec(64);
@@ -386,6 +457,9 @@ TEST(SpecFingerprint, DistinguishesEveryScenarioKnob)
             EXPECT_NE(vfp, fps[j]) << "variant " << i << " vs " << j;
         fps.push_back(vfp);
     }
+
+    // Every result-affecting key of the serve and fleet tables.
+    expectFingerprintsFollowTables(false);
 }
 
 TEST(SpecFingerprint, IgnoresSearchShapeAndWallClockKnobs)
@@ -404,6 +478,19 @@ TEST(SpecFingerprint, IgnoresSearchShapeAndWallClockKnobs)
     v.speculativeProbes = false;
     v.sweepPlanCache = false;
     EXPECT_EQ(fp, fingerprintServeSpec(v));
+
+    // Every search-only key of the serve and fleet tables.
+    expectFingerprintsFollowTables(true);
+
+    // The serve table marks exactly these keys as search-only.
+    std::vector<std::string> searchOnly;
+    for (const SpecKey<ServeSpec>& k : serveFileFormat().keys)
+        if (k.searchOnly)
+            searchOnly.push_back(k.name);
+    EXPECT_EQ(searchOnly,
+              (std::vector<std::string>{"rate_lo", "rate_hi", "rate_probes",
+                                        "speculate", "rates",
+                                        "sweep_cache"}));
 }
 
 /** The plan-cache suite's tiny auto-knee scenario. */

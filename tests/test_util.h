@@ -7,6 +7,10 @@
 #ifndef G10_TESTS_TEST_UTIL_H
 #define G10_TESTS_TEST_UTIL_H
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -151,6 +155,33 @@ tinySystem()
     sys.hostMemBytes = 512 * MiB;
     sys.ssdCapacityBytes = 4ULL * GiB;
     return sys;
+}
+
+/** Write @p lines to a fresh temp spec file named after @p tag and
+ *  return its path. */
+inline std::string
+writeSpecLines(const std::string& tag, const std::vector<std::string>& lines)
+{
+    std::string path = ::testing::TempDir() + "g10_" + tag + "_" +
+                       std::to_string(::getpid()) + ".spec";
+    std::ofstream f(path);
+    for (const std::string& line : lines)
+        f << line << "\n";
+    return path;
+}
+
+/** @p lines with any `key = ...` line dropped and `key = value`
+ *  appended. */
+inline std::vector<std::string>
+withKey(std::vector<std::string> lines, const std::string& key,
+        const std::string& value)
+{
+    std::vector<std::string> out;
+    for (const std::string& line : lines)
+        if (line.rfind(key + " =", 0) != 0)
+            out.push_back(line);
+    out.push_back(key + " = " + value);
+    return out;
 }
 
 }  // namespace g10::test

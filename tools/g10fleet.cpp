@@ -71,33 +71,11 @@ usage(std::ostream& os, int code)
           "                      forensics for saved traces)\n"
           "  --log-level <l>     silent|warn|info|debug (default warn)\n"
           "\n"
-          "Fleet file: '#' comments; 'key = value' lines.\n"
-          "  fleet    : scale, seed, slots, queue,\n"
-          "             partition_policy (static|proportional|\n"
-          "             ondemand), resize_hysteresis,\n"
-          "             admission (fifo|sjf|priority), starvation_ms,\n"
-          "             slo_factor, requests,\n"
-          "             arrival (poisson|bursty),\n"
-          "             burst_on_ms, burst_off_ms,\n"
-          "             rate (fleet req/s), design,\n"
-          "             placements = jsq,planaware,affinity,\n"
-          "             gpu_mem_gb, host_mem_gb, ssd_gbps, pcie_gbps\n"
-          "  classes  : class = <Model> [batch=N] [iterations=N]\n"
-          "             [priority=N] [weight=X] [name=STR]\n"
-          "  nodes    : node = <name> [gpu_gb=X] [host_gb=X]\n"
-          "             [ssd_gbps=X] [pcie_gbps=X] [slots=N] [queue=N]\n"
-          "             [families=ModelA,ModelB]\n"
-          "  models   : BERT ViT Inceptionv3 ResNet152 SENet154\n"
+          "Fleet file: '#' comments; 'key = value' lines.\n";
+    printSpecFormat(os, fleetFileFormat());
+    os << "  models: BERT ViT Inceptionv3 ResNet152 SENet154\n"
           "\n"
-          "Example:\n"
-          "  scale = 64\n"
-          "  rate = 1.0\n"
-          "  design = g10\n"
-          "  placements = jsq,affinity\n"
-          "  class = ResNet152 batch=512 weight=2\n"
-          "  class = BERT\n"
-          "  node = big0 gpu_gb=40 slots=2\n"
-          "  node = small0 gpu_gb=20 slots=1 families=BERT\n";
+          "Example: examples/fleet.serve\n";
     return code;
 }
 

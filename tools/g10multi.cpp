@@ -45,22 +45,13 @@ usage(std::ostream& os, int code)
           "  --metrics           print a g10.metrics.v1 JSON document\n"
           "  --log-level <l>     silent|warn|info|debug (default warn)\n"
           "\n"
-          "Mix file: '#' comments; 'key = value' lines.\n"
-          "  mix keys : scale, sched (roundrobin|priority), seed,\n"
-          "             isolated (0|1), gpu_mem_gb, host_mem_gb,\n"
-          "             ssd_gbps, pcie_gbps\n"
-          "  job lines: job = <Model> [batch=N] [design=NAME]\n"
-          "             [priority=N] [arrival_ms=X] [iterations=N]\n"
-          "             [weight=X] [name=STR]\n"
-          "  models   : BERT ViT Inceptionv3 ResNet152 SENet154\n"
-          "  designs  : any registered name; run\n"
-          "             'g10multi --list-designs' for the list\n"
+          "Mix file: '#' comments; 'key = value' lines.\n";
+    printSpecFormat(os, mixFileFormat());
+    os << "  models : BERT ViT Inceptionv3 ResNet152 SENet154\n"
+          "  designs: any registered name; run\n"
+          "           'g10multi --list-designs' for the list\n"
           "\n"
-          "Example:\n"
-          "  scale = 16\n"
-          "  sched = priority\n"
-          "  job = ResNet152 batch=512 design=g10 priority=1\n"
-          "  job = BERT batch=128 design=g10 priority=4 arrival_ms=2\n";
+          "Example: examples/demo.mix\n";
     return code;
 }
 

@@ -66,35 +66,14 @@ usage(std::ostream& os, int code)
           "                      counters merged across every cell\n"
           "  --log-level <l>     silent|warn|info|debug (default warn)\n"
           "\n"
-          "Serve file: '#' comments; 'key = value' lines.\n"
-          "  scenario : scale, seed, slots, queue,\n"
-          "             partition_policy (static|proportional|\n"
-          "             ondemand), resize_hysteresis, max_active,\n"
-          "             admission (fifo|sjf|priority), starvation_ms,\n"
-          "             slo_factor, requests,\n"
-          "             arrival (poisson|bursty|trace),\n"
-          "             burst_on_ms, burst_off_ms, trace (.arr file),\n"
-          "             gpu_mem_gb, host_mem_gb, ssd_gbps, pcie_gbps\n"
-          "  sweep    : rates = 5,10,20 (req/s; trace: multipliers)\n"
-          "             rates = auto (bisect for the capacity knee;\n"
-          "             rate_lo, rate_hi, rate_probes tune the search)\n"
-          "             designs = baseuvm,deepum,g10\n"
-          "  classes  : class = <Model> [batch=N] [iterations=N]\n"
-          "             [priority=N] [weight=X] [name=STR]\n"
-          "  models   : BERT ViT Inceptionv3 ResNet152 SENet154\n"
+          "Serve file: '#' comments; 'key = value' lines.\n";
+    printSpecFormat(os, serveFileFormat());
+    os << "  models: BERT ViT Inceptionv3 ResNet152 SENet154\n"
           "\n"
-          "Arrival trace (.arr): one request per line,\n"
-          "  req = <arrival_ms> <Model> [batch=N] [iterations=N]\n"
-          "        [priority=N]\n"
-          "\n"
-          "Example:\n"
-          "  scale = 32\n"
-          "  slots = 2\n"
-          "  admission = sjf\n"
-          "  rates = 5,15,45\n"
-          "  designs = baseuvm,deepum,g10\n"
-          "  class = ResNet152 batch=256 weight=2\n"
-          "  class = BERT\n";
+          "Arrival trace (.arr):\n";
+    printSpecFormat(os, arrivalTraceFormat());
+    os << "\n"
+          "Example: examples/elastic.serve\n";
     return code;
 }
 

@@ -17,30 +17,14 @@
  *   --log-level <l>      silent|warn|info|debug
  *
  * Config files are `key = value` lines ('#' comments). Unknown keys
- * and malformed values are rejected with a diagnostic and non-zero
- * exit. Keys:
- *   model        BERT|ViT|Inceptionv3|ResNet152|SENet154
- *   trace        path to a saved .trace file (overrides model/batch)
- *   batch        paper-scale batch size       (default: model's Fig.11)
- *   scale        1/N platform scale           (default 16)
- *   design       any registered design name (see --list-designs)
- *   iterations   replay count, last measured  (default 2)
- *   timing_error fraction, e.g. 0.2 = +-20%   (default 0)
- *   seed         RNG seed                     (default 42)
- *   weight_watermark  fraction of GPU memory weights may fill (0.85)
- *   uvm_extension     0|1 force the unified page table off/on
- *                     (default: the design's own setting)
- *   gpu_mem_gb / host_mem_gb / ssd_gbps / pcie_gbps   platform knobs
- *   listing      N  -> print the first N kernels of the instrumented
- *                      program (G10 designs only)
+ * and malformed values are rejected with a file:line diagnostic and
+ * exit 1. `g10sim --help` lists the keys, generated from the
+ * simConfigFormat() table in src/api/sim_config.h.
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,13 +38,6 @@
 namespace {
 
 using namespace g10;
-
-const std::set<std::string> kKnownKeys = {
-    "model",      "trace",       "batch",        "scale",
-    "design",     "iterations",  "timing_error", "seed",
-    "gpu_mem_gb", "host_mem_gb", "ssd_gbps",     "pcie_gbps",
-    "listing",    "weight_watermark",            "uvm_extension",
-};
 
 int
 usage(std::ostream& os, int code)
@@ -84,97 +61,12 @@ usage(std::ostream& os, int code)
           "                      see also g10trace diff)\n"
           "  --log-level <l>     silent|warn|info|debug (default warn)\n"
           "\n"
-          "Config file: '#' comments; 'key = value' lines. Keys:\n"
-          "  model        BERT|ViT|Inceptionv3|ResNet152|SENet154\n"
-          "  trace        path to a saved .trace file\n"
-          "  batch        paper-scale batch size\n"
-          "  scale        1/N platform scale (default 16)\n"
-          "  design       registered design name (default g10);\n"
-          "               run 'g10sim --list-designs' for the list\n"
-          "  iterations   replay count, last measured (default 2)\n"
-          "  timing_error kernel-time noise fraction (default 0)\n"
-          "  seed         RNG seed (default 42)\n"
-          "  weight_watermark  weight-placement cap (default 0.85)\n"
-          "  uvm_extension     0|1 override the design's default\n"
-          "  gpu_mem_gb / host_mem_gb / ssd_gbps / pcie_gbps\n"
-          "  listing      N -> print first N instrumented kernels\n"
-          "\n"
+          "Config file: '#' comments; 'key = value' lines. Keys:\n";
+    printSpecFormat(os, simConfigFormat());
+    os << "\n"
           "Unknown keys and malformed values are errors.\n"
           "For multi-tenant mix files, see g10multi --help.\n";
     return code;
-}
-
-std::map<std::string, std::string>
-parseConfig(const std::string& path)
-{
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open config '%s'", path.c_str());
-    std::map<std::string, std::string> kv;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::stringstream ss(line);
-        std::string key, eq, value, extra;
-        if (!(ss >> key))
-            continue;
-        if (!(ss >> eq >> value) || eq != "=")
-            fatal("%s:%zu: expected 'key = value'", path.c_str(),
-                  lineno);
-        if (ss >> extra)
-            fatal("%s:%zu: trailing garbage '%s' after value",
-                  path.c_str(), lineno, extra.c_str());
-        if (kKnownKeys.count(key) == 0)
-            fatal("%s:%zu: unknown key '%s' (run 'g10sim --help' for "
-                  "the full list)",
-                  path.c_str(), lineno, key.c_str());
-        if (kv.count(key))
-            fatal("%s:%zu: duplicate key '%s'", path.c_str(), lineno,
-                  key.c_str());
-        kv[key] = value;
-    }
-    return kv;
-}
-
-/** Fetch an integer key with range checking; fatal on bad values. */
-long long
-intKey(const std::map<std::string, std::string>& kv,
-       const std::string& key, long long def, long long lo,
-       long long hi)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return def;
-    long long v = 0;
-    if (!parseIntStrict(it->second, &v))
-        fatal("config key '%s' needs an integer, got '%s'",
-              key.c_str(), it->second.c_str());
-    if (v < lo || v > hi)
-        fatal("config key '%s' must be in [%lld, %lld], got %lld",
-              key.c_str(), lo, hi, v);
-    return v;
-}
-
-/** Fetch a double key with range checking; fatal on bad values. */
-double
-doubleKey(const std::map<std::string, std::string>& kv,
-          const std::string& key, double def, double lo, double hi)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return def;
-    double v = 0.0;
-    if (!parseDoubleStrict(it->second, &v))
-        fatal("config key '%s' needs a number, got '%s'", key.c_str(),
-              it->second.c_str());
-    if (v < lo || v > hi)
-        fatal("config key '%s' must be in [%g, %g], got %g",
-              key.c_str(), lo, hi, v);
-    return v;
 }
 
 int
@@ -238,66 +130,43 @@ int
 runConfig(const std::string& path, const tools::CliArgs& args)
 {
     const ReportFormat format = args.format;
-    auto kv = parseConfig(path);
-
-    auto scale = static_cast<unsigned>(
-        intKey(kv, "scale", 16, 1, 1 << 20));
+    const SimConfig file = parseSimConfig(path);
 
     KernelTrace trace;
-    ModelKind model = ModelKind::ResNet152;
+    ModelKind model = file.model;
     int batch = 0;
-    if (kv.count("trace")) {
-        trace = loadTraceFile(kv["trace"]);
+    if (!file.tracePath.empty()) {
+        trace = loadTraceFile(file.tracePath);
         batch = trace.batchSize();
         // Keep the config echo honest: map the trace's model back to
         // the zoo when possible (synthetic traces stay unmapped).
+        model = ModelKind::ResNet152;
         if (!tryModelKindFromName(trace.modelName(), &model))
             warn("trace model '%s' is not a zoo model; the config echo "
                  "reports %s",
                  trace.modelName().c_str(), modelName(model));
     } else {
-        model = modelKindFromName(
-            kv.count("model") ? kv["model"] : "ResNet152");
-        batch = static_cast<int>(
-            intKey(kv, "batch", paperBatchSize(model), 1, 1 << 24));
-        trace = buildModelScaled(model, batch, scale);
+        batch = file.batchSize > 0 ? file.batchSize
+                                   : paperBatchSize(model);
+        trace = buildModelScaled(model, batch, file.scaleDown);
     }
 
-    SystemConfig sys = SystemConfig().scaledDown(scale);
-    if (kv.count("gpu_mem_gb"))
-        sys.gpuMemBytes = static_cast<Bytes>(
-            doubleKey(kv, "gpu_mem_gb", 0, 1e-3, 1e6) * 1e9);
-    // host_mem_gb = 0 is a meaningful platform (Fig. 17's no-host
-    // -staging point), so it keeps a zero lower bound.
-    if (kv.count("host_mem_gb"))
-        sys.hostMemBytes = static_cast<Bytes>(
-            doubleKey(kv, "host_mem_gb", 0, 0, 1e6) * 1e9);
-    if (kv.count("ssd_gbps"))
-        sys.setSsdBandwidthGBps(
-            doubleKey(kv, "ssd_gbps", 0, 1e-3, 1e6));
-    if (kv.count("pcie_gbps"))
-        sys.pcieGBps = doubleKey(kv, "pcie_gbps", 0, 1e-3, 1e6);
-
+    const SystemConfig& sys = file.sys;
     ExperimentConfig cfg;
     cfg.model = model;
     cfg.batchSize = batch;
     cfg.sys = sys;
     cfg.scaleDown = 1;
-    cfg.design = kv.count("design") ? kv["design"] : "g10";
-    // Resolve now: unknown names fail with the registered list.
+    cfg.design = file.design;
     const PolicyInfo& design =
         PolicyRegistry::instance().resolve(cfg.design);
-    cfg.iterations =
-        static_cast<int>(intKey(kv, "iterations", 2, 1, 1000));
-    cfg.timingErrorPct = doubleKey(kv, "timing_error", 0.0, 0.0, 1.0);
-    cfg.seed = static_cast<std::uint64_t>(
-        intKey(kv, "seed", 42, 0, INT64_MAX));
-    cfg.weightWatermark =
-        doubleKey(kv, "weight_watermark", 0.85, 0.01, 1.0);
-    cfg.uvmExtension =
-        static_cast<int>(intKey(kv, "uvm_extension", -1, 0, 1));
+    cfg.iterations = file.iterations;
+    cfg.timingErrorPct = file.timingErrorPct;
+    cfg.seed = file.seed;
+    cfg.weightWatermark = file.weightWatermark;
+    cfg.uvmExtension = file.uvmExtension;
 
-    auto listing = static_cast<int>(intKey(kv, "listing", 0, 0, 1 << 20));
+    const int listing = file.listing;
     bool g10Design =
         design.builtinTag == static_cast<int>(DesignPoint::G10) ||
         design.builtinTag == static_cast<int>(DesignPoint::G10Host) ||
