@@ -16,10 +16,19 @@ SsdDevice::SsdDevice(const SystemConfig& config, Geometry geometry)
         (1.0 + geom_.overProvision));
     totalPages_ = physical / geom_.flashPageBytes;
     freePages_ = totalPages_;
+    gcThreshold_ = static_cast<std::uint64_t>(
+        static_cast<double>(totalPages_) * geom_.gcFreeThreshold);
+    gcTarget_ = gcThreshold_ * 2;
     std::uint64_t blocks =
         std::max<std::uint64_t>(1, totalPages_ / geom_.pagesPerBlock);
+    if (blocks >= kUnmapped)
+        fatal("bad SSD geometry: %llu blocks",
+              static_cast<unsigned long long>(blocks));
     blockValid_.assign(blocks, 0);
     blockFill_.assign(blocks, 0);
+    notFull_.assign((blocks + 63) / 64, 0);
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        notFull_[b / 64] |= 1ULL << (b % 64);
     openBlock_ = 0;
 }
 
@@ -33,19 +42,122 @@ SsdDevice::allocLogical(Bytes bytes)
     return first;
 }
 
+SsdDevice::Chunk*
+SsdDevice::findChunk(std::uint64_t logical_page)
+{
+    std::uint64_t c = logical_page / kTableChunkPages;
+    if (c < chunkBase_ || c - chunkBase_ >= chunks_.size())
+        return nullptr;
+    Chunk& chunk = chunks_[c - chunkBase_];
+    return chunk.block.empty() ? nullptr : &chunk;
+}
+
+SsdDevice::Chunk&
+SsdDevice::residentChunk(std::uint64_t logical_page)
+{
+    std::uint64_t c = logical_page / kTableChunkPages;
+    if (chunks_.empty())
+        chunkBase_ = c;
+    if (c < chunkBase_) {
+        chunks_.insert(chunks_.begin(), chunkBase_ - c, Chunk());
+        chunkBase_ = c;
+    }
+    if (c - chunkBase_ >= chunks_.size())
+        chunks_.resize(c - chunkBase_ + 1);
+    Chunk& chunk = chunks_[c - chunkBase_];
+    if (chunk.block.empty())
+        chunk.block.assign(kTableChunkPages, kUnmapped);
+    return chunk;
+}
+
+void
+SsdDevice::dropChunk(Chunk* chunk)
+{
+    *chunk = Chunk();
+    while (!chunks_.empty() && chunks_.front().block.empty()) {
+        chunks_.pop_front();
+        ++chunkBase_;
+    }
+    while (!chunks_.empty() && chunks_.back().block.empty())
+        chunks_.pop_back();
+}
+
 void
 SsdDevice::freeLogical(std::uint64_t logical_page, Bytes bytes)
 {
     std::uint64_t pages =
         (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        auto it = logicalToBlock_.find(logical_page + i);
-        if (it == logicalToBlock_.end())
-            continue;  // never written (or already trimmed)
-        if (blockValid_[it->second] > 0)
-            --blockValid_[it->second];
-        logicalToBlock_.erase(it);
+    std::uint64_t end = logical_page + pages;
+    for (std::uint64_t lp = logical_page; lp < end;) {
+        std::uint64_t run = std::min(
+            end - lp, kTableChunkPages - lp % kTableChunkPages);
+        Chunk* chunk = findChunk(lp);
+        if (chunk != nullptr) {  // else never written (or already trimmed)
+            std::uint32_t* slot = &chunk->block[lp % kTableChunkPages];
+            for (std::uint64_t i = 0; i < run; ++i) {
+                if (slot[i] == kUnmapped)
+                    continue;
+                invalidate(slot[i]);
+                slot[i] = kUnmapped;
+                --chunk->mapped;
+                --mapped_;
+            }
+            if (chunk->mapped == 0)
+                dropChunk(chunk);
+        }
+        lp += run;
     }
+}
+
+void
+SsdDevice::invalidate(std::uint32_t block)
+{
+    if (blockValid_[block] == 0)
+        panic("SSD block %u: invalidating a page of a block with no "
+              "valid pages", block);
+    --blockValid_[block];
+    markDirty(block);
+}
+
+void
+SsdDevice::markDirty(std::uint32_t block)
+{
+    if (victimTree_.empty() || dirty_[block])
+        return;  // no index yet, or already queued
+    dirty_[block] = 1;
+    dirtyBlocks_.push_back(block);
+}
+
+std::uint32_t
+SsdDevice::nextNotFull(std::uint32_t from) const
+{
+    const std::uint32_t blocks =
+        static_cast<std::uint32_t>(blockFill_.size());
+    if (from >= blocks)
+        return blocks;
+    std::size_t w = from / 64;
+    std::uint64_t bits = notFull_[w] & (~0ULL << (from % 64));
+    while (bits == 0) {
+        if (++w == notFull_.size())
+            return blocks;
+        bits = notFull_[w];
+    }
+    return static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(bits));
+}
+
+void
+SsdDevice::advanceOpenBlock()
+{
+    // The next not-full block after the open one, wrapping around.
+    const std::uint32_t blocks =
+        static_cast<std::uint32_t>(blockFill_.size());
+    std::uint32_t next = nextNotFull(openBlock_ + 1);
+    if (next == blocks)
+        next = nextNotFull(0);
+    if (next == blocks)
+        return;  // every block is full; the caller reports it
+    markDirty(openBlock_);  // full and no longer open: a GC candidate
+    openBlock_ = next;
 }
 
 TimeNs
@@ -59,37 +171,43 @@ SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
     TimeNs busy = config_.ssdWriteLatencyNs +
                   transferTimeNs(bytes, config_.ssdWriteGBps);
 
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        std::uint64_t lp = logical_page + i;
-        // Invalidate the previous physical copy, if any. The page stays
-        // unusable until its block is garbage-collected and erased.
-        auto it = logicalToBlock_.find(lp);
-        if (it != logicalToBlock_.end()) {
-            if (blockValid_[it->second] > 0)
-                --blockValid_[it->second];
-        }
-        // Append to the open block, advancing to the next erased block
-        // when it fills.
-        if (blockFill_[openBlock_] == geom_.pagesPerBlock) {
-            std::uint32_t next = openBlock_;
-            for (std::size_t probe = 0; probe < blockFill_.size();
-                 ++probe) {
-                next = (next + 1) %
-                       static_cast<std::uint32_t>(blockFill_.size());
-                if (blockFill_[next] < geom_.pagesPerBlock)
-                    break;
+    const std::uint32_t ppb = geom_.pagesPerBlock;
+    std::uint64_t end = logical_page + pages;
+    for (std::uint64_t lp = logical_page; lp < end;) {
+        std::uint64_t run = std::min(
+            end - lp, kTableChunkPages - lp % kTableChunkPages);
+        Chunk& chunk = residentChunk(lp);
+        std::uint32_t* slot = &chunk.block[lp % kTableChunkPages];
+        for (std::uint64_t i = 0; i < run; ++i) {
+            // Invalidate the previous physical copy, if any. The page
+            // stays unusable until its block is garbage-collected and
+            // erased.
+            if (slot[i] != kUnmapped) {
+                invalidate(slot[i]);
+            } else {
+                ++chunk.mapped;
+                ++mapped_;
             }
-            openBlock_ = next;
+            // Append to the open block, advancing to the next erased
+            // block when it fills.
+            if (blockFill_[openBlock_] == ppb)
+                advanceOpenBlock();
+            if (blockFill_[openBlock_] >= ppb)
+                fatal("SSD is full: %llu valid pages exceed capacity",
+                      static_cast<unsigned long long>(totalPages_));
+            ++blockValid_[openBlock_];
+            if (++blockFill_[openBlock_] == ppb)
+                notFull_[openBlock_ / 64] &= ~(1ULL << (openBlock_ % 64));
+            slot[i] = openBlock_;
+            if (freePages_ > 0)
+                --freePages_;
+            else if (totalPages_ >= ppb)
+                panic("SSD free-page count underflow with a block open");
+            // (else the device is smaller than its one block: see header)
+            if (freePages_ < gcThreshold_)
+                collectGarbage(&busy);
         }
-        if (blockFill_[openBlock_] >= geom_.pagesPerBlock)
-            fatal("SSD is full: %llu valid pages exceed capacity",
-                  static_cast<unsigned long long>(totalPages_));
-        ++blockValid_[openBlock_];
-        ++blockFill_[openBlock_];
-        logicalToBlock_[lp] = openBlock_;
-        if (freePages_ > 0)
-            --freePages_;
-        maybeGarbageCollect(&busy);
+        lp += run;
     }
     return busy;
 }
@@ -102,33 +220,58 @@ SsdDevice::serviceRead(Bytes bytes)
            transferTimeNs(bytes, config_.ssdReadGBps);
 }
 
-void
-SsdDevice::maybeGarbageCollect(TimeNs* busy)
+std::uint64_t
+SsdDevice::victimKey(std::uint32_t block) const
 {
-    std::uint64_t threshold = static_cast<std::uint64_t>(
-        static_cast<double>(totalPages_) * geom_.gcFreeThreshold);
-    if (freePages_ >= threshold)
-        return;
+    if (block == openBlock_ || blockFill_[block] < geom_.pagesPerBlock)
+        return kNoVictim;  // not fully programmed; nothing to reclaim
+    return (static_cast<std::uint64_t>(blockValid_[block]) << 32) | block;
+}
 
+std::uint64_t
+SsdDevice::bestVictim()
+{
+    const std::size_t blocks = blockFill_.size();
+    if (victimTree_.empty()) {
+        victimTree_.assign(2 * blocks, kNoVictim);
+        dirty_.assign(blocks, 0);
+        for (std::size_t b = 0; b < blocks; ++b)
+            victimTree_[blocks + b] =
+                victimKey(static_cast<std::uint32_t>(b));
+        for (std::size_t i = blocks - 1; i >= 1; --i)
+            victimTree_[i] =
+                std::min(victimTree_[2 * i], victimTree_[2 * i + 1]);
+    }
+    for (std::uint32_t b : dirtyBlocks_) {
+        dirty_[b] = 0;
+        std::size_t i = blocks + b;
+        victimTree_[i] = victimKey(b);
+        for (i /= 2; i >= 1; i /= 2) {
+            std::uint64_t m =
+                std::min(victimTree_[2 * i], victimTree_[2 * i + 1]);
+            if (victimTree_[i] == m)
+                break;  // ancestors already hold this minimum
+            victimTree_[i] = m;
+        }
+    }
+    dirtyBlocks_.clear();
+    // (With one block the root is its leaf.)
+    return victimTree_[1];
+}
+
+void
+SsdDevice::collectGarbage(TimeNs* busy)
+{
     ++stats_.gcRuns;
     // Greedy: relocate the fullest-of-invalid (fewest valid pages)
-    // *programmed* block until comfortably above the threshold.
-    while (freePages_ < threshold * 2) {
-        std::uint32_t victim = 0;
-        std::uint32_t best_valid = geom_.pagesPerBlock + 1;
-        for (std::uint32_t b = 0;
-             b < static_cast<std::uint32_t>(blockValid_.size()); ++b) {
-            if (b == openBlock_)
-                continue;
-            if (blockFill_[b] < geom_.pagesPerBlock)
-                continue;  // not fully programmed; nothing to reclaim
-            if (blockValid_[b] < best_valid) {
-                best_valid = blockValid_[b];
-                victim = b;
-            }
-        }
-        if (best_valid > geom_.pagesPerBlock)
+    // *programmed* block, lowest index on ties, until comfortably above
+    // the threshold.
+    while (freePages_ < gcTarget_) {
+        std::uint64_t key = bestVictim();
+        if (key == kNoVictim)
             break;  // nothing to collect
+        std::uint32_t best_valid = static_cast<std::uint32_t>(key >> 32);
+        std::uint32_t victim = static_cast<std::uint32_t>(key);
         if (best_valid == geom_.pagesPerBlock)
             break;  // everything valid: GC cannot help
 
@@ -148,7 +291,36 @@ SsdDevice::maybeGarbageCollect(TimeNs* busy)
         freePages_ += geom_.pagesPerBlock - best_valid;
         blockFill_[victim] = best_valid;
         blockValid_[victim] = best_valid;
+        notFull_[victim / 64] |= 1ULL << (victim % 64);
+        markDirty(victim);
     }
+}
+
+std::uint64_t
+SsdDevice::logicalTableBytes() const
+{
+    std::uint64_t bytes = chunks_.size() * sizeof(Chunk);
+    for (const Chunk& chunk : chunks_)
+        bytes += chunk.block.capacity() * sizeof(std::uint32_t);
+    return bytes;
+}
+
+SsdDevice::Census
+SsdDevice::census() const
+{
+    Census c;
+    std::vector<std::uint64_t> named(blockValid_.size(), 0);
+    for (const Chunk& chunk : chunks_)
+        for (std::uint32_t b : chunk.block)
+            if (b != kUnmapped)
+                ++named[b];
+    for (std::size_t b = 0; b < blockValid_.size(); ++b) {
+        c.blockValid += blockValid_[b];
+        c.unprogrammed += geom_.pagesPerBlock - blockFill_[b];
+        if (named[b] != blockValid_[b])
+            c.validMatchesTable = false;
+    }
+    return c;
 }
 
 double

@@ -9,13 +9,30 @@
  * emptiest block and erases it, charging both time (device busy) and
  * endurance (NAND writes, erases). This is what makes the §7.7 lifetime /
  * write-amplification analysis measurable instead of assumed.
+ *
+ * Geometry: totalPages() = capacity * (1 + overProvision) / page size,
+ * split into max(1, totalPages / pagesPerBlock) erase blocks. The
+ * totalPages % pagesPerBlock remainder pages belong to no block: they
+ * count as free forever (freePages() = sum of unprogrammed block pages
+ * + remainder) but are never programmed. A device smaller than one
+ * block still gets one full block; there freePages() reads 0 once
+ * totalPages have been programmed and writes go on until the block
+ * fills.
+ *
+ * Cost model of the implementation (not of the device): the logical
+ * page table is a dense array in fixed-size chunks, O(1) per page; a
+ * chunk is freed once no page in it is mapped. The next open block comes
+ * from a not-full bitset (find-next-set). GC victims come from a
+ * min-tree over (valid pages, block index) of fully programmed, non-open
+ * blocks; invalidations only mark a block dirty and dirty blocks are
+ * re-keyed, O(log blocks) each, before the next victim query.
  */
 
 #ifndef G10_SIM_SSD_SSD_DEVICE_H
 #define G10_SIM_SSD_SSD_DEVICE_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "common/system_config.h"
@@ -89,7 +106,7 @@ class SsdDevice
     void freeLogical(std::uint64_t logical_page, Bytes bytes);
 
     /** Logical pages currently holding valid (mapped) data. */
-    std::uint64_t validPages() const { return logicalToBlock_.size(); }
+    std::uint64_t validPages() const { return mapped_; }
 
     const SsdStats& stats() const { return stats_; }
     const Geometry& geometry() const { return geom_; }
@@ -99,6 +116,25 @@ class SsdDevice
 
     /** Total physical pages. */
     std::uint64_t totalPages() const { return totalPages_; }
+
+    /** Logical pages per page-table chunk. */
+    static constexpr std::uint64_t kTableChunkPages = 4096;
+
+    /** Bytes the logical page table holds: its chunk directory plus
+     *  every resident chunk. Tracks live, not ever-allocated, space. */
+    std::uint64_t logicalTableBytes() const;
+
+    /** Block-level sums recomputed from scratch, O(blocks + table). */
+    struct Census
+    {
+        std::uint64_t blockValid = 0;    ///< sum of per-block valid pages
+        std::uint64_t unprogrammed = 0;  ///< sum of (pagesPerBlock - fill)
+        /** Every block's valid count equals the table entries naming it. */
+        bool validMatchesTable = true;
+    };
+
+    /** Recount the FTL's books (for conservation tests). */
+    Census census() const;
 
     /**
      * Device lifetime estimate in years under continuous operation at
@@ -112,7 +148,27 @@ class SsdDevice
                          TimeNs elapsed_ns) const;
 
   private:
-    void maybeGarbageCollect(TimeNs* busy);
+    /** One kTableChunkPages slice of the logical page table; an empty
+     *  `block` means no page in the slice is mapped. */
+    struct Chunk
+    {
+        std::uint32_t mapped = 0;
+        std::vector<std::uint32_t> block;  ///< block per page or kUnmapped
+    };
+
+    static constexpr std::uint32_t kUnmapped = UINT32_MAX;
+    static constexpr std::uint64_t kNoVictim = UINT64_MAX;
+
+    Chunk& residentChunk(std::uint64_t logical_page);
+    Chunk* findChunk(std::uint64_t logical_page);
+    void dropChunk(Chunk* chunk);
+    void invalidate(std::uint32_t block);
+    void advanceOpenBlock();
+    std::uint32_t nextNotFull(std::uint32_t from) const;
+    void collectGarbage(TimeNs* busy);
+    std::uint64_t victimKey(std::uint32_t block) const;
+    std::uint64_t bestVictim();
+    void markDirty(std::uint32_t block);
 
     SystemConfig config_;
     Geometry geom_;
@@ -120,14 +176,30 @@ class SsdDevice
     std::uint64_t totalPages_ = 0;
     std::uint64_t freePages_ = 0;
     std::uint64_t nextLogical_ = 0;
+    std::uint64_t gcThreshold_ = 0;  ///< collect when free drops below
+    std::uint64_t gcTarget_ = 0;     ///< ...until free reaches this
 
-    // logical page -> block index currently holding it (valid data).
-    std::unordered_map<std::uint64_t, std::uint32_t> logicalToBlock_;
+    // Logical page table: chunks_[i] covers logical pages from
+    // (chunkBase_ + i) * kTableChunkPages; the directory is trimmed at
+    // both ends as chunks empty.
+    std::deque<Chunk> chunks_;
+    std::uint64_t chunkBase_ = 0;
+    std::uint64_t mapped_ = 0;
+
     // per-block count of valid pages.
     std::vector<std::uint32_t> blockValid_;
     // per-block count of programmed pages since the last erase.
     std::vector<std::uint32_t> blockFill_;
+    // bit b set iff blockFill_[b] < pagesPerBlock.
+    std::vector<std::uint64_t> notFull_;
     std::uint32_t openBlock_ = 0;
+
+    // GC victim index, built on the first collection: a min-tree over
+    // victimKey() (leaves at [blocks, 2 * blocks)), kept exact lazily
+    // by re-keying the dirty blocks before every query.
+    std::vector<std::uint64_t> victimTree_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint32_t> dirtyBlocks_;
 
     SsdStats stats_;
 };

@@ -166,6 +166,27 @@ TEST(SsdDeviceDeath, LeakedLogicalSpaceEventuallyFillsTheDevice)
         ::testing::ExitedWithCode(1), "SSD is full");
 }
 
+TEST(SsdDevice, LogicalTableStaysBoundedUnderJobChurn)
+{
+    // A thousand job generations push 128k logical pages through one
+    // device. The page table follows the live 128 pages (at most two
+    // chunks), not the 512 KiB a flat table of every page ever
+    // allocated would hold, and empties when the job departs.
+    SystemConfig s = smallSsdSys();
+    SsdDevice ssd(s);
+    const std::uint64_t chunkBytes =
+        SsdDevice::kTableChunkPages * sizeof(std::uint32_t);
+    for (int gen = 0; gen < 1000; ++gen) {
+        auto lp = ssd.allocLogical(8 * MiB);
+        ssd.serviceWrite(lp, 8 * MiB);
+        ASSERT_LT(ssd.logicalTableBytes(), 3 * chunkBytes) << "gen " << gen;
+        ssd.freeLogical(lp, 8 * MiB);
+        ASSERT_EQ(ssd.logicalTableBytes(), 0u) << "gen " << gen;
+    }
+    EXPECT_EQ(ssd.validPages(), 0u);
+    EXPECT_GT(ssd.stats().blockErases, 0u);
+}
+
 TEST(SsdDevice, AllocLogicalAdvances)
 {
     SystemConfig s = smallSsdSys();

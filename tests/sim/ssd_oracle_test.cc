@@ -1,0 +1,318 @@
+/**
+ * @file
+ * Differential and conservation tests for the SSD FTL: SsdDevice is
+ * driven side by side with the naive reference FTL (ssd_reference.h)
+ * through seeded random allocate / write / overwrite / trim sequences,
+ * and after every call both must agree on busy time, every SsdStats
+ * field, free and valid pages, while SsdDevice's own books balance.
+ */
+
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <random>
+#include <vector>
+
+#include "sim/ssd/ssd_device.h"
+#include "tests/sim/ssd_reference.h"
+#include "tests/test_util.h"
+
+namespace g10 {
+namespace {
+
+struct OracleCase
+{
+    const char* name;
+    Bytes capacity;                 ///< nominal capacity
+    SsdDevice::Geometry geometry;
+    std::uint64_t maxRegionPages;   ///< allocation size bound
+    std::uint64_t maxWritePages;    ///< single write size bound
+    double liveFraction;            ///< cap on mapped pages / block pages
+    std::uint64_t seed;
+};
+
+// Names the case in test listings (instead of its bytes).
+void
+PrintTo(const OracleCase& oc, std::ostream* os)
+{
+    *os << oc.name;
+}
+
+SsdDevice::Geometry
+smallGeometry(std::uint32_t pages_per_block, double over_provision)
+{
+    SsdDevice::Geometry g;
+    g.flashPageBytes = 4 * KiB;
+    g.pagesPerBlock = pages_per_block;
+    g.overProvision = over_provision;
+    return g;
+}
+
+::testing::AssertionResult
+sameState(const SsdDevice& dut, const test::ReferenceSsd& ref)
+{
+    const SsdStats& a = dut.stats();
+    const SsdStats& b = ref.stats();
+    if (a.hostReadBytes != b.hostReadBytes ||
+        a.hostWriteBytes != b.hostWriteBytes ||
+        a.nandWriteBytes != b.nandWriteBytes || a.gcRuns != b.gcRuns ||
+        a.blockErases != b.blockErases ||
+        a.relocatedPages != b.relocatedPages)
+        return ::testing::AssertionFailure()
+               << "stats differ: gcRuns " << a.gcRuns << " vs " << b.gcRuns
+               << ", erases " << a.blockErases << " vs " << b.blockErases
+               << ", relocated " << a.relocatedPages << " vs "
+               << b.relocatedPages << ", nand " << a.nandWriteBytes
+               << " vs " << b.nandWriteBytes;
+    if (dut.freePages() != ref.freePages())
+        return ::testing::AssertionFailure()
+               << "freePages " << dut.freePages() << " vs "
+               << ref.freePages();
+    if (dut.validPages() != ref.validPages())
+        return ::testing::AssertionFailure()
+               << "validPages " << dut.validPages() << " vs "
+               << ref.validPages();
+    return ::testing::AssertionSuccess();
+}
+
+/** The FTL's books balance: valid pages, per block and in total, match
+ *  the page table, and free pages are the unprogrammed block pages plus
+ *  the remainder pages that belong to no block. */
+::testing::AssertionResult
+conserved(const SsdDevice& ssd)
+{
+    SsdDevice::Census c = ssd.census();
+    if (c.blockValid != ssd.validPages())
+        return ::testing::AssertionFailure()
+               << "sum of block valid " << c.blockValid
+               << " != validPages " << ssd.validPages();
+    if (!c.validMatchesTable)
+        return ::testing::AssertionFailure()
+               << "a block's valid count disagrees with the page table";
+    std::uint64_t remainder =
+        ssd.totalPages() % ssd.geometry().pagesPerBlock;
+    if (c.unprogrammed + remainder != ssd.freePages())
+        return ::testing::AssertionFailure()
+               << "unprogrammed " << c.unprogrammed << " + remainder "
+               << remainder << " != freePages " << ssd.freePages();
+    return ::testing::AssertionSuccess();
+}
+
+class SsdDeviceOracle : public ::testing::TestWithParam<OracleCase>
+{};
+
+TEST_P(SsdDeviceOracle, MatchesReferenceAfterEveryCall)
+{
+    const OracleCase& oc = GetParam();
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = oc.capacity;
+    SsdDevice dut(sys, oc.geometry);
+    test::ReferenceSsd ref(sys, oc.geometry);
+    ASSERT_EQ(dut.totalPages(), ref.totalPages());
+    ASSERT_TRUE(sameState(dut, ref));
+
+    const Bytes page = oc.geometry.flashPageBytes;
+    const std::uint32_t ppb = oc.geometry.pagesPerBlock;
+    const std::uint64_t blockPages = dut.totalPages() / ppb * ppb;
+    const std::uint64_t liveCap = static_cast<std::uint64_t>(
+        static_cast<double>(blockPages) * oc.liveFraction);
+
+    struct Region
+    {
+        std::uint64_t lp;
+        std::uint64_t pages;
+    };
+    std::vector<Region> live;
+    std::vector<Region> trimmed;
+    std::mt19937_64 rng(oc.seed);
+    auto below = [&rng](std::uint64_t n) {
+        return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+    };
+    auto trimRegion = [&](std::size_t i) {
+        Region r = live[i];
+        Bytes bytes = r.pages * page - below(page);  // ragged tail
+        dut.freeLogical(r.lp, bytes);
+        ref.freeLogical(r.lp, bytes);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        trimmed.push_back(r);
+        if (trimmed.size() > 16) {  // forget the oldest, trimmed for good
+            dut.freeLogical(trimmed[0].lp, trimmed[0].pages * page);
+            ref.freeLogical(trimmed[0].lp, trimmed[0].pages * page);
+            trimmed.erase(trimmed.begin());
+        }
+    };
+    // Writes part of @p r; returns the pages written, 0 when the write
+    // would push mapped pages past the live cap.
+    auto writeRange = [&](const Region& r) -> std::uint64_t {
+        std::uint64_t len = 1 + below(std::min(r.pages, oc.maxWritePages));
+        std::uint64_t off = below(r.pages - len + 1);
+        if (ref.validPages() + len > liveCap)
+            return 0;
+        Bytes bytes = len * page - below(page);
+        EXPECT_EQ(dut.serviceWrite(r.lp + off, bytes),
+                  ref.serviceWrite(r.lp + off, bytes));
+        return len;
+    };
+
+    std::uint64_t overwrites = 0;
+    for (int step = 0; step < 6000; ++step) {
+        std::uint64_t op = below(100);
+        if (op < 15 || live.empty()) {
+            if (live.size() >= 24)
+                trimRegion(below(live.size()));
+            std::uint64_t pages = 1 + below(oc.maxRegionPages);
+            Bytes bytes = pages * page - below(page);
+            std::uint64_t a = dut.allocLogical(bytes);
+            ASSERT_EQ(a, ref.allocLogical(bytes));
+            live.push_back({a, pages});
+        } else if (op < 80) {
+            std::uint64_t before = ref.validPages();
+            std::uint64_t len = writeRange(live[below(live.size())]);
+            if (len == 0)
+                trimRegion(below(live.size()));  // make room
+            else if (ref.validPages() - before < len)
+                ++overwrites;
+        } else if (op < 92) {
+            if (below(3) == 0) {
+                trimRegion(below(live.size()));
+            } else {
+                // Trim part of a region; it stays allocated and live.
+                const Region& r = live[below(live.size())];
+                std::uint64_t len =
+                    1 + below(std::min(r.pages, oc.maxWritePages));
+                std::uint64_t off = below(r.pages - len + 1);
+                dut.freeLogical(r.lp + off, len * page);
+                ref.freeLogical(r.lp + off, len * page);
+            }
+        } else if (!trimmed.empty()) {
+            // Re-write (or re-trim) logical space trimmed earlier.
+            const Region& r = trimmed[below(trimmed.size())];
+            if (below(2) == 0) {
+                writeRange(r);
+            } else {
+                dut.freeLogical(r.lp, r.pages * page);
+                ref.freeLogical(r.lp, r.pages * page);
+            }
+        }
+        ASSERT_FALSE(HasFailure()) << "busy time diverged at step " << step;
+        ASSERT_TRUE(sameState(dut, ref)) << "step " << step;
+        ASSERT_TRUE(conserved(dut)) << "step " << step;
+    }
+
+    EXPECT_GT(overwrites, 0u);
+    EXPECT_GT(ref.stats().gcRuns, 0u);
+    EXPECT_GT(ref.stats().blockErases, 0u);
+    EXPECT_GT(ref.stats().relocatedPages, 0u)
+        << "mapped " << ref.validPages() << " of cap " << liveCap;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, SsdDeviceOracle,
+    ::testing::Values(
+        // 2 MiB * 1.07 = 547 pages: 34 blocks of 16 plus 3 remainder
+        // pages that belong to no block.
+        OracleCase{"RemainderPages", 2 * MiB, smallGeometry(16, 0.07), 40,
+                   24, 0.70, 11},
+        // No spare area: 512 pages, 64 blocks of 8, no remainder.
+        OracleCase{"NoOverProvision", 2 * MiB, smallGeometry(8, 0.0), 24, 16,
+                   0.60, 23},
+        // Four-page blocks and tiny writes: many blocks tie on their
+        // valid count, so the lowest-index tie-break decides victims,
+        // and the high live share forces relocation.
+        OracleCase{"TieHeavy", 1 * MiB, smallGeometry(4, 0.07), 24, 2,
+                   0.75, 37}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST(SsdDeviceOracle, HotPagesRewrittenInTheOpenBlockMatchReference)
+{
+    // Single-page writes: a few hot pages rewritten so often that their
+    // old copies die while still in the open block, between cycling
+    // rewrites of cold data. A block that loses pages while open must
+    // still become a GC candidate once the log moves off it.
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = 256 * KiB;
+    SsdDevice::Geometry g = smallGeometry(4, 0.07);
+    g.gcFreeThreshold = 0.1;
+    SsdDevice dut(sys, g);
+    test::ReferenceSsd ref(sys, g);
+    const Bytes page = g.flashPageBytes;
+    const std::uint64_t coldPages = dut.totalPages() / 2;
+    std::uint64_t hot = dut.allocLogical(3 * page);
+    std::uint64_t cold = dut.allocLogical(coldPages * page);
+    ASSERT_EQ(hot, ref.allocLogical(3 * page));
+    ASSERT_EQ(cold, ref.allocLogical(coldPages * page));
+    std::mt19937_64 rng(5);
+    std::uint64_t next = 0;
+    for (int step = 0; step < 20000; ++step) {
+        std::uint64_t lp = rng() % 2 == 0 ? hot + rng() % 3
+                                          : cold + next++ % coldPages;
+        ASSERT_EQ(dut.serviceWrite(lp, page), ref.serviceWrite(lp, page))
+            << "step " << step;
+        ASSERT_TRUE(sameState(dut, ref)) << "step " << step;
+        ASSERT_TRUE(conserved(dut)) << "step " << step;
+    }
+    EXPECT_GT(ref.stats().relocatedPages, 0u);
+}
+
+TEST(SsdDeviceOracle, DeviceSmallerThanOneBlockMatchesReference)
+{
+    // 10 physical pages but one 16-page block: free pages read 0 after
+    // the tenth write and the block keeps accepting writes until full.
+    // GC runs below 2 free pages but never finds a victim: the only
+    // block is the open one.
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = 40 * KiB;
+    SsdDevice::Geometry g = smallGeometry(16, 0.0);
+    g.gcFreeThreshold = 0.25;
+    SsdDevice dut(sys, g);
+    test::ReferenceSsd ref(sys, g);
+    ASSERT_EQ(dut.totalPages(), 10u);
+    std::uint64_t lp = dut.allocLogical(16 * g.flashPageBytes);
+    ASSERT_EQ(lp, ref.allocLogical(16 * g.flashPageBytes));
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(dut.serviceWrite(lp + i, g.flashPageBytes),
+                  ref.serviceWrite(lp + i, g.flashPageBytes));
+        ASSERT_TRUE(sameState(dut, ref)) << "page " << i;
+    }
+    EXPECT_EQ(dut.freePages(), 0u);
+    EXPECT_GT(dut.stats().gcRuns, 0u);
+    EXPECT_EQ(dut.stats().blockErases, 0u);
+}
+
+TEST(SsdDeviceConservation, BooksBalanceThroughJobChurnAndGc)
+{
+    // The serving pattern at the default geometry: a resident job and a
+    // stream of departing ones. The resident job's region is written
+    // interleaved with the first departing job (then one piece in eight
+    // is rewritten per generation), so once that job departs its blocks
+    // stay half valid and GC has to relocate.
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = 256 * MiB;
+    SsdDevice ssd(sys);
+    ASSERT_NE(ssd.totalPages() % ssd.geometry().pagesPerBlock, 0u);
+    ASSERT_TRUE(conserved(ssd));
+    const Bytes piece = 1 * MiB;
+    const std::uint64_t piecePages = piece / ssd.geometry().flashPageBytes;
+    auto resident = ssd.allocLogical(96 * MiB);
+    for (int gen = 0; gen < 8; ++gen) {
+        auto job = ssd.allocLogical(96 * MiB);
+        for (std::uint64_t i = 0; i < 96; ++i) {
+            if (gen == 0 || i % 8 == 0)
+                ssd.serviceWrite(resident + i * piecePages, piece);
+            ssd.serviceWrite(job + i * piecePages, piece);
+            ASSERT_TRUE(conserved(ssd)) << "gen " << gen << " piece " << i;
+        }
+        ssd.freeLogical(job + 32 * piecePages, 16 * piece);
+        ASSERT_TRUE(conserved(ssd)) << "gen " << gen << " partial trim";
+        ssd.freeLogical(job, 96 * MiB);
+        ASSERT_TRUE(conserved(ssd)) << "gen " << gen << " trim";
+    }
+    EXPECT_GT(ssd.stats().blockErases, 0u);
+    EXPECT_GT(ssd.stats().relocatedPages, 0u);
+    EXPECT_EQ(ssd.validPages(), 96 * piecePages);
+}
+
+}  // namespace
+}  // namespace g10
