@@ -493,14 +493,7 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
     if (obs.collectCounters) {
         for (CounterRegistry& reg : regs)
             out->counters.merge(reg);
-        out->counters.add("sweep.probe.issued", stats.issued);
-        out->counters.add("sweep.probe.decided", stats.decided);
-        out->counters.add("sweep.probe.speculated", stats.speculated);
-        out->counters.add("sweep.probe.speculation_used",
-                          stats.speculationUsed);
-        out->counters.add("sweep.probe.speculation_wasted",
-                          stats.speculationWasted);
-        out->counters.add("sweep.probe.cache_hits", stats.cacheHits);
+        addProbeCounters(stats, &out->counters);
     }
 
     for (std::size_t p = 0; p < np; ++p)

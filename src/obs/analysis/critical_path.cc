@@ -103,8 +103,9 @@ extractCriticalPath(const std::vector<TraceEvent>& events, int pid)
     for (const TraceEvent& ev : events) {
         if (ev.pid != pid || ev.kind != TraceEventKind::Span)
             continue;
-        const auto k = static_cast<KernelId>(traceArgOf(ev, "k", -1));
-        if (ev.category == std::string(kCatKernel)) {
+        const auto k =
+            static_cast<KernelId>(traceArgOf(ev, TraceArgKey::K, -1));
+        if (ev.category == TraceCategory::Kernel) {
             if (!steps.empty() && k <= steps.back().kernel)
                 finalize();
             if (steps.empty()) {
@@ -118,8 +119,8 @@ extractCriticalPath(const std::vector<TraceEvent>& events, int pid)
             step.durNs = ev.dur;
             steps.push_back(std::move(step));
             end = std::max(end, ev.ts + ev.dur);
-        } else if (ev.category == std::string(kCatStall)) {
-            const auto cause = traceArgOf(ev, "cause", -1);
+        } else if (ev.category == TraceCategory::Stall) {
+            const auto cause = traceArgOf(ev, TraceArgKey::Cause, -1);
             if (cause < 0 || cause >= kNumStallCauses)
                 continue;
             // Stall spans follow their kernel span, so binding walks

@@ -34,17 +34,18 @@ aggregateFlame(const std::vector<TraceEvent>& events, int pid)
     for (const TraceEvent& ev : events) {
         if (ev.pid != pid || ev.kind != TraceEventKind::Span)
             continue;
-        if (ev.category == std::string(kCatKernel)) {
-            kernelNames[traceArgOf(ev, "k", -1)] = ev.name;
+        if (ev.category == TraceCategory::Kernel) {
+            kernelNames[traceArgOf(ev, TraceArgKey::K, -1)] = ev.name;
             continue;
         }
-        if (ev.category != std::string(kCatStall) ||
-            traceArgOf(ev, "measured", 0) == 0 || ev.dur <= 0)
+        if (ev.category != TraceCategory::Stall ||
+            traceArgOf(ev, TraceArgKey::Measured) == 0 || ev.dur <= 0)
             continue;
-        const auto cause = traceArgOf(ev, "cause", -1);
+        const auto cause = traceArgOf(ev, TraceArgKey::Cause, -1);
         if (cause < 0 || cause >= kNumStallCauses)
             continue;
-        const auto name = kernelNames.find(traceArgOf(ev, "k", -1));
+        const auto name =
+            kernelNames.find(traceArgOf(ev, TraceArgKey::K, -1));
         const std::string key = collapsedKey(
             name != kernelNames.end() ? name->second : "(unknown)",
             stallCauseName(static_cast<StallCause>(cause)));

@@ -52,7 +52,7 @@ analyzeFleetForensics(const std::vector<TraceEvent>& events,
     };
 
     for (const TraceEvent& ev : events) {
-        if (ev.category == std::string(kCatStall) &&
+        if (ev.category == TraceCategory::Stall &&
             ev.kind == TraceEventKind::Span) {
             RequestState& r = requests[ev.pid];
             if (r.firstResizeNs >= 0 && ev.ts >= r.firstResizeNs)
@@ -61,7 +61,7 @@ analyzeFleetForensics(const std::vector<TraceEvent>& events,
                 r.stallNs += ev.dur;
             continue;
         }
-        if (ev.category == std::string(kCatPartition)) {
+        if (ev.category == TraceCategory::Partition) {
             if (ev.name == "budget_shrink" || ev.name == "split") {
                 RequestState& r = requests[ev.pid];
                 if (r.firstResizeNs < 0)
@@ -69,12 +69,12 @@ analyzeFleetForensics(const std::vector<TraceEvent>& events,
             }
             continue;
         }
-        if (ev.category != std::string(kCatServe))
+        if (ev.category != TraceCategory::Serve)
             continue;
 
         NodeSeries& node = nodeOf(ev.pid);
         if (ev.name == "queue_depth") {
-            const std::int64_t depth = traceArgOf(ev, "depth", 0);
+            const std::int64_t depth = traceArgOf(ev, TraceArgKey::Depth);
             node.queueDepth.push_back({ev.ts, depth});
             node.maxQueueDepth = std::max(node.maxQueueDepth, depth);
         } else if (ev.name == "admit") {
@@ -94,9 +94,9 @@ analyzeFleetForensics(const std::vector<TraceEvent>& events,
                 ++node.failed;
                 continue;
             }
-            const TimeNs sloLimit =
-                traceArgOf(ev, "slo_limit_ns", 0);
-            if (sloLimit <= 0 || traceArgOf(ev, "slo_met", 1) != 0)
+            const TimeNs sloLimit = traceArgOf(ev, TraceArgKey::SloLimitNs);
+            if (sloLimit <= 0 ||
+                traceArgOf(ev, TraceArgKey::SloMet, 1) != 0)
                 continue;
             ++node.sloMissed;
             const RequestState& r = requests[ev.pid];
@@ -104,7 +104,8 @@ analyzeFleetForensics(const std::vector<TraceEvent>& events,
             breach.pid = ev.pid;
             breach.node = node.node;
             breach.cls = ev.detail;
-            breach.arrivalNs = traceArgOf(ev, "arrival_ns", ev.ts);
+            breach.arrivalNs =
+                traceArgOf(ev, TraceArgKey::ArrivalNs, ev.ts);
             breach.departNs = ev.ts;
             breach.sloLimitNs = sloLimit;
             breach.queueNs = r.admitNs >= 0

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <mutex>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -12,26 +10,6 @@
 namespace g10 {
 
 namespace {
-
-/** Canonical static strings the writers can have emitted. */
-const char*
-canonicalTraceString(const std::string& s)
-{
-    static constexpr const char* kKnown[] = {
-        kTrackKernel, kTrackStall, kTrackPcieIn, kTrackPcieOut,
-        kTrackMemory, kTrackServe, kCatKernel, kCatStall, kCatTransfer,
-        kCatEvict, kCatSsd, kCatServe, kCatPartition,
-        // Arg keys, from the Tracer emit sites.
-        "k", "measured", "ideal_ns", "actual_ns", "cause", "bytes",
-        "tensor", "runs", "erases", "from_bytes", "to_bytes",
-        "evicted_bytes", "arrival_ns", "gpu_bytes", "warm_plan",
-        "slo_limit_ns", "slo_met", "replayed", "dropped", "depth",
-    };
-    for (const char* known : kKnown)
-        if (s == known)
-            return known;
-    return nullptr;
-}
 
 /** Exact nanoseconds from a parsed microsecond value. */
 TimeNs
@@ -59,21 +37,18 @@ intMemberOf(const JsonValue& rec, const char* key, int* out)
     return true;
 }
 
-}  // namespace
-
-const char*
-internTraceString(const std::string& s)
+/** parseTraceName() that reports an unknown @p what as an error. */
+template <typename E>
+bool
+parseNameOf(const std::string& name, const char* what,
+            const std::string& where, E* out, std::string* err)
 {
-    if (const char* canonical = canonicalTraceString(s))
-        return canonical;
-    // std::set nodes never move, so c_str() stays valid for the life
-    // of the pool (process lifetime — traces intern a handful of
-    // distinct strings, not one per event).
-    static std::mutex mutex;
-    static std::set<std::string>* pool = new std::set<std::string>();
-    std::lock_guard<std::mutex> lock(mutex);
-    return pool->insert(s).first->c_str();
+    if (parseTraceName(name, out))
+        return true;
+    return fail(err, where + "unknown " + what + " '" + name + "'");
 }
+
+}  // namespace
 
 bool
 readChromeTrace(const std::string& text, TraceDocument* out,
@@ -88,7 +63,7 @@ readChromeTrace(const std::string& text, TraceDocument* out,
         return fail(err, "missing 'traceEvents' array");
 
     TraceDocument result;
-    std::map<std::pair<int, int>, const char*> tracks;  // (pid,tid)
+    std::map<std::pair<int, int>, TraceTrack> tracks;  // (pid,tid)
     for (std::size_t i = 0; i < records->items.size(); ++i) {
         const JsonValue& rec = records->items[i];
         const std::string where =
@@ -112,11 +87,12 @@ readChromeTrace(const std::string& text, TraceDocument* out,
                 return fail(err, where + "malformed metadata");
             if (metaName->str == "process_name")
                 result.processNames[pid] = name->str;
-            else if (metaName->str == "thread_name")
-                tracks[{pid, tid}] = internTraceString(name->str);
-            else
+            else if (metaName->str != "thread_name")
                 return fail(err, where + "unknown metadata '" +
                                      metaName->str + "'");
+            else if (!parseNameOf(name->str, "track", where,
+                                  &tracks[{pid, tid}], err))
+                return false;
             continue;
         }
         if (ph->str != "X" && ph->str != "i")
@@ -133,7 +109,9 @@ readChromeTrace(const std::string& text, TraceDocument* out,
             !ts || !ts->isNumber())
             return fail(err, where + "missing name/cat/ts");
         ev.name = name->str;
-        ev.category = internTraceString(cat->str);
+        if (!parseNameOf(cat->str, "category", where, &ev.category,
+                         err))
+            return false;
         ev.ts = nanosecondsOf(ts->number);
         int tid = 0;
         if (!intMemberOf(rec, "pid", &ev.pid) ||
@@ -158,10 +136,10 @@ readChromeTrace(const std::string& text, TraceDocument* out,
                 if (!value.isNumber())
                     return fail(err, where + "non-numeric arg '" +
                                          key + "'");
-                ev.args.push_back(
-                    {internTraceString(key),
-                     static_cast<std::int64_t>(
-                         std::llround(value.number))});
+                TraceArg& arg = ev.args.emplace_back();
+                if (!parseNameOf(key, "arg key", where, &arg.key, err))
+                    return false;
+                arg.value = std::llround(value.number);
             }
         }
         result.events.push_back(std::move(ev));

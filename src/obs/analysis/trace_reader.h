@@ -8,11 +8,10 @@
  * metadata records rebuild the (pid, tid) -> track mapping and the
  * process-name table, "X"/"i" records become Span/Instant events with
  * nanosecond timestamps recovered from the exact decimal microsecond
- * literals the writer emits. Category, track, and argument-key
- * strings are interned into a process-lifetime pool so re-ingested
- * events satisfy TraceEvent's static-string contract and compare
- * equal (field by field) to the originals — the round-trip golden
- * test pins this.
+ * literals the writer emits. Category, track and argument-key names
+ * map back to their enum values through trace_event.h's name tables,
+ * so re-ingested events compare equal (field by field) to the
+ * originals — the round-trip golden test pins this.
  */
 
 #ifndef G10_OBS_ANALYSIS_TRACE_READER_H
@@ -34,19 +33,11 @@ struct TraceDocument
 };
 
 /**
- * Intern @p s into a process-lifetime string pool and return a stable
- * pointer — the bridge from parsed (dynamic) strings to TraceEvent's
- * `const char*` category/track/arg-key fields. Known names (the kCat
- * and kTrack constants, the runtime's arg keys) return the canonical
- * constant so pointer identity survives the round trip.
- */
-const char* internTraceString(const std::string& s);
-
-/**
  * Parse the chrome-trace document in @p text into @p out. Events keep
  * file order (the writer emits them in emission order). Unknown
- * record types ("C", "B"/"E", ...) fail — the reader only accepts
- * what the in-repo writers produce.
+ * record types ("C", "B"/"E", ...) and category, track or arg-key
+ * names outside trace_event.h's tables fail — the reader only
+ * accepts what the in-repo writers produce.
  *
  * @param err when non-null, receives a description of the first error
  * @return false on malformed input

@@ -8,24 +8,11 @@ namespace g10 {
 
 namespace {
 
-std::int64_t
-argOf(const TraceEvent& ev, const char* key, std::int64_t def)
-{
-    for (const TraceArg& a : ev.args)
-        if (std::string(a.key) == key)
-            return a.value;
-    return def;
-}
-
 double
 toMs(TimeNs ns)
 {
     return static_cast<double>(ns) / 1e6;
 }
-
-}  // namespace
-
-namespace {
 
 /** Shared accumulation over pre-sized rows (names already set). */
 void
@@ -33,18 +20,19 @@ accumulateStallEvents(const std::vector<TraceEvent>& events, int pid,
                       StallAttribution* out)
 {
     for (const TraceEvent& ev : events) {
-        if (ev.pid != pid || argOf(ev, "measured", 0) == 0)
+        if (ev.pid != pid || traceArgOf(ev, TraceArgKey::Measured) == 0)
             continue;
-        auto k = static_cast<std::size_t>(argOf(ev, "k", -1));
+        auto k =
+            static_cast<std::size_t>(traceArgOf(ev, TraceArgKey::K, -1));
         if (k >= out->rows.size())
             continue;
-        if (ev.category == std::string(kCatKernel)) {
-            out->rows[k].idealNs += argOf(ev, "ideal_ns", 0);
-            out->rows[k].actualNs += argOf(ev, "actual_ns", 0);
+        if (ev.category == TraceCategory::Kernel) {
+            out->rows[k].idealNs += traceArgOf(ev, TraceArgKey::IdealNs);
+            out->rows[k].actualNs += traceArgOf(ev, TraceArgKey::ActualNs);
             if (out->rows[k].name.empty())
                 out->rows[k].name = ev.name;
-        } else if (ev.category == std::string(kCatStall)) {
-            auto cause = argOf(ev, "cause", -1);
+        } else if (ev.category == TraceCategory::Stall) {
+            auto cause = traceArgOf(ev, TraceArgKey::Cause, -1);
             if (cause >= 0 && cause < kNumStallCauses)
                 out->rows[k].causeNs[cause] += ev.dur;
         }
@@ -82,11 +70,11 @@ buildStallAttributionFromEvents(const std::vector<TraceEvent>& events,
     StallAttribution out;
     std::int64_t maxK = -1;
     for (const TraceEvent& ev : events) {
-        if (ev.pid != pid || argOf(ev, "measured", 0) == 0)
+        if (ev.pid != pid || traceArgOf(ev, TraceArgKey::Measured) == 0)
             continue;
-        if (ev.category == std::string(kCatKernel) ||
-            ev.category == std::string(kCatStall))
-            maxK = std::max(maxK, argOf(ev, "k", -1));
+        if (ev.category == TraceCategory::Kernel ||
+            ev.category == TraceCategory::Stall)
+            maxK = std::max(maxK, traceArgOf(ev, TraceArgKey::K, -1));
     }
     out.rows.resize(static_cast<std::size_t>(maxK + 1));
     for (std::size_t k = 0; k < out.rows.size(); ++k)

@@ -9,17 +9,17 @@ namespace g10 {
 
 namespace {
 
-/** Deterministic integer tid for each (pid, track) lane. */
-std::map<std::pair<int, std::string>, int>
+/** Deterministic integer tid for each (pid, track) lane; TraceTrack
+ *  is declared in name order, so tids follow (pid, track name). */
+std::map<std::pair<int, TraceTrack>, int>
 assignTids(const std::vector<TraceEvent>& events)
 {
-    std::set<std::pair<int, std::string>> lanes;
+    std::map<std::pair<int, TraceTrack>, int> tids;
     for (const TraceEvent& ev : events)
-        lanes.insert({ev.pid, ev.track});
-    std::map<std::pair<int, std::string>, int> tids;
+        tids.emplace(std::make_pair(ev.pid, ev.track), 0);
     int next = 1;
-    for (const auto& lane : lanes)
-        tids[lane] = next++;
+    for (auto& [lane, tid] : tids)
+        tid = next++;
     return tids;
 }
 
@@ -49,7 +49,7 @@ writeArgs(JsonWriter& w, const TraceEvent& ev)
         return;
     w.key("args").beginObject();
     for (const TraceArg& a : ev.args)
-        w.field(a.key, static_cast<std::int64_t>(a.value));
+        w.field(traceName(a.key), a.value);
     if (!ev.detail.empty())
         w.field("detail", ev.detail);
     w.endObject();
@@ -74,7 +74,7 @@ writeChromeEventJson(JsonWriter& w, const TraceEvent& ev, int tid)
 {
     w.beginObject();
     w.field("name", ev.name);
-    w.field("cat", ev.category);
+    w.field("cat", traceName(ev.category));
     w.field("ph", ev.kind == TraceEventKind::Span ? "X" : "i");
     // Trace-event timestamps are microseconds; keep sub-us detail.
     w.key("ts").rawNumber(microsecondsToken(ev.ts));
@@ -115,7 +115,7 @@ writeChromeTrace(std::ostream& os, const std::vector<TraceEvent>& events,
     }
     for (const auto& [lane, tid] : tids)
         writeChromeMetaJson(w, "thread_name", lane.first, tid,
-                            lane.second);
+                            traceName(lane.second));
 
     for (const TraceEvent& ev : events)
         writeChromeEventJson(w, ev, tids.at({ev.pid, ev.track}));

@@ -55,14 +55,14 @@ FileTraceSink::lanesFor(const TraceEvent& ev)
         JsonWriter w(out_, 0);
         writeChromeMetaJson(w, "process_name", ev.pid, 0, name);
     }
-    const std::pair<int, std::string> lane{ev.pid, ev.track};
+    const std::pair<int, TraceTrack> lane{ev.pid, ev.track};
     auto it = tids_.find(lane);
     if (it == tids_.end()) {
         it = tids_.emplace(lane, nextTid_++).first;
         separator();
         JsonWriter w(out_, 0);
         writeChromeMetaJson(w, "thread_name", ev.pid, it->second,
-                            ev.track);
+                            traceName(ev.track));
     }
     return it->second;
 }

@@ -86,7 +86,7 @@ class FileTraceSink : public TraceSink
     std::mutex mutex_;
     std::map<int, std::string> names_;             ///< pid -> name
     std::map<int, bool> announced_;                ///< pid M written
-    std::map<std::pair<int, std::string>, int> tids_;
+    std::map<std::pair<int, TraceTrack>, int> tids_;
     int nextTid_ = 1;
     std::uint64_t events_ = 0;
     std::uint64_t dropped_ = 0;  ///< events seen after finish()

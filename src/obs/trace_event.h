@@ -16,8 +16,11 @@
 #ifndef G10_OBS_TRACE_EVENT_H
 #define G10_OBS_TRACE_EVENT_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -31,10 +34,95 @@ enum class TraceEventKind : std::uint8_t
     Instant,  ///< a point in time (eviction pick, GC, admission)
 };
 
-/** One numeric argument attached to an event (key is a static string). */
+/** Event taxonomy bucket (the categories README documents). */
+enum class TraceCategory : std::uint8_t
+{
+    Kernel, Stall, Transfer, Evict, Ssd, Serve, Partition
+};
+
+/**
+ * Resource lane within a job: one Chrome/Perfetto thread per
+ * job × track. Declared in name order, so ordering lanes by value
+ * orders them by name — the exporters' tid assignment relies on it.
+ */
+enum class TraceTrack : std::uint8_t
+{
+    Kernel, Memory, PcieIn, PcieOut, Serve, Stall
+};
+
+/** Key of one numeric event argument. */
+enum class TraceArgKey : std::uint8_t
+{
+    K, Measured, IdealNs, ActualNs, Cause, Bytes, Tensor, Runs, Erases,
+    FromBytes, ToBytes, EvictedBytes, ArrivalNs, GpuBytes, WarmPlan,
+    SloLimitNs, SloMet, Replayed, Dropped, Depth
+};
+
+/**
+ * The one name table of each trace enum, indexed by value: writers
+ * emit these names and the reader accepts only these names.
+ */
+template <typename E>
+struct TraceNames;
+
+template <>
+struct TraceNames<TraceCategory>
+{
+    static constexpr const char* kNames[] = {
+        "kernel", "stall", "xfer", "evict", "ssd", "serve", "partition"};
+};
+
+template <>
+struct TraceNames<TraceTrack>
+{
+    static constexpr const char* kNames[] = {
+        "kernel", "memory", "pcie.in", "pcie.out", "serve", "stall"};
+};
+
+template <>
+struct TraceNames<TraceArgKey>
+{
+    static constexpr const char* kNames[] = {
+        "k", "measured", "ideal_ns", "actual_ns", "cause", "bytes",
+        "tensor", "runs", "erases", "from_bytes", "to_bytes",
+        "evicted_bytes", "arrival_ns", "gpu_bytes", "warm_plan",
+        "slo_limit_ns", "slo_met", "replayed", "dropped", "depth"};
+};
+
+static_assert(std::size(TraceNames<TraceCategory>::kNames) ==
+              static_cast<std::size_t>(TraceCategory::Partition) + 1);
+static_assert(std::size(TraceNames<TraceTrack>::kNames) ==
+              static_cast<std::size_t>(TraceTrack::Stall) + 1);
+static_assert(std::size(TraceNames<TraceArgKey>::kNames) ==
+              static_cast<std::size_t>(TraceArgKey::Depth) + 1);
+
+/** Exported name of a category, track or arg key. */
+template <typename E>
+constexpr const char*
+traceName(E value)
+{
+    return TraceNames<E>::kNames[static_cast<std::size_t>(value)];
+}
+
+/** Inverse of traceName(); false when @p name is not in E's table. */
+template <typename E>
+bool
+parseTraceName(std::string_view name, E* out)
+{
+    const auto& names = TraceNames<E>::kNames;
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        if (name == names[i]) {
+            *out = static_cast<E>(i);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** One numeric argument attached to an event. */
 struct TraceArg
 {
-    const char* key;
+    TraceArgKey key;
     std::int64_t value;
 };
 
@@ -47,32 +135,15 @@ struct TraceArg
 struct TraceEvent
 {
     TraceEventKind kind = TraceEventKind::Instant;
-    const char* category = "";  ///< event taxonomy bucket (static)
+    TraceCategory category = TraceCategory::Kernel;
     std::string name;           ///< display name (kernel name, cause)
     int pid = 0;                ///< job id (0 for single-job runs)
-    const char* track = "";     ///< resource lane (static string)
+    TraceTrack track = TraceTrack::Kernel;
     TimeNs ts = 0;              ///< simulated start time
     TimeNs dur = 0;             ///< simulated duration (Span only)
     std::vector<TraceArg> args; ///< numeric payload
     std::string detail;         ///< optional string payload ("host→gpu")
 };
-
-// Track names (one Chrome/Perfetto thread per job × track).
-inline constexpr const char* kTrackKernel = "kernel";
-inline constexpr const char* kTrackStall = "stall";
-inline constexpr const char* kTrackPcieIn = "pcie.in";
-inline constexpr const char* kTrackPcieOut = "pcie.out";
-inline constexpr const char* kTrackMemory = "memory";
-inline constexpr const char* kTrackServe = "serve";
-
-// Event categories (the taxonomy README documents).
-inline constexpr const char* kCatKernel = "kernel";
-inline constexpr const char* kCatStall = "stall";
-inline constexpr const char* kCatTransfer = "xfer";
-inline constexpr const char* kCatEvict = "evict";
-inline constexpr const char* kCatSsd = "ssd";
-inline constexpr const char* kCatServe = "serve";
-inline constexpr const char* kCatPartition = "partition";
 
 /** Why a kernel's completion slipped past its ideal time. */
 enum class StallCause : std::uint8_t
@@ -91,10 +162,10 @@ inline constexpr int kNumStallCauses = 4;
 
 /** Lookup of one numeric arg by key; @p def when absent. */
 inline std::int64_t
-traceArgOf(const TraceEvent& ev, const char* key, std::int64_t def = 0)
+traceArgOf(const TraceEvent& ev, TraceArgKey key, std::int64_t def = 0)
 {
     for (const TraceArg& a : ev.args)
-        if (std::string(a.key) == key)
+        if (a.key == key)
             return a.value;
     return def;
 }

@@ -29,6 +29,34 @@ memLocKey(MemLoc loc)
     return "?";
 }
 
+using Key = TraceArgKey;
+
+/** A span with the fields every emit site sets. */
+TraceEvent
+span(TraceCategory category, TraceTrack track, int pid, std::string name,
+     TimeNs ts, TimeNs dur)
+{
+    TraceEvent ev;
+    ev.kind = TraceEventKind::Span;
+    ev.category = category;
+    ev.name = std::move(name);
+    ev.pid = pid;
+    ev.track = track;
+    ev.ts = ts;
+    ev.dur = dur;
+    return ev;
+}
+
+/** An instant with the fields every emit site sets. */
+TraceEvent
+instant(TraceCategory category, TraceTrack track, int pid,
+        std::string name, TimeNs ts)
+{
+    TraceEvent ev = span(category, track, pid, std::move(name), ts, 0);
+    ev.kind = TraceEventKind::Instant;
+    return ev;
+}
+
 }  // namespace
 
 const char*
@@ -55,18 +83,12 @@ Tracer::kernelSpan(int pid, const std::string& name, KernelId k,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Span;
-    ev.category = kCatKernel;
-    ev.name = name;
-    ev.pid = pid;
-    ev.track = kTrackKernel;
-    ev.ts = start;
-    ev.dur = dur;
-    ev.args = {{"k", static_cast<std::int64_t>(k)},
-               {"measured", measured ? 1 : 0},
-               {"ideal_ns", ideal_ns},
-               {"actual_ns", actual_ns}};
+    TraceEvent ev = span(TraceCategory::Kernel, TraceTrack::Kernel, pid,
+                         name, start, dur);
+    ev.args = {{Key::K, static_cast<std::int64_t>(k)},
+               {Key::Measured, measured ? 1 : 0},
+               {Key::IdealNs, ideal_ns},
+               {Key::ActualNs, actual_ns}};
     emit(std::move(ev));
 }
 
@@ -82,17 +104,11 @@ Tracer::stallSpan(int pid, StallCause cause, KernelId k, TimeNs start,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Span;
-    ev.category = kCatStall;
-    ev.name = stallCauseName(cause);
-    ev.pid = pid;
-    ev.track = kTrackStall;
-    ev.ts = start;
-    ev.dur = dur;
-    ev.args = {{"k", static_cast<std::int64_t>(k)},
-               {"measured", measured ? 1 : 0},
-               {"cause", static_cast<std::int64_t>(cause)}};
+    TraceEvent ev = span(TraceCategory::Stall, TraceTrack::Stall, pid,
+                         stallCauseName(cause), start, dur);
+    ev.args = {{Key::K, static_cast<std::int64_t>(k)},
+               {Key::Measured, measured ? 1 : 0},
+               {Key::Cause, static_cast<std::int64_t>(cause)}};
     emit(std::move(ev));
 }
 
@@ -108,18 +124,14 @@ Tracer::transfer(int pid, TransferCause cause, MemLoc src, MemLoc dst,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Span;
-    ev.category = kCatTransfer;
-    ev.name = transferCauseName(cause);
-    ev.pid = pid;
     // One track per fabric channel direction, like the paper's
     // per-channel migration timelines.
-    ev.track = (dst == MemLoc::Gpu) ? kTrackPcieIn : kTrackPcieOut;
-    ev.ts = start;
-    ev.dur = complete - start;
-    ev.args = {{"bytes", static_cast<std::int64_t>(bytes)},
-               {"cause", static_cast<std::int64_t>(cause)}};
+    TraceEvent ev = span(
+        TraceCategory::Transfer,
+        dst == MemLoc::Gpu ? TraceTrack::PcieIn : TraceTrack::PcieOut,
+        pid, transferCauseName(cause), start, complete - start);
+    ev.args = {{Key::Bytes, static_cast<std::int64_t>(bytes)},
+               {Key::Cause, static_cast<std::int64_t>(cause)}};
     ev.detail = std::string(memLocName(src)) + "->" + memLocName(dst);
     emit(std::move(ev));
 }
@@ -134,15 +146,10 @@ Tracer::evictionPick(int pid, TensorId t, MemLoc dest, Bytes bytes,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatEvict;
-    ev.name = "evict_pick";
-    ev.pid = pid;
-    ev.track = kTrackMemory;
-    ev.ts = ts;
-    ev.args = {{"tensor", static_cast<std::int64_t>(t)},
-               {"bytes", static_cast<std::int64_t>(bytes)}};
+    TraceEvent ev = instant(TraceCategory::Evict, TraceTrack::Memory, pid,
+                            "evict_pick", ts);
+    ev.args = {{Key::Tensor, static_cast<std::int64_t>(t)},
+               {Key::Bytes, static_cast<std::int64_t>(bytes)}};
     ev.detail = std::string("-> ") + memLocName(dest);
     emit(std::move(ev));
 }
@@ -157,15 +164,10 @@ Tracer::ssdGc(int pid, std::uint64_t runs, std::uint64_t erases,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatSsd;
-    ev.name = "gc";
-    ev.pid = pid;
-    ev.track = kTrackMemory;
-    ev.ts = ts;
-    ev.args = {{"runs", static_cast<std::int64_t>(runs)},
-               {"erases", static_cast<std::int64_t>(erases)}};
+    TraceEvent ev =
+        instant(TraceCategory::Ssd, TraceTrack::Memory, pid, "gc", ts);
+    ev.args = {{Key::Runs, static_cast<std::int64_t>(runs)},
+               {Key::Erases, static_cast<std::int64_t>(erases)}};
     emit(std::move(ev));
 }
 
@@ -179,16 +181,12 @@ Tracer::budgetResize(int pid, Bytes from_bytes, Bytes to_bytes,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatPartition;
-    ev.name = (to_bytes >= from_bytes) ? "budget_grow" : "budget_shrink";
-    ev.pid = pid;
-    ev.track = kTrackMemory;
-    ev.ts = ts;
-    ev.args = {{"from_bytes", static_cast<std::int64_t>(from_bytes)},
-               {"to_bytes", static_cast<std::int64_t>(to_bytes)},
-               {"evicted_bytes", static_cast<std::int64_t>(evicted)}};
+    TraceEvent ev = instant(
+        TraceCategory::Partition, TraceTrack::Memory, pid,
+        to_bytes >= from_bytes ? "budget_grow" : "budget_shrink", ts);
+    ev.args = {{Key::FromBytes, static_cast<std::int64_t>(from_bytes)},
+               {Key::ToBytes, static_cast<std::int64_t>(to_bytes)},
+               {Key::EvictedBytes, static_cast<std::int64_t>(evicted)}};
     emit(std::move(ev));
 }
 
@@ -203,16 +201,11 @@ Tracer::admission(int pid, const std::string& cls, TimeNs arrival,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatServe;
-    ev.name = "admit";
-    ev.pid = pid;
-    ev.track = kTrackServe;
-    ev.ts = admit;
-    ev.args = {{"arrival_ns", arrival},
-               {"gpu_bytes", static_cast<std::int64_t>(gpu_bytes)},
-               {"warm_plan", warm_plan ? 1 : 0}};
+    TraceEvent ev = instant(TraceCategory::Serve, TraceTrack::Serve, pid,
+                            "admit", admit);
+    ev.args = {{Key::ArrivalNs, arrival},
+               {Key::GpuBytes, static_cast<std::int64_t>(gpu_bytes)},
+               {Key::WarmPlan, warm_plan ? 1 : 0}};
     ev.detail = cls;
     emit(std::move(ev));
 }
@@ -231,16 +224,11 @@ Tracer::departure(int pid, const std::string& cls, TimeNs arrival,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatServe;
-    ev.name = failed ? "depart_failed" : "depart";
-    ev.pid = pid;
-    ev.track = kTrackServe;
-    ev.ts = ts;
-    ev.args = {{"arrival_ns", arrival},
-               {"slo_limit_ns", slo_limit_ns},
-               {"slo_met", slo_met ? 1 : 0}};
+    TraceEvent ev = instant(TraceCategory::Serve, TraceTrack::Serve, pid,
+                            failed ? "depart_failed" : "depart", ts);
+    ev.args = {{Key::ArrivalNs, arrival},
+               {Key::SloLimitNs, slo_limit_ns},
+               {Key::SloMet, slo_met ? 1 : 0}};
     ev.detail = cls;
     emit(std::move(ev));
 }
@@ -252,13 +240,8 @@ Tracer::rejection(int pid, const std::string& cls, TimeNs ts)
         counters_->add("serve.rejected");
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatServe;
-    ev.name = "reject";
-    ev.pid = pid;
-    ev.track = kTrackServe;
-    ev.ts = ts;
+    TraceEvent ev = instant(TraceCategory::Serve, TraceTrack::Serve, pid,
+                            "reject", ts);
     ev.detail = cls;
     emit(std::move(ev));
 }
@@ -271,14 +254,9 @@ Tracer::partitionEvent(const char* what, int pid, Bytes to_bytes,
         counters_->add(std::string("partition.") + what);
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatPartition;
-    ev.name = what;
-    ev.pid = pid;
-    ev.track = kTrackServe;
-    ev.ts = ts;
-    ev.args = {{"to_bytes", static_cast<std::int64_t>(to_bytes)}};
+    TraceEvent ev = instant(TraceCategory::Partition, TraceTrack::Serve,
+                            pid, what, ts);
+    ev.args = {{Key::ToBytes, static_cast<std::int64_t>(to_bytes)}};
     emit(std::move(ev));
 }
 
@@ -293,15 +271,10 @@ Tracer::warmReplan(int pid, std::uint64_t replayed,
     }
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatPartition;
-    ev.name = "warm_replan";
-    ev.pid = pid;
-    ev.track = kTrackServe;
-    ev.ts = ts;
-    ev.args = {{"replayed", static_cast<std::int64_t>(replayed)},
-               {"dropped", static_cast<std::int64_t>(dropped)}};
+    TraceEvent ev = instant(TraceCategory::Partition, TraceTrack::Serve,
+                            pid, "warm_replan", ts);
+    ev.args = {{Key::Replayed, static_cast<std::int64_t>(replayed)},
+               {Key::Dropped, static_cast<std::int64_t>(dropped)}};
     emit(std::move(ev));
 }
 
@@ -320,14 +293,9 @@ Tracer::queueDepth(std::size_t depth, TimeNs ts)
                           static_cast<double>(depth));
     if (!sink_)
         return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Instant;
-    ev.category = kCatServe;
-    ev.name = "queue_depth";
-    ev.pid = 0;
-    ev.track = kTrackServe;
-    ev.ts = ts;
-    ev.args = {{"depth", static_cast<std::int64_t>(depth)}};
+    TraceEvent ev = instant(TraceCategory::Serve, TraceTrack::Serve, 0,
+                            "queue_depth", ts);
+    ev.args = {{Key::Depth, static_cast<std::int64_t>(depth)}};
     emit(std::move(ev));
 }
 

@@ -4,6 +4,7 @@
 #include <deque>
 #include <utility>
 
+#include "obs/counters.h"
 #include "serve/plan_cache.h"
 
 namespace g10 {
@@ -274,6 +275,17 @@ fingerprintServeSpec(const ServeSpec& spec)
     for (const std::string& d : spec.designs)
         h.mixString(d);
     return h.digest();
+}
+
+void
+addProbeCounters(const ProbeStats& stats, CounterRegistry* reg)
+{
+    reg->add("sweep.probe.issued", stats.issued);
+    reg->add("sweep.probe.decided", stats.decided);
+    reg->add("sweep.probe.speculated", stats.speculated);
+    reg->add("sweep.probe.speculation_used", stats.speculationUsed);
+    reg->add("sweep.probe.speculation_wasted", stats.speculationWasted);
+    reg->add("sweep.probe.cache_hits", stats.cacheHits);
 }
 
 }  // namespace g10

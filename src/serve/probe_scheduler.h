@@ -214,6 +214,14 @@ struct ProbeStats
     std::uint64_t cacheHits = 0;  ///< acquires that never waited at all
 };
 
+class CounterRegistry;
+
+/**
+ * Add @p stats to @p reg as the `sweep.probe.*` counters: visible via
+ * --metrics, never serialized into a result document.
+ */
+void addProbeCounters(const ProbeStats& stats, CounterRegistry* reg);
+
 /**
  * Thread-safe free list of probe arenas: one Arena per *in-flight*
  * probe (Arena is not thread-safe, so the old one-arena-per-design

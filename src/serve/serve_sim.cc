@@ -1049,14 +1049,7 @@ ServeSweep::runAutoRates(ExperimentEngine& engine,
             out->counters.merge(reg);
         // Scheduler accounting rides the same registry (visible via
         // --metrics, never serialized into the result document).
-        out->counters.add("sweep.probe.issued", stats.issued);
-        out->counters.add("sweep.probe.decided", stats.decided);
-        out->counters.add("sweep.probe.speculated", stats.speculated);
-        out->counters.add("sweep.probe.speculation_used",
-                          stats.speculationUsed);
-        out->counters.add("sweep.probe.speculation_wasted",
-                          stats.speculationWasted);
-        out->counters.add("sweep.probe.cache_hits", stats.cacheHits);
+        addProbeCounters(stats, &out->counters);
     }
 }
 

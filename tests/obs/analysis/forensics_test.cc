@@ -161,9 +161,9 @@ TEST(Forensics, DepartureEventIsSelfContainedAndCounted)
     const TraceEvent& miss = sink.events()[0];
     EXPECT_EQ(miss.name, std::string("depart"));
     EXPECT_EQ(miss.detail, "hi");
-    EXPECT_EQ(traceArgOf(miss, "arrival_ns"), 100);
-    EXPECT_EQ(traceArgOf(miss, "slo_limit_ns"), 500);
-    EXPECT_EQ(traceArgOf(miss, "slo_met"), 0);
+    EXPECT_EQ(traceArgOf(miss, TraceArgKey::ArrivalNs), 100);
+    EXPECT_EQ(traceArgOf(miss, TraceArgKey::SloLimitNs), 500);
+    EXPECT_EQ(traceArgOf(miss, TraceArgKey::SloMet), 0);
     EXPECT_EQ(sink.events()[2].name, std::string("depart_failed"));
 }
 
@@ -174,7 +174,7 @@ analyzeAll(const std::vector<TraceEvent>& events)
     int kernelPid = 0;
     for (const TraceEvent& ev : events) {
         if (ev.kind == TraceEventKind::Span &&
-            ev.category == std::string(kCatKernel)) {
+            ev.category == TraceCategory::Kernel) {
             kernelPid = ev.pid;
             break;
         }

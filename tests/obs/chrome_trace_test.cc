@@ -36,21 +36,21 @@ TEST(ChromeTrace, GoldenHandBuiltDocument)
     std::vector<TraceEvent> events;
     TraceEvent span;
     span.kind = TraceEventKind::Span;
-    span.category = kCatKernel;
+    span.category = TraceCategory::Kernel;
     span.name = "conv1";
     span.pid = 0;
-    span.track = kTrackKernel;
+    span.track = TraceTrack::Kernel;
     span.ts = 1500;  // 1.5 us
     span.dur = 2000;
-    span.args.push_back({"k", 0});
+    span.args.push_back({TraceArgKey::K, 0});
     events.push_back(span);
 
     TraceEvent inst;
     inst.kind = TraceEventKind::Instant;
-    inst.category = kCatEvict;
+    inst.category = TraceCategory::Evict;
     inst.name = "evict";
     inst.pid = 0;
-    inst.track = kTrackMemory;
+    inst.track = TraceTrack::Memory;
     inst.ts = 4000;
     inst.detail = "t3";
     events.push_back(inst);

@@ -38,11 +38,11 @@ slurp(const std::string& path)
 }
 
 TraceEvent
-span(int pid, const char* track, TimeNs ts, TimeNs dur)
+span(int pid, TraceTrack track, TimeNs ts, TimeNs dur)
 {
     TraceEvent ev;
     ev.kind = TraceEventKind::Span;
-    ev.category = kCatKernel;
+    ev.category = TraceCategory::Kernel;
     ev.name = "k";
     ev.pid = pid;
     ev.track = track;
@@ -57,9 +57,9 @@ TEST(FileTraceSink, StreamsAValidDocumentWithLazyMetadata)
     {
         FileTraceSink sink(path);
         sink.setProcessName(0, "node-a");
-        sink.onEvent(span(0, "kernel", 1000, 500));
-        sink.onEvent(span(1, "kernel", 2000, 500));  // unnamed pid
-        sink.onEvent(span(0, "memory", 3000, 500));  // new lane
+        sink.onEvent(span(0, TraceTrack::Kernel, 1000, 500));
+        sink.onEvent(span(1, TraceTrack::Kernel, 2000, 500));  // no name
+        sink.onEvent(span(0, TraceTrack::Memory, 3000, 500));  // new lane
         EXPECT_EQ(sink.eventsWritten(), 3u);
         sink.finish();
     }
@@ -107,12 +107,13 @@ TEST(FileTraceSink, FinishIsIdempotentAndDropsLateEvents)
 {
     std::string path = tempPath("finish");
     FileTraceSink sink(path);
-    sink.onEvent(span(0, "kernel", 1000, 500));
+    sink.onEvent(span(0, TraceTrack::Kernel, 1000, 500));
     EXPECT_EQ(sink.droppedEvents(), 0u);
     sink.finish();
     sink.finish();  // no-op
-    sink.onEvent(span(0, "kernel", 2000, 500));  // dropped, counted
-    sink.onEvent(span(0, "kernel", 3000, 500));  // dropped, counted
+    // Both dropped, and counted.
+    sink.onEvent(span(0, TraceTrack::Kernel, 2000, 500));
+    sink.onEvent(span(0, TraceTrack::Kernel, 3000, 500));
     EXPECT_EQ(sink.eventsWritten(), 1u);
     EXPECT_EQ(sink.droppedEvents(), 2u);
     sink.finish();  // still a no-op; warns about the drops once

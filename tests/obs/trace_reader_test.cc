@@ -2,8 +2,9 @@
  *  MemoryTraceSink stream exported with writeChromeTrace and parsed
  *  back with readChromeTrace is field-by-field identical (golden
  *  equality), including nanosecond timestamps past the precision of
- *  %.12g doubles, interned category/track pointers, process names,
- *  and the streaming FileTraceSink document. Malformed documents are
+ *  %.12g doubles, category/track/arg-key enums, process names, and
+ *  the streaming FileTraceSink document. The name tables invert
+ *  exactly, and malformed documents — unknown names included — are
  *  rejected with a diagnostic, not a crash. */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -59,8 +62,6 @@ expectEventsIdentical(const std::vector<TraceEvent>& a,
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE(i);
         EXPECT_EQ(a[i].kind, b[i].kind);
-        // Interning maps known names back to the canonical constants,
-        // so even the pointers agree.
         EXPECT_EQ(a[i].category, b[i].category);
         EXPECT_EQ(a[i].track, b[i].track);
         EXPECT_EQ(a[i].name, b[i].name);
@@ -118,17 +119,35 @@ TEST(TraceReader, FileTraceSinkDocumentRoundTripsToo)
     EXPECT_EQ(doc.processNames.at(0), "train-job");
 }
 
-TEST(TraceReader, InternReturnsCanonicalPointers)
+/** Every value's name parses back to that value and names are
+ *  unique; with @p sorted, names also ascend in value order. */
+template <typename E>
+void
+expectNameTable(bool sorted)
 {
-    EXPECT_EQ(internTraceString("kernel"), kTrackKernel);
-    EXPECT_EQ(internTraceString("stall"), kCatStall);
-    EXPECT_EQ(internTraceString("slo_met"),
-              internTraceString("slo_met"));
-    // Unknown strings intern to one stable pointer per value.
-    const char* a = internTraceString("custom.track");
-    const char* b = internTraceString("custom.track");
-    EXPECT_EQ(a, b);
-    EXPECT_STREQ(a, "custom.track");
+    const auto& names = TraceNames<E>::kNames;
+    std::set<std::string> seen;
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        SCOPED_TRACE(names[i]);
+        const E value = static_cast<E>(i);
+        E parsed{};
+        ASSERT_TRUE(parseTraceName(traceName(value), &parsed));
+        EXPECT_EQ(parsed, value);
+        EXPECT_TRUE(seen.insert(names[i]).second) << "duplicate name";
+        if (sorted && i > 0)
+            EXPECT_LT(std::string(names[i - 1]), names[i]);
+    }
+    E parsed{};
+    EXPECT_FALSE(parseTraceName("no.such.name", &parsed));
+}
+
+TEST(TraceReader, NameTablesInvertAndTracksAreSorted)
+{
+    expectNameTable<TraceCategory>(false);
+    // Sorted tracks keep the exporters' (pid, track) tid order equal
+    // to the order of the lanes' names.
+    expectNameTable<TraceTrack>(true);
+    expectNameTable<TraceArgKey>(false);
 }
 
 TEST(TraceReader, RejectsMalformedDocuments)
@@ -156,6 +175,39 @@ TEST(TraceReader, RejectsMalformedDocuments)
         "\"ph\": \"C\", \"ts\": 1, \"pid\": 0, \"tid\": 1}]}",
         &doc, &err));
     EXPECT_NE(err.find("unsupported phase"), std::string::npos);
+
+    // Names outside trace_event.h's tables are errors that name them.
+    const std::string lane =
+        "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, "
+        "\"tid\": 1, \"args\": {\"name\": \"kernel\"}}";
+    EXPECT_FALSE(readChromeTrace(
+        "{\"traceEvents\": [" + lane +
+            ", {\"name\": \"k\", \"cat\": \"gpu.kernel\", "
+            "\"ph\": \"X\", \"ts\": 1, \"dur\": 1, \"pid\": 0, "
+            "\"tid\": 1}]}",
+        &doc, &err));
+    EXPECT_NE(err.find("record 1: unknown category 'gpu.kernel'"),
+              std::string::npos)
+        << err;
+
+    EXPECT_FALSE(readChromeTrace(
+        "{\"traceEvents\": [{\"ph\": \"M\", \"name\": "
+        "\"thread_name\", \"pid\": 0, \"tid\": 1, \"args\": "
+        "{\"name\": \"nvlink\"}}]}",
+        &doc, &err));
+    EXPECT_NE(err.find("record 0: unknown track 'nvlink'"),
+              std::string::npos)
+        << err;
+
+    EXPECT_FALSE(readChromeTrace(
+        "{\"traceEvents\": [" + lane +
+            ", {\"name\": \"k\", \"cat\": \"kernel\", "
+            "\"ph\": \"X\", \"ts\": 1, \"dur\": 1, \"pid\": 0, "
+            "\"tid\": 1, \"args\": {\"k\": 0, \"kk\": 1}}]}",
+        &doc, &err));
+    EXPECT_NE(err.find("record 1: unknown arg key 'kk'"),
+              std::string::npos)
+        << err;
 
     EXPECT_FALSE(readChromeTraceFile("/nonexistent/trace.json", &doc,
                                      &err));

@@ -90,16 +90,6 @@ TEST(Tracer, OnOffBitIdentity)
     }
 }
 
-/** Linear lookup of a numeric event arg (absent = 0). */
-std::int64_t
-argOf(const TraceEvent& ev, const char* key)
-{
-    for (const TraceArg& a : ev.args)
-        if (std::string(a.key) == key)
-            return a.value;
-    return 0;
-}
-
 TEST(Tracer, MeasuredStallSpansCoverTotalStall)
 {
     MemoryTraceSink sink;
@@ -115,11 +105,11 @@ TEST(Tracer, MeasuredStallSpansCoverTotalStall)
     TimeNs sum = 0;
     std::size_t measuredKernels = 0;
     for (const TraceEvent& ev : sink.events()) {
-        if (std::string(ev.category) == kCatStall &&
-            argOf(ev, "measured") != 0)
+        if (ev.category == TraceCategory::Stall &&
+            traceArgOf(ev, TraceArgKey::Measured) != 0)
             sum += ev.dur;
-        if (std::string(ev.category) == kCatKernel &&
-            argOf(ev, "measured") != 0)
+        if (ev.category == TraceCategory::Kernel &&
+            traceArgOf(ev, TraceArgKey::Measured) != 0)
             ++measuredKernels;
     }
     EXPECT_EQ(sum, st.totalStallNs);

@@ -170,12 +170,15 @@ TEST(ProbeKey, OrderingDistinguishesEveryField)
 
 TEST(ExperimentEngineSubmit, TryRunOneDrainsQueueWhileWorkersAreBusy)
 {
-    ExperimentEngine engine(1);
-
-    // Park the only worker on a gate so the queue state is ours.
+    // Declared before the engine: its destructor joins the parked
+    // worker, whose task still reads `gate` and `started`.
     std::promise<void> release;
     std::shared_future<void> gate(release.get_future());
     std::atomic<int> started{0};
+    std::atomic<int> ran{0};
+    ExperimentEngine engine(1);
+
+    // Park the only worker on a gate so the queue state is ours.
     engine.submit([&] {
         started.fetch_add(1);
         gate.wait();
@@ -185,7 +188,6 @@ TEST(ExperimentEngineSubmit, TryRunOneDrainsQueueWhileWorkersAreBusy)
 
     EXPECT_FALSE(engine.tryRunOne());  // queue empty, worker busy
 
-    std::atomic<int> ran{0};
     engine.submit([&] { ran.fetch_add(1); });
     EXPECT_TRUE(engine.tryRunOne());  // caller pitch-in drains it
     EXPECT_EQ(ran.load(), 1);
