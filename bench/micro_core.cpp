@@ -8,7 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "api/g10.h"
 #include "core/g10_compiler.h"
@@ -43,6 +46,35 @@ BM_StepFunctionIntegralAbove(benchmark::State& state)
             f.integralAbove(0, 4096 * 11, 20.0, 5.0));
 }
 BENCHMARK(BM_StepFunctionIntegralAbove);
+
+void
+BM_StepFunctionMaxOver(benchmark::State& state)
+{
+    // The eviction scheduler's host-peak check: window maxima over a
+    // curve built from overlapping tensor lifetimes (positive adds)
+    // and committed evictions (negative adds). Items are queries.
+    const TimeNs horizon = 1'000'000'000;
+    StepFunction f;
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 4000; ++i) {
+        const TimeNs t0 = static_cast<TimeNs>(rng() % horizon);
+        const TimeNs len = 1 + static_cast<TimeNs>(rng() % (horizon / 64));
+        f.add(t0, std::min(horizon, t0 + len),
+              static_cast<double>(rng() % 8192) - 2048.0);
+    }
+    std::vector<std::pair<TimeNs, TimeNs>> windows;
+    for (int q = 0; q < 4000; ++q) {
+        auto [a, b] = std::minmax(static_cast<TimeNs>(rng() % horizon),
+                                  static_cast<TimeNs>(rng() % horizon));
+        windows.emplace_back(a, b + 1);
+    }
+    for (auto _ : state)
+        for (const auto& [t0, t1] : windows)
+            benchmark::DoNotOptimize(f.maxOver(t0, t1));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(windows.size()));
+}
+BENCHMARK(BM_StepFunctionMaxOver);
 
 void
 BM_StepFunctionCursorWalk(benchmark::State& state)

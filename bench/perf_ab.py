@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Paired perfbench A/B: this checkout against BASE_REV, timed on one host.
+
+Usage, from anywhere inside a checkout:
+
+    python3 bench/perf_ab.py BASE_REV [WORKLOAD...]    # default: paper_zoo
+
+Extracts BASE_REV with `git archive` into a temporary directory, then
+runs each tree's own `perfbench/run.py --workload W --seconds 4` for 10
+pairs per workload, alternating which side runs first. Each tree builds
+its own g10perf. Prints each side's op_s.p50 median and quartiles, the
+pairs the change won and the median paired change/base ratio.
+
+Exits 1 as soon as a run of either side fails, reports a failed op or
+a golden other than "match"; otherwise exits 1 if the median paired
+ratio of any workload exceeds 1.10.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SECONDS = 4
+BUDGET = 1.10
+METRIC = "op_s.p50"
+
+
+def fail(msg):
+    print(f"perf_ab: {msg}", file=sys.stderr)
+    sys.exit(1)
+
+
+def extract(rev, dest):
+    """Write the tree of @p rev into @p dest; no worktree state is kept."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             stdout=subprocess.PIPE)
+    if archive.returncode:
+        fail(f"git archive {rev} failed")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
+    if not (dest / "perfbench" / "run.py").is_file():
+        fail(f"{rev} has no perfbench/run.py")
+
+
+def run(side, tree, workload):
+    """One perfbench run of @p tree; its op_s.p50, or exit on bad results."""
+    # Each tree builds into its own directory, whatever the caller set.
+    env = dict(os.environ, CARGO_TARGET_DIR=str(tree / ".bench_build"))
+    p = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                        workload, "--seconds", str(SECONDS)],
+                       cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+    lines = p.stdout.strip().splitlines()
+    if p.returncode or len(lines) < 2:
+        fail(f"{side}: perfbench/run.py --workload {workload} exited "
+             f"with {p.returncode}")
+    info = json.loads(lines[-2])["info"]
+    result = json.loads(lines[-1])
+    if info["golden"] != "match" or result["failed"]:
+        fail(f"{side}: {workload} golden {info['golden']!r}, "
+             f"{result['failed']}/{result['attempted']} ops failed")
+    return result["metrics"][METRIC]["value"]
+
+
+def compare(workload, trees):
+    """PAIRS interleaved pairs; returns the median change/base ratio."""
+    times = {"base": [], "change": []}
+    for i in range(PAIRS):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            times[side].append(run(side, trees[side], workload))
+        print(f"  pair {i + 1:2d}: base {times['base'][-1]:.4f} s  "
+              f"change {times['change'][-1]:.4f} s", flush=True)
+
+    pairs = list(zip(times["base"], times["change"]))
+    ratio = statistics.median(c / b for b, c in pairs)
+    won = sum(c < b for b, c in pairs)
+    for side in ("change", "base"):  # base last: its quartiles stay below
+        q1, q2, q3 = statistics.quantiles(times[side], n=4,
+                                          method="inclusive")
+        print(f"{workload} {METRIC} {side:>6}: median {q2:.4f} s "
+              f"(quartiles {q1:.4f}..{q3:.4f})")
+    print(f"{workload}: change won {won}/{PAIRS} pairs, median paired "
+          f"change/base {ratio:.3f} (budget {BUDGET:.2f}), base "
+          f"IQR/median {(q3 - q1) / q2:.3f}", flush=True)
+    return ratio
+
+
+def main():
+    if len(sys.argv) < 2 or sys.argv[1].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    base_rev, workloads = sys.argv[1], sys.argv[2:] or ["paper_zoo"]
+    with tempfile.TemporaryDirectory(prefix="g10_perf_ab_") as tmp:
+        base = Path(tmp)
+        extract(base_rev, base)
+        trees = {"base": base, "change": ROOT}
+        over = [w for w in workloads if compare(w, trees) > BUDGET]
+    if over:
+        fail(f"{METRIC} regressed by more than {BUDGET:.2f}x on "
+             f"{', '.join(over)}")
+    print("perf_ab: within budget")
+
+
+if __name__ == "__main__":
+    main()

@@ -311,6 +311,12 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
         if (workers < 2) {
             EXPECT_EQ(stats.speculated, 0u);
             EXPECT_EQ(stats.issued, stats.decided);
+        } else {
+            // The first acquire holds the cache lock while it issues
+            // the decided probe and both level-1 successors (the
+            // in-flight cap is workers + 1 >= 3), so the second
+            // acquire always consumes a speculated probe.
+            EXPECT_GT(stats.speculationUsed, 0u);
         }
     }
 }

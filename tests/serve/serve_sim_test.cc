@@ -10,6 +10,7 @@
 #include <string>
 
 #include "api/report.h"
+#include "serve/plan_cache.h"
 #include "serve/serve_sim.h"
 
 namespace g10 {
@@ -416,6 +417,38 @@ TEST(ServeSimElastic, ElasticSweepsAreBitIdenticalAcrossPoolSizes)
         EXPECT_EQ(toJson(a), toJson(b))
             << partitionPolicyName(p);
     }
+}
+
+TEST(ServeSimElastic, DemoCapacityKneesMatchTheReadmeTable)
+{
+    // The README's elastic-capacity table: the demo mix at 1/16 scale,
+    // knees auto-bisected under static slots and then under ondemand
+    // partitions, both searches sharing one plan cache.
+    ServeSpec spec = demoServeSpec(16);
+    spec.designs = {"baseuvm", "g10"};
+    spec.rates.clear();
+    spec.ratesAuto = true;
+    spec.rateProbes = 14;
+
+    SweepPlanCache cache;
+    ExperimentEngine engine;
+    spec.partitionPolicy = PartitionPolicy::Static;
+    ServeSweep staticSweep(spec);
+    staticSweep.sharePlanCache(&cache);
+    const ServeSweepResult st = staticSweep.run(engine);
+    spec.partitionPolicy = PartitionPolicy::OnDemand;
+    ServeSweep elasticSweep(spec);
+    elasticSweep.sharePlanCache(&cache);
+    const ServeSweepResult el = elasticSweep.run(engine);
+
+    ASSERT_EQ(st.sustainedRate.size(), 2u);
+    ASSERT_EQ(el.sustainedRate.size(), 2u);
+    // Exact bisection results; the README prints them rounded (the
+    // static baseuvm knee is one ulp above the literal 0.725).
+    EXPECT_EQ(st.sustainedRate[0], 0x1.7333333333334p-1);  // 0.725
+    EXPECT_EQ(st.sustainedRate[1], 0x1.f99999999999ap-1);  // 0.9875
+    EXPECT_EQ(el.sustainedRate[0], 0x1.1p+0);              // 1.0625
+    EXPECT_EQ(el.sustainedRate[1], 0x1.499999999999ap+0);  // 1.2875
 }
 
 // ---- Serve-file keys for elastic partitions / auto rates ---------
