@@ -129,14 +129,6 @@ struct SpecKeyInfo
 
     const char* help = nullptr;
 
-    /**
-     * The key only steers which rates a knee search probes, or is a
-     * pure wall-clock switch: it never changes what one probe returns,
-     * so the probe-cache fingerprints exclude it. Every other serve and
-     * fleet key must move its fingerprint (tested from the table).
-     */
-    bool searchOnly = false;
-
     /** A word accepted in place of the typed value (`auto`). */
     const char* keyword = nullptr;
 

@@ -1,7 +1,6 @@
 #include "fleet_sim.h"
 
 #include <algorithm>
-#include <random>
 
 #include "common/logging.h"
 #include "engine/partition.h"
@@ -47,14 +46,8 @@ FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
                   spec_.nodes[n].name.c_str());
     }
 
-    classes_ = spec_.classes;
-    for (ServeJobClass& cls : classes_) {
-        if (cls.batchSize <= 0)
-            cls.batchSize = paperBatchSize(cls.model);
-        if (cls.name.empty())
-            cls.name = std::string(modelName(cls.model)) + "-" +
-                       std::to_string(cls.batchSize);
-    }
+    for (const ServeJobClass& cls : spec_.classes)
+        classes_.push_back(resolvedClass(cls));
 
     traces_.reserve(classes_.size());
     for (const ServeJobClass& cls : classes_)
@@ -80,14 +73,15 @@ FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
     for (std::size_t n = 0; n < spec_.nodes.size(); ++n)
         nodeSpecs_.push_back(spec_.nodeServeSpec(n));
 
-    // The shared fleet stream, drawn once from the fleet seed: arrival
-    // times from `seed`, class picks from `seed + 1` (the serve-sweep
-    // idiom). The stream never looks at the node list, so it is
-    // node-count independent by construction. Auto-knee probes redraw
-    // it at each probed rate (streamAtRate): the class sequence stays
-    // identical — only arrival spacing changes.
-    stream_ = streamAtRate(spec_.ratesAuto ? spec_.resolvedRateLo()
-                                           : spec_.rate);
+    // The shared fleet stream, drawn once from the fleet seed the way
+    // a serve sweep draws its own (drawRequestStream). It never looks
+    // at the node list, so it is node-count independent by
+    // construction. Auto-knee probes redraw it at each probed rate:
+    // the class sequence stays identical — only arrival spacing
+    // changes.
+    stream_ = drawRequestStream(
+        spec_, classes_,
+        spec_.ratesAuto ? spec_.resolvedRateLo() : spec_.rate);
 
     router_ = std::make_unique<Router>(spec_, classes_, serviceEst_,
                                        floors_);
@@ -102,34 +96,14 @@ FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
 
 FleetSim::~FleetSim() = default;
 
-std::vector<ServeRequest>
-FleetSim::streamAtRate(double rate) const
+ServeCellResult
+FleetSim::idleCell(double rate) const
 {
-    std::vector<TimeNs> times = generateArrivals(
-        spec_.arrival, rate, spec_.requests, spec_.seed);
-    std::mt19937_64 picks(spec_.seed + 1);
-    double wsum = 0.0;
-    for (const ServeJobClass& cls : classes_)
-        wsum += cls.weight;
-    std::vector<ServeRequest> stream;
-    stream.reserve(times.size());
-    for (TimeNs t : times) {
-        double u = unitInterval(picks) * wsum;
-        double cum = 0.0;
-        std::size_t ci = classes_.size() - 1;
-        for (std::size_t c = 0; c < classes_.size(); ++c) {
-            cum += classes_[c].weight;
-            if (u <= cum) {
-                ci = c;
-                break;
-            }
-        }
-        ServeRequest r;
-        r.arrivalNs = t;
-        r.classIndex = ci;
-        stream.push_back(r);
-    }
-    return stream;
+    ServeCellResult cell;
+    cell.design = spec_.design;
+    cell.designName = PolicyRegistry::instance().resolve(spec_.design).name;
+    cell.rate = rate;
+    return cell;
 }
 
 std::vector<std::vector<ServeClassBaseline>>
@@ -293,12 +267,7 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
         const std::vector<ServeRequest>& reqs =
             routedStreams[p].perNode[n];
         if (reqs.empty()) {
-            // A node the policy never routed to: an empty cell, so
-            // the spread metrics still see the idle machine.
-            cell.design = spec_.design;
-            cell.designName =
-                PolicyRegistry::instance().resolve(spec_.design).name;
-            cell.rate = spec_.rate;
+            cell = idleCell(spec_.rate);
             return;
         }
         ServeSim sim(nodeSpecs_[n], spec_.design, spec_.rate, traces_,
@@ -339,31 +308,6 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
     return out;
 }
 
-std::uint64_t
-fingerprintFleetSpec(const FleetSpec& spec)
-{
-    SpecHash h;
-    mixScenarioSpec(h, spec);
-    h.mix(spec.nodes.size());
-    for (const FleetNodeSpec& node : spec.nodes) {
-        h.mixString(node.name);
-        h.mixDouble(node.gpuGb);
-        h.mixDouble(node.hostGb);
-        h.mixDouble(node.ssdGbps);
-        h.mixDouble(node.pcieGbps);
-        h.mix(static_cast<std::uint64_t>(node.slots));
-        h.mix(static_cast<std::uint64_t>(node.queue));
-        h.mix(node.families.size());
-        for (ModelKind fam : node.families)
-            h.mix(static_cast<std::uint64_t>(fam));
-    }
-    h.mixString(spec.design);
-    h.mix(spec.placements.size());
-    for (PlacementKind k : spec.placements)
-        h.mix(static_cast<std::uint64_t>(k));
-    return h.digest();
-}
-
 void
 FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
                   FleetResult* out)
@@ -375,25 +319,20 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
     // One probe = the whole fleet at one offered rate: re-time the
     // shared stream, route it, and run every node sequentially inside
     // the probe (node counters accumulate in node order into the
-    // probe's registry — same order the fixed-rate grid merges). One
-    // SweepPlanCache and one ProbeCache span all nodes, placements,
-    // and probes. Probes for different placements — and speculative
-    // next rates within one — fan out across the pool; the decided
-    // bisection per placement reads memoized results in sequential
-    // order, so the knees and every node cell are byte-identical at
-    // any worker count, speculation on or off. The event sink
-    // observes only placement 0's root probe (nodes stream into it
-    // sequentially with the usual pid offsets).
-    ProbeCache probeCache;
-    ArenaPool arenas;
-
+    // probe's registry — same order the fixed-rate grid merges). Each
+    // placement is one search lane of runKneeSearch; one
+    // SweepPlanCache spans all nodes, placements and probes. The knees
+    // and every node cell are byte-identical at any worker count,
+    // speculation on or off. The event sink observes only placement
+    // 0's root probe (nodes stream into it sequentially with the usual
+    // pid offsets).
     auto probeFn = [&](std::uint32_t p, double rate) -> ProbeResult {
         ProbeResult pr;
-        std::vector<ServeRequest> stream = streamAtRate(rate);
+        std::vector<ServeRequest> stream =
+            drawRequestStream(spec_, classes_, rate);
         pr.firstArrivalNs = stream.front().arrivalNs;
         RoutedStream routed =
             router_->route(spec_.placements[p], stream);
-        std::unique_ptr<Arena> arena = arenas.acquire();
         const bool traced =
             obs.sink != nullptr && p == 0 && rate == rootRate;
         pr.cells.resize(nn);
@@ -402,11 +341,7 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
             ServeCellResult& cell = pr.cells[n];
             const std::vector<ServeRequest>& reqs = routed.perNode[n];
             if (reqs.empty()) {
-                cell.design = spec_.design;
-                cell.designName = PolicyRegistry::instance()
-                                      .resolve(spec_.design)
-                                      .name;
-                cell.rate = rate;
+                cell = idleCell(rate);
                 continue;
             }
             ServeSim sim(nodeSpecs_[n], spec_.design, rate, traces_,
@@ -419,86 +354,45 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
             sim.setPlanCache(nodeSpecs_[n].sweepPlanCache
                                  ? planCache_.get()
                                  : nullptr);
-            sim.setArena(arena.get());
             cell = sim.run();
-            arena->reset();
             if (!cell.sustained())
                 pr.sustained = false;
         }
-        arenas.release(std::move(arena));
         return pr;
     };
 
+    const KneeSearch search = runKneeSearch(engine, np, spec_, probeFn);
     out->placements.resize(np);
-    std::vector<CounterRegistry> regs(np);
-    std::vector<TimeNs> firstArrival(np, 0);
-
-    ProbeStats stats;
-    {
-        ProbeScheduler sched(engine, probeCache,
-                             fingerprintFleetSpec(spec_), probeFn,
-                             spec_.speculativeProbes);
-        engine.parallelFor(np, [&](std::size_t p) {
-            FleetPlacementResult& pr = out->placements[p];
-            pr.kind = spec_.placements[p];
-            KneeCursor cur(rootRate, spec_.rateHi, spec_.rateProbes);
-            // The most recent sustained probe is always the current
-            // knee (lo only ever moves up to the probed rate), so the
-            // reported cells are the knee probe's — or the lowest
-            // probe's when nothing sustained.
-            std::shared_ptr<const ProbeResult> first, knee;
-            while (!cur.done()) {
-                std::shared_ptr<const ProbeResult> res =
-                    sched.acquire(static_cast<std::uint32_t>(p), cur);
-                if (first == nullptr)
-                    first = res;
-                if (res->sustained)
-                    knee = res;
-                if (obs.collectCounters)
-                    regs[p].merge(res->counters);
-                cur.advance(res->sustained);
-            }
-            pr.kneeRatePerS = cur.knee();
-            pr.rateProbes = static_cast<std::uint64_t>(cur.used());
-            const std::shared_ptr<const ProbeResult>& rep =
-                knee != nullptr ? knee : first;
-            if (rep != nullptr) {
-                pr.nodeCells = rep->cells;
-                firstArrival[p] = rep->firstArrivalNs;
-            } else {
-                // Zero probe budget: report an idle fleet.
-                pr.nodeCells.resize(nn);
-                for (std::size_t n = 0; n < nn; ++n) {
-                    pr.nodeCells[n].design = spec_.design;
-                    pr.nodeCells[n].designName =
-                        PolicyRegistry::instance()
-                            .resolve(spec_.design)
-                            .name;
-                    pr.nodeCells[n].rate = rootRate;
-                }
-                firstArrival[p] = stream_.front().arrivalNs;
-            }
-            pr.nodeOffered.resize(nn);
-            for (std::size_t n = 0; n < nn; ++n)
-                pr.nodeOffered[n] = pr.nodeCells[n].jobs.size();
-        });
-        stats = sched.stats();
+    for (std::size_t p = 0; p < np; ++p) {
+        const KneeLane& lane = search.lanes[p];
+        FleetPlacementResult& pr = out->placements[p];
+        pr.kind = spec_.placements[p];
+        pr.kneeRatePerS = lane.knee;
+        pr.rateProbes = lane.probes;
+        // The most recent sustained probe is always the current knee
+        // (lo only ever moves up to the probed rate), so the reported
+        // cells are the knee probe's — or the lowest probe's when
+        // nothing sustained.
+        std::shared_ptr<const ProbeResult> rep;
+        for (const auto& probe : lane.decided)
+            if (probe->sustained)
+                rep = probe;
+        if (rep == nullptr && !lane.decided.empty())
+            rep = lane.decided.front();
+        TimeNs firstArrival = stream_.front().arrivalNs;
+        if (rep != nullptr) {
+            pr.nodeCells = rep->cells;
+            firstArrival = rep->firstArrivalNs;
+        } else {
+            // Zero probe budget: report an idle fleet.
+            pr.nodeCells.assign(nn, idleCell(rootRate));
+        }
+        pr.nodeOffered.resize(nn);
+        for (std::size_t n = 0; n < nn; ++n)
+            pr.nodeOffered[n] = pr.nodeCells[n].jobs.size();
+        pr.fleet = aggregate(pr, firstArrival);
     }
-    out->probesIssued = stats.issued;
-    out->probesSpeculative = stats.speculated;
-    out->probeSpecUsed = stats.speculationUsed;
-    out->probeSpecWasted = stats.speculationWasted;
-    out->probeCacheHits = stats.cacheHits;
-
-    if (obs.collectCounters) {
-        for (CounterRegistry& reg : regs)
-            out->counters.merge(reg);
-        addProbeCounters(stats, &out->counters);
-    }
-
-    for (std::size_t p = 0; p < np; ++p)
-        out->placements[p].fleet =
-            aggregate(out->placements[p], firstArrival[p]);
+    search.report(out, obs.collectCounters);
 }
 
 }  // namespace g10

@@ -169,15 +169,6 @@ struct FleetObsRequest
  *  node * stride + node-local request index). */
 inline constexpr int kFleetPidStride = 100000;
 
-/**
- * Fingerprint of everything a fleet probe's outcome is a pure function
- * of: the shared scenario (mixScenarioSpec), every node's overrides,
- * name and affinity pins, the design, and the placement list (a
- * probe's lane is a placement index). The knee-search knobs and the
- * fixed `rate` are excluded, as in fingerprintServeSpec().
- */
-std::uint64_t fingerprintFleetSpec(const FleetSpec& spec);
-
 /** Simulates one fleet spec across its placement policies. */
 class FleetSim
 {
@@ -243,16 +234,16 @@ class FleetSim
     FleetMetrics aggregate(const FleetPlacementResult& placement,
                            TimeNs firstArrival) const;
 
-    /** The shared stream re-timed at offered rate @p rate (identical
-     *  class sequence — picks draw from their own RNG stream). */
-    std::vector<ServeRequest> streamAtRate(double rate) const;
+    /** The cell of a node the router sent nothing at @p rate (the
+     *  spread metrics still see the idle machine). */
+    ServeCellResult idleCell(double rate) const;
 
     /**
      * `rate = auto`: per placement, bisect the fleet-wide offered
-     * rate for the capacity knee through the speculative probe
-     * scheduler. One probe = route the re-timed stream, then run
+     * rate for the capacity knee through runKneeSearch (one lane per
+     * placement). One probe = route the re-timed stream, then run
      * every node sequentially inside the probe; one SweepPlanCache
-     * and one ProbeCache span all nodes and placements.
+     * spans all nodes, placements and probes.
      */
     void runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
                  FleetResult* out);

@@ -91,8 +91,7 @@ fleetFileFormat()
             inheritFormat<S>("fleet file", scenarioFormat(false));
         f.keys.push_back(specKey<S>(
             {"rate", T::Number, above(0), "3",
-             "fleet-wide offered req/s, or auto (fleet knee)", true, "auto",
-             true},
+             "fleet-wide offered req/s, or auto (fleet knee)", "auto", true},
             [](S& s, const SpecValue& v) {
                 s.ratesAuto = v.keyword;
                 if (!v.keyword)
@@ -102,8 +101,7 @@ fleetFileFormat()
             designKey(&S::design, "the design every node runs"));
         f.keys.push_back(specKey<S>(
             {"placements", T::Words, {}, "jsq,affinity",
-             "jsq | planaware | affinity (sweep axis)", false, nullptr,
-             true},
+             "jsq | planaware | affinity (sweep axis)", nullptr, true},
             [](S& s, const SpecValue& v) {
                 PlacementKind kind = PlacementKind::JoinShortestQueue;
                 if (!placementKindFromName(v.text, &kind))

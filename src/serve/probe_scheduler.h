@@ -8,10 +8,11 @@
  * successors — so while the decided probe runs, idle workers can
  * speculatively evaluate both possible next rates (and, budget
  * permitting, their children up to a bounded depth). Every probe
- * result is memoized in a ProbeCache keyed by (spec fingerprint,
- * search lane, rate), so no rate is ever simulated twice and a
- * mispredicted branch is pure prefetch — never re-work on the decided
- * path.
+ * result is memoized in the scheduler, keyed by (search lane, rate
+ * bits), so no rate is ever simulated twice and a mispredicted branch
+ * is pure prefetch — never re-work on the decided path. The memo lives
+ * exactly as long as one search (runKneeSearch), so the scenario is
+ * fixed and never part of the key.
  *
  * Bit-identity contract: the consumer replays the *exact* sequential
  * search through a KneeCursor (a pure automaton of the historical
@@ -36,7 +37,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/arena.h"
 #include "engine/experiment_engine.h"
 #include "obs/counters.h"
 #include "serve/serve_sim.h"
@@ -48,7 +48,7 @@ namespace g10 {
  * from @p rateLo until the queue sheds (or the @p rateHi ceiling /
  * probe budget stops it), then phase-2 bisection of the bracket down
  * to ~5% of the knee. Step-for-step identical to the historical
- * sequential loop in ServeSweep::runAutoRates — the scheduler's
+ * sequential knee loop of the serve sweep — the scheduler's
  * consumers and its speculation frontier both run on copies of this
  * cursor, which is what makes mispredicted branches *predictable*:
  * the two possible successors of any probe are advance(true) and
@@ -142,20 +142,17 @@ struct ProbeResult
     TimeNs firstArrivalNs = 0;  ///< fleet makespan anchor at this rate
 };
 
-/** What a probe is a pure function of: the scenario fingerprint, the
- *  search lane (design index / placement index), and the rate's bit
- *  pattern (bisection rates are exact binary fractions — comparing
- *  bits, not values, keeps 0.0 vs -0.0 style surprises out). */
+/** What a probe is a pure function of, within one search: the search
+ *  lane (design index / placement index) and the rate's bit pattern
+ *  (bisection rates are exact binary fractions — comparing bits, not
+ *  values, keeps 0.0 vs -0.0 style surprises out). */
 struct ProbeKey
 {
-    std::uint64_t specFp = 0;
     std::uint32_t lane = 0;
     std::uint64_t rateBits = 0;
 
     bool operator<(const ProbeKey& o) const
     {
-        if (specFp != o.specFp)
-            return specFp < o.specFp;
         if (lane != o.lane)
             return lane < o.lane;
         return rateBits < o.rateBits;
@@ -164,44 +161,6 @@ struct ProbeKey
 
 /** The bit pattern of @p rate (the ProbeKey encoding). */
 std::uint64_t rateBitsOf(double rate);
-
-/**
- * Memoized probe results. Slots are created when a probe is issued
- * (result still null while it runs) and filled exactly once; the same
- * key always resolves to the same immutable result object, so a
- * consumer re-reading a rate gets pointer-identical cells. One cache
- * may span several searches (the fleet shares one across all
- * placements of a spec; its SweepPlanCache sibling spans all nodes).
- */
-class ProbeCache
-{
-  public:
-    /** Completed result for @p key; null when absent or in flight. */
-    std::shared_ptr<const ProbeResult> find(const ProbeKey& key) const;
-
-    /** Completed results memoized so far. */
-    std::uint64_t entries() const;
-
-  private:
-    friend class ProbeScheduler;
-
-    struct Slot
-    {
-        std::shared_ptr<const ProbeResult> result;  ///< null in flight
-        bool speculative = false;  ///< issued ahead of the decision
-        bool consumed = false;     ///< a decided path read it
-    };
-
-    // One mutex/cv guards slots and every scheduler counter: the
-    // completion wake-up and the waiter's predicate re-check must be
-    // ordered, and a version counter bumped on every issue *and*
-    // completion closes the enqueue-vs-sleep race (a waiter that saw
-    // an empty engine queue re-wakes when new work appears).
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::uint64_t version_ = 0;
-    std::map<ProbeKey, Slot> slots_;
-};
 
 /** Speculation accounting of one scheduler (reporting-only). */
 struct ProbeStats
@@ -212,33 +171,6 @@ struct ProbeStats
     std::uint64_t speculationUsed = 0;    ///< speculative slots consumed
     std::uint64_t speculationWasted = 0;  ///< mispredicted branches run
     std::uint64_t cacheHits = 0;  ///< acquires that never waited at all
-};
-
-class CounterRegistry;
-
-/**
- * Add @p stats to @p reg as the `sweep.probe.*` counters: visible via
- * --metrics, never serialized into a result document.
- */
-void addProbeCounters(const ProbeStats& stats, CounterRegistry* reg);
-
-/**
- * Thread-safe free list of probe arenas: one Arena per *in-flight*
- * probe (Arena is not thread-safe, so the old one-arena-per-design
- * sequential-probe idiom cannot survive concurrent probes). release()
- * resets the arena — keeping its high-water chunk — so a warm arena
- * still serves probe after probe without scratch mallocs, it just
- * stops caring which probe comes next.
- */
-class ArenaPool
-{
-  public:
-    std::unique_ptr<Arena> acquire();
-    void release(std::unique_ptr<Arena> arena);
-
-  private:
-    std::mutex mu_;
-    std::vector<std::unique_ptr<Arena>> free_;
 };
 
 /**
@@ -263,8 +195,7 @@ class ProbeScheduler
     using ProbeFn = std::function<ProbeResult(std::uint32_t lane,
                                               double rate)>;
 
-    ProbeScheduler(ExperimentEngine& engine, ProbeCache& cache,
-                   std::uint64_t specFp, ProbeFn fn, bool speculate,
+    ProbeScheduler(ExperimentEngine& engine, ProbeFn fn, bool speculate,
                    int maxDepth = 3);
 
     /** Drains in-flight probes (pitching in) before returning. */
@@ -277,7 +208,8 @@ class ProbeScheduler
      * The decided-path read: the memoized result of @p cursor 's
      * pending probe on @p lane, computing it if no probe has been
      * issued for that rate yet. Blocks until the result is ready,
-     * running other queued probes meanwhile.
+     * running other queued probes meanwhile. The same key always
+     * resolves to the same immutable result object.
      */
     std::shared_ptr<const ProbeResult>
     acquire(std::uint32_t lane, const KneeCursor& cursor);
@@ -286,75 +218,92 @@ class ProbeScheduler
     ProbeStats stats() const;
 
   private:
-    /** Issue a probe for @p key (cache lock held). */
-    void issueLocked(std::unique_lock<std::mutex>& lk,
-                     const ProbeKey& key, std::uint32_t lane,
-                     double rate, bool speculative);
+    /** One memo slot: created when its probe is issued (result still
+     *  null while it runs), filled exactly once. */
+    struct Slot
+    {
+        std::shared_ptr<const ProbeResult> result;  ///< null in flight
+        bool speculative = false;  ///< issued ahead of the decision
+        bool consumed = false;     ///< a decided path read it
+    };
 
-    /** Expand @p cursor 's speculation frontier (cache lock held). */
-    void speculateLocked(std::unique_lock<std::mutex>& lk,
-                         std::uint32_t lane, const KneeCursor& cursor);
+    /** Issue a probe for @p key (lock held). */
+    void issueLocked(const ProbeKey& key, double rate, bool speculative);
 
-    ProbeKey keyFor(std::uint32_t lane, double rate) const;
+    /** Expand @p cursor 's speculation frontier (lock held). */
+    void speculateLocked(std::uint32_t lane, const KneeCursor& cursor);
 
     ExperimentEngine& engine_;
-    ProbeCache& cache_;
-    std::uint64_t specFp_;
     ProbeFn fn_;
     bool speculate_;
     int maxDepth_;
     std::size_t maxInFlight_;
 
-    // All guarded by cache_.mu_.
+    // One mutex/cv guards the slots and every counter: the completion
+    // wake-up and the waiter's predicate re-check must be ordered, and
+    // a version counter bumped on every issue *and* completion closes
+    // the enqueue-vs-sleep race (a waiter that saw an empty engine
+    // queue re-wakes when new work appears).
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    std::uint64_t version_ = 0;
+    std::map<ProbeKey, Slot> slots_;
     std::size_t inFlight_ = 0;
     ProbeStats stats_;
 };
 
-/**
- * Fingerprint of everything a serve probe's cell result is a pure
- * function of (platform, scale, seed, slots, partitioning, admission,
- * SLO, request count, arrival process, designs, classes) — the
- * ProbeCache key component that keeps two different scenarios from
- * ever colliding. Pure wall-clock knobs (sweep_cache, speculate) and
- * the search-shape knobs (rates bracket, probe budget) are excluded:
- * they steer *which* rates get probed, never what one probe returns.
- */
-std::uint64_t fingerprintServeSpec(const ServeSpec& spec);
-
-/** FNV-1a accumulator the spec fingerprints are built from. */
-class SpecHash
+/** One lane's finished knee search. */
+struct KneeLane
 {
-  public:
-    void mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (i * 8)) & 0xff;
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    void mixDouble(double v) { mix(rateBitsOf(v)); }
-
-    void mixString(const std::string& s)
-    {
-        mix(s.size());
-        for (char c : s) {
-            h_ ^= static_cast<unsigned char>(c);
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    /** Never 0, so a fingerprint is always distinguishable from an
-     *  unset key. */
-    std::uint64_t digest() const { return h_ == 0 ? 1 : h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+    /** The probes the search decided on, in probe order. */
+    std::vector<std::shared_ptr<const ProbeResult>> decided;
+    double knee = 0.0;         ///< highest rate found sustained (0 = none)
+    std::uint64_t probes = 0;  ///< probes the search consumed
 };
 
-/** Mix the part of a scenario serve and fleet specs share into @p h:
- *  every ScenarioSpec field except the knee-search knobs. */
-void mixScenarioSpec(SpecHash& h, const ScenarioSpec& spec);
+/** Every lane's search plus the scheduler's accounting. */
+struct KneeSearch
+{
+    std::vector<KneeLane> lanes;
+    ProbeStats stats;
+
+    /**
+     * Merge the decided probes' counters into @p reg — one registry per
+     * lane in probe order, lanes in lane order, so the totals do not
+     * depend on the pool size — then the `sweep.probe.*` accounting,
+     * which does (visible via --metrics, never serialized).
+     */
+    void mergeCounters(CounterRegistry* reg) const;
+
+    /** Copy the accounting into @p out 's `probes*` fields and, when
+     *  @p collectCounters, mergeCounters() into `out->counters`. */
+    template <class Result>
+    void report(Result* out, bool collectCounters) const
+    {
+        out->probesIssued = stats.issued;
+        out->probesSpeculative = stats.speculated;
+        out->probeSpecUsed = stats.speculationUsed;
+        out->probeSpecWasted = stats.speculationWasted;
+        out->probeCacheHits = stats.cacheHits;
+        if (collectCounters)
+            mergeCounters(&out->counters);
+    }
+};
+
+/**
+ * Run @p lanes independent capacity-knee searches over @p engine 's
+ * pool with @p knobs ' search settings (rate_lo, rate_hi, rate_probes,
+ * speculate). Each lane walks a KneeCursor and acquires every decided
+ * probe from one ProbeScheduler, which owns the probe memo; both die
+ * before this returns, so nothing outlives the search but the decided
+ * results. The decided path only reads memoized results in sequential
+ * order, so every lane's results, knee and probe count are identical
+ * at any pool size, speculation on or off. A lane's first probe is
+ * always decided, never speculative.
+ */
+KneeSearch runKneeSearch(ExperimentEngine& engine, std::size_t lanes,
+                         const ScenarioSpec& knobs,
+                         ProbeScheduler::ProbeFn fn);
 
 }  // namespace g10
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/event_queue.h"
 #include "common/logging.h"
 #include "common/stats.h"
@@ -49,6 +48,39 @@ serveClassGpuFloor(const KernelTrace& trace, Bytes page)
 {
     const Bytes ws = maxKernelWorkingSet(trace, page);
     return ws + ws / 8;
+}
+
+std::vector<ServeRequest>
+drawRequestStream(const ScenarioSpec& scenario,
+                  const std::vector<ServeJobClass>& classes, double rate)
+{
+    std::vector<TimeNs> times = generateArrivals(
+        scenario.arrival, rate, scenario.requests, scenario.seed);
+    // Class picks draw from their own engine so the class sequence is
+    // identical at every rate (cells differ only in arrival spacing).
+    std::mt19937_64 picks(scenario.seed + 1);
+    double wsum = 0.0;
+    for (const ServeJobClass& cls : classes)
+        wsum += cls.weight;
+    std::vector<ServeRequest> out;
+    out.reserve(times.size());
+    for (TimeNs t : times) {
+        double u = unitInterval(picks) * wsum;
+        double cum = 0.0;
+        std::size_t ci = classes.size() - 1;
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            cum += classes[c].weight;
+            if (u <= cum) {
+                ci = c;
+                break;
+            }
+        }
+        ServeRequest r;
+        r.arrivalNs = t;
+        r.classIndex = ci;
+        out.push_back(r);
+    }
+    return out;
 }
 
 namespace {
@@ -225,20 +257,10 @@ ServeSim::run()
     SsdDevice ssd(scaled);
     FabricChannels channels;
     GpuComputeTimeline gpu;
-    // Per-job runtime scratch comes from a bump arena: jobs churn, so
-    // their vectors' free()s are wasted work — the arena drops them
-    // all at once. An injected arena (knee probes draw one per
-    // in-flight probe from an ArenaPool, so concurrent probes never
-    // share) carries its high-water chunk from probe to probe; a cell
-    // running on its own (grid / fleet) uses a local one. Declared
-    // before `active` below so every SimRuntime dies before its
-    // memory does.
-    Arena localArena;
     SharedResources shared;
     shared.ssd = &ssd;
     shared.channels = &channels;
     shared.gpu = &gpu;
-    shared.arena = arena_ != nullptr ? arena_ : &localArena;
 
     AdmissionQueue queue(spec_.admit, spec_.queueCapacity,
                          spec_.starvationNs);
@@ -813,23 +835,15 @@ ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
                 cls.batchSize = tr.batchSize;
                 cls.iterations = tr.iterations;
                 cls.priority = tr.priority;
-                cls.name = std::string(modelName(tr.model)) + "-" +
-                           std::to_string(tr.batchSize);
-                classes_.push_back(cls);
+                classes_.push_back(resolvedClass(cls));
             }
             traceClass_.push_back(ci);
         }
     } else {
         if (spec_.classes.empty())
             fatal("serve sweep needs at least one job class");
-        classes_ = spec_.classes;
-        for (ServeJobClass& cls : classes_) {
-            if (cls.batchSize <= 0)
-                cls.batchSize = paperBatchSize(cls.model);
-            if (cls.name.empty())
-                cls.name = std::string(modelName(cls.model)) + "-" +
-                           std::to_string(cls.batchSize);
-        }
+        for (const ServeJobClass& cls : spec_.classes)
+            classes_.push_back(resolvedClass(cls));
     }
 
     traces_.reserve(classes_.size());
@@ -859,10 +873,10 @@ ServeSweep::sharePlanCache(SweepPlanCache* cache)
 std::vector<ServeRequest>
 ServeSweep::requestsAtRate(double rate) const
 {
-    std::vector<ServeRequest> out;
     if (spec_.arrival.kind == ArrivalKind::Trace) {
         // The rate is a replay-speed multiplier over the trace; class
         // indices were resolved once at construction.
+        std::vector<ServeRequest> out;
         out.reserve(traceReqs_.size());
         for (std::size_t i = 0; i < traceReqs_.size(); ++i) {
             ServeRequest r;
@@ -874,32 +888,7 @@ ServeSweep::requestsAtRate(double rate) const
         return out;
     }
 
-    std::vector<TimeNs> times = generateArrivals(
-        spec_.arrival, rate, spec_.requests, spec_.seed);
-    // Class picks draw from their own engine so the class sequence is
-    // identical at every rate (cells differ only in arrival spacing).
-    std::mt19937_64 picks(spec_.seed + 1);
-    double wsum = 0.0;
-    for (const ServeJobClass& cls : classes_)
-        wsum += cls.weight;
-    out.reserve(times.size());
-    for (TimeNs t : times) {
-        double u = unitInterval(picks) * wsum;
-        double cum = 0.0;
-        std::size_t ci = classes_.size() - 1;
-        for (std::size_t c = 0; c < classes_.size(); ++c) {
-            cum += classes_[c].weight;
-            if (u <= cum) {
-                ci = c;
-                break;
-            }
-        }
-        ServeRequest r;
-        r.arrivalNs = t;
-        r.classIndex = ci;
-        out.push_back(r);
-    }
-    return out;
+    return drawRequestStream(spec_, classes_, rate);
 }
 
 bool
@@ -968,89 +957,35 @@ ServeSweep::runAutoRates(ExperimentEngine& engine,
                          const ServeObsRequest& obs,
                          ServeSweepResult* out)
 {
-    const std::size_t nd = spec_.designs.size();
-    std::vector<std::vector<ServeCellResult>> cellsByDesign(nd);
-    std::vector<CounterRegistry> regs(nd);
-    out->sustainedRate.assign(nd, 0.0);
-    out->rateProbes.assign(nd, 0);
-
-    // Each design bisects independently: one consumer per design
-    // walks a KneeCursor (the sequential phase-1 doubling + phase-2
-    // bisection, verbatim) and acquires each decided probe from the
-    // scheduler, which runs it — and, while the consumer waits,
-    // speculatively runs the possible next rates — on the pool. The
-    // decided path only *reads* memoized results in sequential order,
-    // so cells, knees, and counters are byte-identical to the
-    // sequential search at any pool size. Each decided probe's
-    // registry merges into its design's in probe order, designs merge
-    // in design order below; the event sink observes only the first
-    // probe of the first design (which is always decided, never
-    // speculative: a lane's root is issued before any speculation on
-    // that lane). Probes draw arenas from a shared pool — one per
-    // in-flight probe — so a warm high-water chunk still serves probe
-    // after probe without the old one-arena-per-design sequential
-    // assumption.
+    // Each design is one search lane of runKneeSearch, which replays
+    // the sequential phase-1 doubling + phase-2 bisection verbatim and
+    // runs each decided probe — and, while a lane waits, speculatively
+    // the possible next rates — on the pool. Cells come back in design
+    // order, each design's in probe order, byte-identical to the
+    // sequential search at any pool size. The event sink observes only
+    // the first probe of the first design (always decided).
     const double rootRate = spec_.resolvedRateLo();
-    ProbeCache probeCache;
-    ArenaPool arenas;
-
     auto probeFn = [&](std::uint32_t d, double rate) -> ProbeResult {
         ProbeResult pr;
-        std::unique_ptr<Arena> arena = arenas.acquire();
-        {
-            ServeSim sim(spec_, spec_.designs[d], rate, traces_,
-                         classes_, minGpu_, requestsAtRate(rate),
-                         out->baselines[d]);
-            sim.setObservers(
-                d == 0 && rate == rootRate ? obs.sink : nullptr,
-                obs.collectCounters ? &pr.counters : nullptr);
-            sim.setPlanCache(planCache_);
-            sim.setArena(arena.get());
-            pr.cells.push_back(sim.run());
-            pr.sustained = pr.cells.back().sustained();
-        }
-        arenas.release(std::move(arena));
+        ServeSim sim(spec_, spec_.designs[d], rate, traces_, classes_,
+                     minGpu_, requestsAtRate(rate), out->baselines[d]);
+        sim.setObservers(d == 0 && rate == rootRate ? obs.sink : nullptr,
+                         obs.collectCounters ? &pr.counters : nullptr);
+        sim.setPlanCache(planCache_);
+        pr.cells.push_back(sim.run());
+        pr.sustained = pr.cells.back().sustained();
         return pr;
     };
 
-    ProbeStats stats;
-    {
-        ProbeScheduler sched(engine, probeCache,
-                             fingerprintServeSpec(spec_), probeFn,
-                             spec_.speculativeProbes);
-        engine.parallelFor(nd, [&](std::size_t d) {
-            KneeCursor cur(rootRate, spec_.rateHi, spec_.rateProbes);
-            while (!cur.done()) {
-                std::shared_ptr<const ProbeResult> res =
-                    sched.acquire(static_cast<std::uint32_t>(d), cur);
-                cellsByDesign[d].push_back(res->cells.front());
-                if (obs.collectCounters)
-                    regs[d].merge(res->counters);
-                cur.advance(res->sustained);
-            }
-            out->sustainedRate[d] = cur.knee();
-            out->rateProbes[d] = static_cast<std::uint64_t>(cur.used());
-        });
-        // The searches are done; the dtor drains whatever speculation
-        // is still in flight before the captures above go away.
-        stats = sched.stats();
+    const KneeSearch search = runKneeSearch(
+        engine, spec_.designs.size(), spec_, probeFn);
+    for (const KneeLane& lane : search.lanes) {
+        out->sustainedRate.push_back(lane.knee);
+        out->rateProbes.push_back(lane.probes);
+        for (const auto& probe : lane.decided)
+            out->cells.push_back(probe->cells.front());
     }
-    out->probesIssued = stats.issued;
-    out->probesSpeculative = stats.speculated;
-    out->probeSpecUsed = stats.speculationUsed;
-    out->probeSpecWasted = stats.speculationWasted;
-    out->probeCacheHits = stats.cacheHits;
-
-    for (std::size_t d = 0; d < nd; ++d)
-        for (ServeCellResult& cell : cellsByDesign[d])
-            out->cells.push_back(std::move(cell));
-    if (obs.collectCounters) {
-        for (CounterRegistry& reg : regs)
-            out->counters.merge(reg);
-        // Scheduler accounting rides the same registry (visible via
-        // --metrics, never serialized into the result document).
-        addProbeCounters(stats, &out->counters);
-    }
+    search.report(out, obs.collectCounters);
 }
 
 ServeSweepResult

@@ -52,7 +52,6 @@
 
 namespace g10 {
 
-class Arena;
 class SweepPlanCache;
 class TraceSink;
 
@@ -62,6 +61,17 @@ struct ServeRequest
     TimeNs arrivalNs = 0;
     std::size_t classIndex = 0;
 };
+
+/**
+ * The offered stream of a poisson or bursty @p scenario at @p rate:
+ * arrival times drawn from `seed`, weighted picks over @p classes from
+ * `seed + 1`, so the class sequence is identical at every rate and
+ * only the arrival spacing changes. Serve sweeps and fleets both draw
+ * their streams here.
+ */
+std::vector<ServeRequest>
+drawRequestStream(const ScenarioSpec& scenario,
+                  const std::vector<ServeJobClass>& classes, double rate);
 
 /**
  * Length of one compiled plan's ideal timeline (kernel durations +
@@ -325,14 +335,6 @@ class ServeSim
      */
     void setPlanCache(SweepPlanCache* cache) { planCache_ = cache; }
 
-    /**
-     * Back this cell's per-job runtime scratch with @p arena (may be
-     * null = the cell creates its own). The caller must not reset()
-     * the arena until run() returns; sequential probes over one arena
-     * reset() between cells to reuse the high-water allocation.
-     */
-    void setArena(Arena* arena) { arena_ = arena; }
-
   private:
     const ServeSpec& spec_;
     std::string design_;
@@ -345,7 +347,6 @@ class ServeSim
     TraceSink* sink_ = nullptr;
     CounterRegistry* counters_ = nullptr;
     SweepPlanCache* planCache_ = nullptr;
-    Arena* arena_ = nullptr;
 };
 
 /** Observability hookup for one sweep (all fields optional). */

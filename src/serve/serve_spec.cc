@@ -120,17 +120,16 @@ scenarioFormat(bool traceArrivals)
                        s.arrival.burstOffSec = v.d / 1e3;
                    }),
         fieldKey({"rate_lo", T::Number, above(0), "0.2",
-                  "first knee-search probe rate (default 0.05)", true},
+                  "first knee-search probe rate (default 0.05)"},
                  &S::rateLo),
         fieldKey({"rate_hi", T::Number, above(0), "9",
-                  "knee-search ceiling (default: unbounded)", true},
+                  "knee-search ceiling (default: unbounded)"},
                  &S::rateHi),
         fieldKey({"rate_probes", T::Int, within(2), "6",
-                  "max knee-search probes per lane", true},
+                  "max knee-search probes per lane"},
                  &S::rateProbes),
         fieldKey({"speculate", T::OnOff, {}, "off",
-                  "speculative parallel knee probes (wall-clock only)",
-                  true},
+                  "speculative parallel knee probes (wall-clock only)"},
                  &S::speculativeProbes),
     };
     for (SpecKey<S>& k : platformKeys(&S::sys))
@@ -172,20 +171,19 @@ serveFileFormat()
             }));
         f.keys.push_back(specKey<S>(
             {"rates", T::Numbers, above(0), "5,10,20",
-             "offered req/s sweep (trace: multipliers), or auto", true,
-             "auto", true},
+             "offered req/s sweep (trace: multipliers), or auto", "auto",
+             true},
             [](S& s, const SpecValue& v) {
                 s.ratesAuto = v.keyword;
                 s.rates = v.numbers;
             }));
         f.keys.push_back(
             fieldKey({"sweep_cache", T::OnOff, {}, "off",
-                      "cross-probe plan-compile cache (wall-clock only)",
-                      true},
+                      "cross-probe plan-compile cache (wall-clock only)"},
                      &S::sweepPlanCache));
         f.keys.push_back(specKey<S>(
             {"designs", T::Words, {}, "baseuvm,g10",
-             "designs to sweep (registered names)", false, nullptr, true},
+             "designs to sweep (registered names)", nullptr, true},
             [](S& s, const SpecValue& v) {
                 PolicyRegistry::instance().resolve(v);
                 s.designs.push_back(v.text);

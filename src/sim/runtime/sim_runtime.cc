@@ -21,12 +21,7 @@ SimRuntime::SimRuntime(const KernelTrace& trace, Policy& policy,
                     : std::make_unique<SsdDevice>(config.sys)),
       ssd_(shared.ssd != nullptr ? shared.ssd : ownedSsd_.get()),
       fabric_(config.sys, ssd_, config.uvmExtension, shared.channels),
-      gpu_(shared.gpu), rng_(config.seed),
-      mem_(shared.arena != nullptr ? shared.arena
-                                   : std::pmr::get_default_resource()),
-      tensors_(mem_), bornAt_(mem_), diesAfter_(mem_),
-      perturbedDur_(mem_), lruPrev_(mem_), lruNext_(mem_),
-      pendingFrees_(mem_)
+      gpu_(shared.gpu), rng_(config.seed)
 {
     if (policy.infiniteMemory()) {
         // The ideal baseline never evicts: give it room for everything.

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <vector>
 
 #include "common/rng.h"
@@ -81,15 +80,6 @@ struct SharedResources
     SsdDevice* ssd = nullptr;            ///< one flash device, shared wear
     FabricChannels* channels = nullptr;  ///< PCIe/SSD/host-SW timelines
     GpuComputeTimeline* gpu = nullptr;   ///< time-shared execution units
-
-    /**
-     * Memory resource backing the runtime's scratch state (use lists,
-     * LRU arrays, pending-free heap). Null = the default new/delete
-     * resource. Sweep drivers pass a probe-scoped Arena here and
-     * reset() it between probes; the resource must outlive the
-     * runtime. Allocation placement never affects simulated results.
-     */
-    std::pmr::memory_resource* arena = nullptr;
 };
 
 /** Drives one simulation; see simulate() for the one-call entry point. */
@@ -325,13 +315,10 @@ class SimRuntime
     GpuComputeTimeline* gpu_ = nullptr;  ///< null = exclusive GPU
     Rng rng_;
 
-    // Scratch allocator (probe-scoped arena in sweeps, else new/delete).
-    std::pmr::memory_resource* mem_;
-
-    std::pmr::vector<TensorRt> tensors_;
-    std::pmr::vector<std::pmr::vector<TensorId>> bornAt_;
-    std::pmr::vector<std::pmr::vector<TensorId>> diesAfter_;
-    std::pmr::vector<TimeNs> perturbedDur_;
+    std::vector<TensorRt> tensors_;
+    std::vector<std::vector<TensorId>> bornAt_;
+    std::vector<std::vector<TensorId>> diesAfter_;
+    std::vector<TimeNs> perturbedDur_;
 
     // The trace's shared use-list / kernel-tensor index (set in
     // prepare()): runKernel() walks precomputed slices instead of
@@ -354,12 +341,12 @@ class SimRuntime
     // forward pointer so a makeSpace() cursor parked on a just-evicted
     // entry can keep walking (nodes are never re-linked mid-makeSpace).
     static constexpr std::int32_t kLruDetached = -1;
-    std::pmr::vector<std::int32_t> lruPrev_;
-    std::pmr::vector<std::int32_t> lruNext_;
+    std::vector<std::int32_t> lruPrev_;
+    std::vector<std::int32_t> lruNext_;
     std::int32_t lruSentinel_ = 0;  ///< == numTensors(), set in prepare()
 
     // Outstanding eviction space returns.
-    std::pmr::vector<PendingFree> pendingFrees_;  // min-heap by `at`
+    std::vector<PendingFree> pendingFrees_;  // min-heap by `at`
 
     // Guards the resumable victim cursors: while makeSpace() runs, no
     // code path may re-link LRU nodes (see Policy::capacityEvictDest's

@@ -1,6 +1,5 @@
 /** @file Cross-probe plan cache: key identity, memoization semantics,
- *  and bit-identity of sweep results with the cache on vs off (and
- *  with probe state arena-backed vs heap-backed). */
+ *  and bit-identity of sweep results with the cache on vs off. */
 
 #include <gtest/gtest.h>
 
@@ -8,13 +7,11 @@
 #include <string>
 
 #include "api/report.h"
-#include "common/arena.h"
 #include "models/model_zoo.h"
 #include "policies/design_point.h"
 #include "policies/g10_policy.h"
 #include "serve/plan_cache.h"
 #include "serve/serve_sim.h"
-#include "sim/runtime/sim_runtime.h"
 
 namespace g10 {
 namespace {
@@ -208,46 +205,6 @@ TEST(PlanCache, SharedCacheAcrossSweepsIsBitIdenticalToo)
     EXPECT_EQ(warm.planCacheEntries, solo.planCacheEntries);
     EXPECT_GT(warm.planCacheHits, solo.planCacheHits);
     EXPECT_LT(warm.planCacheMisses, warm.planCacheHits);
-}
-
-TEST(PlanCache, ArenaBackedRuntimeIsBitIdenticalToHeapBacked)
-{
-    // The sweep's probe loop hands every runtime an arena it resets
-    // between probes; allocation placement must never affect simulated
-    // results. Run the same G10 replay heap-backed and arena-backed
-    // (twice from the same arena, with a reset in between, to cover
-    // reuse of recycled memory) and pin the stats to each other.
-    KernelTrace trace = buildModelScaled(ModelKind::BertBase, 1, 64);
-    const SystemConfig sys = SystemConfig().scaledDown(64);
-
-    RunConfig rc;
-    rc.sys = sys;
-
-    auto runOnce = [&](std::pmr::memory_resource* arena) {
-        auto policy = makeG10(trace, sys);
-        SharedResources shared;
-        shared.arena = arena;
-        SimRuntime rt(trace, *policy, rc, shared);
-        return rt.run();
-    };
-
-    ExecStats heap = runOnce(nullptr);
-    Arena arena;
-    ExecStats first = runOnce(&arena);
-    arena.reset();
-    ExecStats second = runOnce(&arena);
-
-    for (const ExecStats* s : {&first, &second}) {
-        EXPECT_EQ(s->failed, heap.failed);
-        EXPECT_EQ(s->measuredIterationNs, heap.measuredIterationNs);
-        EXPECT_EQ(s->totalStallNs, heap.totalStallNs);
-        EXPECT_EQ(s->traffic.ssdToGpu, heap.traffic.ssdToGpu);
-        EXPECT_EQ(s->traffic.gpuToSsd, heap.traffic.gpuToSsd);
-        EXPECT_EQ(s->traffic.hostToGpu, heap.traffic.hostToGpu);
-        EXPECT_EQ(s->traffic.gpuToHost, heap.traffic.gpuToHost);
-        EXPECT_EQ(s->traffic.migrationOps, heap.traffic.migrationOps);
-        EXPECT_EQ(s->traffic.faultBatches, heap.traffic.faultBatches);
-    }
 }
 
 }  // namespace

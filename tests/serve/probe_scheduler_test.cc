@@ -1,8 +1,9 @@
 /** @file Speculative probe scheduler: KneeCursor replay fidelity
- *  against an inline sequential-reference oracle, probe-cache
- *  memoization semantics, spec-fingerprint identity, speculation
- *  accounting invariants, and byte-identity of full sweep documents
- *  with speculation on vs off across pool sizes. */
+ *  against an inline sequential-reference oracle, probe-memo
+ *  semantics, speculation accounting invariants, runKneeSearch,
+ *  byte-identity of full sweep documents with speculation on
+ *  vs off across pool sizes, and which --metrics counters may depend
+ *  on the pool size. */
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,10 @@
 #include "api/report.h"
 #include "engine/experiment_engine.h"
 #include "fleet/fleet_sim.h"
+#include "fleet/fleet_spec.h"
 #include "serve/probe_scheduler.h"
 #include "serve/serve_sim.h"
 #include "serve/serve_spec.h"
-#include "tests/test_util.h"
 
 namespace g10 {
 namespace {
@@ -149,7 +150,6 @@ TEST(KneeCursor, ZeroBudgetIsDoneBeforeTheFirstProbe)
 TEST(ProbeKey, OrderingDistinguishesEveryField)
 {
     ProbeKey a;
-    a.specFp = 7;
     a.lane = 1;
     a.rateBits = rateBitsOf(0.5);
 
@@ -157,12 +157,11 @@ TEST(ProbeKey, OrderingDistinguishesEveryField)
     EXPECT_FALSE(a < b);
     EXPECT_FALSE(b < a);
 
-    for (int field = 0; field < 3; ++field) {
+    for (int field = 0; field < 2; ++field) {
         ProbeKey c = a;
         switch (field) {
-          case 0: c.specFp = 8; break;
-          case 1: c.lane = 2; break;
-          case 2: c.rateBits = rateBitsOf(0.25); break;
+          case 0: c.lane = 2; break;
+          case 1: c.rateBits = rateBitsOf(0.25); break;
         }
         EXPECT_TRUE(a < c || c < a) << "field " << field;
     }
@@ -195,10 +194,9 @@ TEST(ExperimentEngineSubmit, TryRunOneDrainsQueueWhileWorkersAreBusy)
     release.set_value();
 }
 
-TEST(ProbeCache, SameKeyResolvesToTheSameImmutableResult)
+TEST(ProbeScheduler, SameKeyResolvesToTheSameImmutableResult)
 {
     ExperimentEngine engine(1);  // < 2 workers: speculation inert
-    ProbeCache cache;
     std::atomic<int> calls{0};
 
     ProbeScheduler::ProbeFn fn = [&](std::uint32_t lane, double rate) {
@@ -213,50 +211,29 @@ TEST(ProbeCache, SameKeyResolvesToTheSameImmutableResult)
         return pr;
     };
 
-    const std::uint64_t fp = 0x5eedULL;
     KneeCursor cur(0.5, 0.0, 4);
-    std::shared_ptr<const ProbeResult> first;
-    {
-        ProbeScheduler sched(engine, cache, fp, fn, true);
-        first = sched.acquire(0, cur);
-        ASSERT_NE(first, nullptr);
-        EXPECT_TRUE(first->sustained);
-        EXPECT_EQ(calls.load(), 1);
-        EXPECT_EQ(cache.entries(), 1u);
+    ProbeScheduler sched(engine, fn, true);
+    std::shared_ptr<const ProbeResult> first = sched.acquire(0, cur);
+    ASSERT_NE(first, nullptr);
+    EXPECT_TRUE(first->sustained);
+    EXPECT_EQ(calls.load(), 1);
 
-        const ProbeStats s = sched.stats();
-        EXPECT_EQ(s.decided, 1u);
-        EXPECT_EQ(s.issued, 1u);
-        EXPECT_EQ(s.speculated, 0u);  // 1-worker pool: inert
-    }
+    ProbeStats s = sched.stats();
+    EXPECT_EQ(s.decided, 1u);
+    EXPECT_EQ(s.issued, 1u);
+    EXPECT_EQ(s.speculated, 0u);  // 1-worker pool: inert
 
-    // A second search over the same cache re-reads the memoized probe:
+    // Re-reading the same (lane, rate) returns the memoized probe:
     // pointer-identical result, no new simulation.
-    {
-        ProbeScheduler sched(engine, cache, fp, fn, true);
-        auto again = sched.acquire(0, cur);
-        EXPECT_EQ(again.get(), first.get());
-        EXPECT_EQ(calls.load(), 1);
-        EXPECT_EQ(sched.stats().cacheHits, 1u);
-    }
+    auto again = sched.acquire(0, cur);
+    EXPECT_EQ(again.get(), first.get());
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(sched.stats().cacheHits, 1u);
 
     // A different lane is a different probe, even at the same rate.
-    {
-        ProbeScheduler sched(engine, cache, fp, fn, true);
-        auto other = sched.acquire(1, cur);
-        EXPECT_NE(other.get(), first.get());
-        EXPECT_EQ(calls.load(), 2);
-        EXPECT_EQ(cache.entries(), 2u);
-    }
-
-    // A different spec fingerprint never collides either.
-    {
-        ProbeScheduler sched(engine, cache, fp + 1, fn, true);
-        auto other = sched.acquire(0, cur);
-        EXPECT_NE(other.get(), first.get());
-        EXPECT_EQ(calls.load(), 3);
-        EXPECT_EQ(cache.entries(), 3u);
-    }
+    auto other = sched.acquire(1, cur);
+    EXPECT_NE(other.get(), first.get());
+    EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
@@ -267,7 +244,6 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
     for (unsigned workers : {1u, 2u, 8u}) {
         SCOPED_TRACE(::testing::Message() << "workers=" << workers);
         ExperimentEngine engine(workers);
-        ProbeCache cache;
         std::atomic<int> calls{0};
         ProbeScheduler::ProbeFn fn = [&](std::uint32_t, double rate) {
             calls.fetch_add(1);
@@ -279,7 +255,7 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
         ProbeStats stats;
         SearchLog got;
         {
-            ProbeScheduler sched(engine, cache, 0xabcULL, fn, true);
+            ProbeScheduler sched(engine, fn, true);
             KneeCursor cur(0.05, 0.0, 10);
             while (!cur.done()) {
                 auto res = sched.acquire(0, cur);
@@ -307,7 +283,6 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
         EXPECT_EQ(stats.speculated,
                   stats.speculationUsed + stats.speculationWasted);
         EXPECT_EQ(stats.issued, stats.decided + stats.speculationWasted);
-        EXPECT_EQ(cache.entries(), stats.issued);
         if (workers < 2) {
             EXPECT_EQ(stats.speculated, 0u);
             EXPECT_EQ(stats.issued, stats.decided);
@@ -324,7 +299,6 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
 TEST(ProbeScheduler, SpeculationOffNeverIssuesAheadOfTheDecision)
 {
     ExperimentEngine engine(8);
-    ProbeCache cache;
     std::atomic<int> calls{0};
     ProbeScheduler::ProbeFn fn = [&](std::uint32_t, double rate) {
         calls.fetch_add(1);
@@ -333,7 +307,7 @@ TEST(ProbeScheduler, SpeculationOffNeverIssuesAheadOfTheDecision)
         return pr;
     };
 
-    ProbeScheduler sched(engine, cache, 0xdefULL, fn, false);
+    ProbeScheduler sched(engine, fn, false);
     KneeCursor cur(0.05, 0.0, 8);
     while (!cur.done()) {
         auto res = sched.acquire(0, cur);
@@ -345,160 +319,83 @@ TEST(ProbeScheduler, SpeculationOffNeverIssuesAheadOfTheDecision)
     EXPECT_EQ(static_cast<std::uint64_t>(calls.load()), stats.issued);
 }
 
-/**
- * Set each key of @p format (and each attribute of its payload lines)
- * declared with searchOnly == @p searchOnly to its table sample on top
- * of @p base: a result-affecting key must move the fingerprint, a
- * search-only or wall-clock key must not. A new key cannot then
- * silently collide the probe or plan caches.
- */
-template <class S>
-void
-expectFingerprintFollowsTable(
-    const char* tag, const SpecFormat<S>& format,
-    const std::vector<std::string>& base,
-    const std::function<std::uint64_t(const std::string&)>& fingerprint,
-    bool searchOnly)
+TEST(ProbeScheduler, KneeSearchReplaysEveryLaneSequentially)
 {
-    std::string path = test::writeSpecLines(tag, base);
-    const std::uint64_t fp = fingerprint(path);
-    std::remove(path.c_str());
+    // Three lanes with different capacities share one scheduler; each
+    // lane's decided walk must be its own sequential search, verbatim,
+    // at every pool size with speculation on.
+    const std::vector<double> caps = {0.3, 3.7, 40.0};
+    ScenarioSpec knobs;
+    knobs.rateLo = 0.05;
+    knobs.rateProbes = 10;
+    knobs.speculativeProbes = true;
 
-    auto check = [&](const SpecKeyInfo& k,
-                     const std::vector<std::string>& lines) {
-        if (k.searchOnly != searchOnly)
-            return;
-        std::string p = test::writeSpecLines(tag, lines);
-        const std::uint64_t vfp = fingerprint(p);
-        std::remove(p.c_str());
-        if (k.searchOnly)
-            EXPECT_EQ(vfp, fp) << k.name << " = " << k.sample;
-        else
-            EXPECT_NE(vfp, fp) << k.name << " = " << k.sample;
-    };
-    for (const SpecKey<S>& k : format.keys)
-        check(k, test::withKey(base, k.name, k.sample));
-    for (const SpecLine<S>& line : format.lines) {
-        for (const SpecKeyInfo& k : line.attrs) {
-            // Append the attribute to the base's first such line.
-            std::vector<std::string> lines = base;
-            for (std::string& l : lines) {
-                if (l.rfind(std::string(line.name) + " =", 0) == 0) {
-                    l += std::string(" ") + k.name + "=" + k.sample;
-                    break;
-                }
-            }
-            check(k, lines);
+    for (unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+        ExperimentEngine engine(workers);
+        std::atomic<int> calls{0};
+        const KneeSearch search = runKneeSearch(
+            engine, caps.size(), knobs,
+            [&](std::uint32_t lane, double rate) {
+                calls.fetch_add(1);
+                ProbeResult pr;
+                ServeCellResult cell;
+                cell.rate = rate;
+                pr.cells.push_back(cell);
+                pr.sustained = rate <= caps[lane];
+                return pr;
+            });
+
+        ASSERT_EQ(search.lanes.size(), caps.size());
+        std::uint64_t decided = 0;
+        for (std::size_t l = 0; l < caps.size(); ++l) {
+            SCOPED_TRACE(::testing::Message() << "lane=" << l);
+            const KneeLane& lane = search.lanes[l];
+            const double cap = caps[l];
+            const SearchLog ref = sequentialReference(
+                0.05, 0.0, 10, [cap](double r) { return r <= cap; });
+            ASSERT_EQ(lane.decided.size(), ref.rates.size());
+            for (std::size_t i = 0; i < ref.rates.size(); ++i)
+                EXPECT_EQ(rateBitsOf(lane.decided[i]->cells.front().rate),
+                          rateBitsOf(ref.rates[i]));
+            EXPECT_EQ(rateBitsOf(lane.knee), rateBitsOf(ref.knee));
+            EXPECT_EQ(lane.probes, static_cast<std::uint64_t>(ref.used));
+            decided += lane.probes;
         }
+        // Every probe ran once and the scheduler is drained on return.
+        EXPECT_EQ(search.stats.decided, decided);
+        EXPECT_EQ(static_cast<std::uint64_t>(calls.load()),
+                  search.stats.issued);
+        EXPECT_EQ(search.stats.issued,
+                  decided + search.stats.speculationWasted);
     }
 }
 
-/** Both formats' tables against their fingerprints. */
-void
-expectFingerprintsFollowTables(bool searchOnly)
+TEST(ProbeScheduler, KneeSearchMergesDecidedCountersAndProbeTotals)
 {
-    expectFingerprintFollowsTable(
-        "fp_serve", serveFileFormat(),
-        {"rates = 1", "designs = g10", "class = ResNet152 batch=256"},
-        [](const std::string& p) {
-            return fingerprintServeSpec(parseServeFile(p));
-        },
-        searchOnly);
-    expectFingerprintFollowsTable(
-        "fp_fleet", fleetFileFormat(),
-        {"rate = 1", "placements = jsq", "class = ResNet152 batch=256",
-         "node = n0"},
-        [](const std::string& p) {
-            return fingerprintFleetSpec(parseFleetFile(p));
-        },
-        searchOnly);
-}
+    ScenarioSpec knobs;
+    knobs.rateLo = 1.0;
+    knobs.rateProbes = 3;
+    knobs.speculativeProbes = false;
+    ExperimentEngine engine(1);
+    const KneeSearch search = runKneeSearch(
+        engine, 2, knobs, [](std::uint32_t lane, double rate) {
+            ProbeResult pr;
+            pr.counters.add("probe.lane" + std::to_string(lane));
+            pr.counters.sample("probe.rate", rate);
+            pr.sustained = true;
+            return pr;
+        });
 
-TEST(SpecFingerprint, DistinguishesEveryScenarioKnob)
-{
-    const ServeSpec base = demoServeSpec(64);
-    const std::uint64_t fp = fingerprintServeSpec(base);
-    EXPECT_EQ(fp, fingerprintServeSpec(base));  // pure
-    EXPECT_NE(fp, 0u);
-
-    std::vector<ServeSpec> variants;
-    {
-        ServeSpec v = base;
-        v.seed += 1;
-        variants.push_back(v);
-        v = base;
-        v.requests += 1;
-        variants.push_back(v);
-        v = base;
-        v.slots += 1;
-        variants.push_back(v);
-        v = base;
-        v.scaleDown *= 2;
-        variants.push_back(v);
-        v = base;
-        v.sloFactor += 0.5;
-        variants.push_back(v);
-        v = base;
-        v.queueCapacity += 1;
-        variants.push_back(v);
-        v = base;
-        v.sys.gpuMemBytes += 1;
-        variants.push_back(v);
-        v = base;
-        v.designs.pop_back();
-        variants.push_back(v);
-        v = base;
-        v.classes.front().weight += 1.0;
-        variants.push_back(v);
-        v = base;
-        v.classes.front().batchSize += 1;
-        variants.push_back(v);
-    }
-
-    // Distinct from the base and pairwise distinct from each other:
-    // two different demo-mix scenarios must never share probe slots.
-    std::vector<std::uint64_t> fps;
-    fps.push_back(fp);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        const std::uint64_t vfp = fingerprintServeSpec(variants[i]);
-        for (std::size_t j = 0; j < fps.size(); ++j)
-            EXPECT_NE(vfp, fps[j]) << "variant " << i << " vs " << j;
-        fps.push_back(vfp);
-    }
-
-    // Every result-affecting key of the serve and fleet tables.
-    expectFingerprintsFollowTables(false);
-}
-
-TEST(SpecFingerprint, IgnoresSearchShapeAndWallClockKnobs)
-{
-    // The fingerprint keys what one probe *returns*; knobs that only
-    // steer which rates get probed (or pure wall-clock toggles) must
-    // not split the cache.
-    const ServeSpec base = demoServeSpec(64);
-    const std::uint64_t fp = fingerprintServeSpec(base);
-
-    ServeSpec v = base;
-    v.ratesAuto = true;
-    v.rateLo = 0.2;
-    v.rateHi = 9.0;
-    v.rateProbes = 3;
-    v.speculativeProbes = false;
-    v.sweepPlanCache = false;
-    EXPECT_EQ(fp, fingerprintServeSpec(v));
-
-    // Every search-only key of the serve and fleet tables.
-    expectFingerprintsFollowTables(true);
-
-    // The serve table marks exactly these keys as search-only.
-    std::vector<std::string> searchOnly;
-    for (const SpecKey<ServeSpec>& k : serveFileFormat().keys)
-        if (k.searchOnly)
-            searchOnly.push_back(k.name);
-    EXPECT_EQ(searchOnly,
-              (std::vector<std::string>{"rate_lo", "rate_hi", "rate_probes",
-                                        "speculate", "rates",
-                                        "sweep_cache"}));
+    CounterRegistry reg;
+    search.mergeCounters(&reg);
+    EXPECT_EQ(reg.value("probe.lane0"), 3u);
+    EXPECT_EQ(reg.value("probe.lane1"), 3u);
+    ASSERT_NE(reg.distribution("probe.rate"), nullptr);
+    EXPECT_EQ(reg.distribution("probe.rate")->count(), 6u);
+    EXPECT_EQ(reg.value("sweep.probe.decided"), 6u);
+    EXPECT_EQ(reg.value("sweep.probe.issued"), 6u);
+    EXPECT_EQ(reg.value("sweep.probe.speculated"), 0u);
 }
 
 /** The plan-cache suite's tiny auto-knee scenario. */
@@ -542,6 +439,63 @@ TEST(ProbeScheduler, SweepDocumentIsByteIdenticalToSequential)
         if (workers < 2)
             EXPECT_EQ(got.probesSpeculative, 0u);
     }
+}
+
+/** The sweep.probe.* counters whose values depend on the pool size
+ *  (speculation runs only on idle workers). */
+const char* const kPoolDependentCounters[] = {
+    "sweep.probe.issued",
+    "sweep.probe.speculated",
+    "sweep.probe.speculation_used",
+    "sweep.probe.speculation_wasted",
+    "sweep.probe.cache_hits",
+};
+
+/** writeMetricsJson of @p reg (one field per line) without the lines
+ *  of the pool-dependent counters. */
+std::string
+metricsWithoutPoolDependentCounters(const CounterRegistry& reg)
+{
+    std::ostringstream os;
+    writeMetricsJson(os, reg);
+    std::istringstream in(os.str());
+    std::string kept, line;
+    while (std::getline(in, line)) {
+        bool drop = false;
+        for (const char* c : kPoolDependentCounters)
+            drop = drop || line.find(std::string("\"") + c + "\":") !=
+                               std::string::npos;
+        if (!drop)
+            kept += line + "\n";
+    }
+    return kept;
+}
+
+TEST(ProbeScheduler, MetricsDependOnWorkersOnlyInSpeculationCounters)
+{
+    ServeObsRequest serveObs;
+    serveObs.collectCounters = true;
+    FleetObsRequest fleetObs;
+    fleetObs.collectCounters = true;
+    FleetSpec fleet = demoFleetSpec(64);
+    fleet.requests = 8;
+    fleet.ratesAuto = true;
+    fleet.rateProbes = 4;
+    fleet.placements = {PlacementKind::JoinShortestQueue};
+
+    std::vector<std::string> serveDocs, fleetDocs;
+    for (unsigned workers : {1u, 4u}) {
+        ExperimentEngine engine(workers);
+        const ServeSweepResult s =
+            ServeSweep(autoKneeSpec()).run(engine, serveObs);
+        EXPECT_GT(s.counters.value("sweep.probe.decided"), 0u);
+        serveDocs.push_back(metricsWithoutPoolDependentCounters(s.counters));
+        const FleetResult f = FleetSim(fleet).run(engine, fleetObs);
+        EXPECT_GT(f.counters.value("sweep.probe.decided"), 0u);
+        fleetDocs.push_back(metricsWithoutPoolDependentCounters(f.counters));
+    }
+    EXPECT_EQ(serveDocs[0], serveDocs[1]);
+    EXPECT_EQ(fleetDocs[0], fleetDocs[1]);
 }
 
 }  // namespace
