@@ -41,18 +41,11 @@ main()
             // Scale wear to the paper-sized device for the DWPD math.
             double writes = static_cast<double>(st.traffic.gpuToSsd);
             double reads = static_cast<double>(st.traffic.ssdToGpu);
-            double nand = static_cast<double>(st.ssd.nandWriteBytes);
-            double elapsed =
-                static_cast<double>(st.measuredIterationNs);
             // lifetime = rated budget / observed write rate; identical
             // at any scale because capacity and rate scale together.
-            double per_day = nand / (elapsed / 1e9) * 86400.0;
-            double budget = 30.0 * 5.0 * 365.0 *
-                            static_cast<double>(
-                                sys.scaledDown(scale).ssdCapacityBytes);
-            double years = per_day > 0.0
-                               ? budget / per_day / 365.0
-                               : 5.0;
+            double years = ssdLifetimeYears(
+                st.ssd, sys.scaledDown(scale).ssdCapacityBytes,
+                st.measuredIterationNs, 30.0, 5.0);
             table.addRowOf(modelName(m), designDisplayName(d).c_str(),
                            writes / 1e9, reads / 1e9, st.ssd.waf(),
                            std::min(years, 99.0));

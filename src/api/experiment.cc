@@ -69,13 +69,6 @@ ExperimentBuilder::model(ModelKind m)
 }
 
 ExperimentBuilder&
-ExperimentBuilder::model(const std::string& name)
-{
-    cfg_.model = modelKindFromName(name);
-    return *this;
-}
-
-ExperimentBuilder&
 ExperimentBuilder::batch(int batch_size)
 {
     if (batch_size < 1)
@@ -103,88 +96,9 @@ ExperimentBuilder::design(const std::string& name)
 }
 
 ExperimentBuilder&
-ExperimentBuilder::iterations(int n)
-{
-    if (n < 1)
-        fatal("Experiment: iterations must be >= 1, got %d", n);
-    cfg_.iterations = n;
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::timingError(double fraction)
-{
-    if (fraction < 0.0 || fraction > 1.0)
-        fatal("Experiment: timingError must be in [0, 1], got %g",
-              fraction);
-    cfg_.timingErrorPct = fraction;
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::seed(std::uint64_t s)
-{
-    cfg_.seed = s;
-    return *this;
-}
-
-ExperimentBuilder&
 ExperimentBuilder::system(const SystemConfig& sys)
 {
     cfg_.sys = sys;
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::gpuMemGB(double gb)
-{
-    if (gb <= 0.0)
-        fatal("Experiment: gpuMemGB must be > 0, got %g", gb);
-    cfg_.sys.gpuMemBytes = static_cast<Bytes>(gb * 1e9);
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::hostMemGB(double gb)
-{
-    if (gb < 0.0)
-        fatal("Experiment: hostMemGB must be >= 0, got %g", gb);
-    cfg_.sys.hostMemBytes = static_cast<Bytes>(gb * 1e9);
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::ssdGBps(double read_gbps)
-{
-    if (read_gbps <= 0.0)
-        fatal("Experiment: ssdGBps must be > 0, got %g", read_gbps);
-    cfg_.sys.setSsdBandwidthGBps(read_gbps);
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::pcieGBps(double gbps)
-{
-    if (gbps <= 0.0)
-        fatal("Experiment: pcieGBps must be > 0, got %g", gbps);
-    cfg_.sys.pcieGBps = gbps;
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::weightWatermark(double fraction)
-{
-    if (fraction <= 0.0 || fraction > 1.0)
-        fatal("Experiment: weightWatermark must be in (0, 1], got %g",
-              fraction);
-    cfg_.weightWatermark = fraction;
-    return *this;
-}
-
-ExperimentBuilder&
-ExperimentBuilder::uvmExtension(bool enabled)
-{
-    cfg_.uvmExtension = enabled ? 1 : 0;
     return *this;
 }
 

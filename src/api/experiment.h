@@ -112,42 +112,25 @@ RunResult runExperimentResultOnTrace(const KernelTrace& trace,
                                      Tracer* tracer = nullptr);
 
 /**
- * Fluent construction of an ExperimentConfig. Every RunConfig knob is
- * reachable; run() executes immediately and returns the structured
- * result. Obtain one via Experiment().
+ * Fluent construction of an ExperimentConfig for the common case —
+ * model, batch, scale, design and platform; run() executes immediately
+ * and returns the structured result. The remaining knobs (iterations,
+ * seed, timing error, watermark, UVM override) are ExperimentConfig
+ * fields: set them there and call runExperimentResult(). Obtain one
+ * via Experiment().
  */
 class ExperimentBuilder
 {
   public:
     ExperimentBuilder& model(ModelKind m);
-
-    /** Model by name ("BERT", "ResNet152", ...); fatal on unknown. */
-    ExperimentBuilder& model(const std::string& name);
-
     ExperimentBuilder& batch(int batch_size);
     ExperimentBuilder& scaleDown(unsigned factor);
 
     /** Design by registry name (built-in or custom). */
     ExperimentBuilder& design(const std::string& name);
 
-    ExperimentBuilder& iterations(int n);
-    ExperimentBuilder& timingError(double fraction);
-    ExperimentBuilder& seed(std::uint64_t s);
-
     /** Replace the whole platform description. */
     ExperimentBuilder& system(const SystemConfig& sys);
-
-    // Individual platform knobs (applied to the current system).
-    ExperimentBuilder& gpuMemGB(double gb);
-    ExperimentBuilder& hostMemGB(double gb);
-    ExperimentBuilder& ssdGBps(double read_gbps);
-    ExperimentBuilder& pcieGBps(double gbps);
-
-    /** Weight-placement watermark (RunConfig::weightWatermark). */
-    ExperimentBuilder& weightWatermark(double fraction);
-
-    /** Force the unified-page-table extension on or off. */
-    ExperimentBuilder& uvmExtension(bool enabled);
 
     /** The accumulated configuration. */
     const ExperimentConfig& config() const { return cfg_; }

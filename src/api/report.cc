@@ -7,17 +7,6 @@
 
 namespace g10 {
 
-const char*
-reportFormatName(ReportFormat format)
-{
-    switch (format) {
-      case ReportFormat::Table: return "table";
-      case ReportFormat::Json: return "json";
-      case ReportFormat::Csv: return "csv";
-    }
-    return "?";
-}
-
 ReportFormat
 reportFormatFromName(const std::string& name)
 {
@@ -715,29 +704,6 @@ writeServeResultJson(std::ostream& os, const ServeSweepResult& result)
         w.field("sustained_rate_per_s", result.sustainedRate[d]);
         if (d < result.rateProbes.size())
             w.field("probes", result.rateProbes[d]);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
-}
-
-void
-writeGridJson(std::ostream& os, const std::vector<RunResult>& results)
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.field("schema", "g10.grid.v1");
-    w.field("runs", static_cast<std::uint64_t>(results.size()));
-    w.key("results");
-    w.beginArray();
-    for (const RunResult& r : results) {
-        w.beginObject();
-        w.field("design", r.designName);
-        w.key("config");
-        writeConfigJson(w, r.config);
-        w.key("result");
-        writeJson(w, r.stats);
         w.endObject();
     }
     w.endArray();

@@ -1,11 +1,11 @@
 /**
  * @file
  * Structured result reporting: one place that turns RunResult /
- * MixResult / experiment grids into human tables, CSV, or
+ * MixResult / serve and fleet results into human tables, CSV, or
  * machine-readable JSON (the `--format` surface of g10sim/g10multi).
  *
  * JSON documents carry a `schema` tag (`g10.run_result.v1`,
- * `g10.mix_result.v1`, `g10.grid.v1`, `g10.serve_result.v1`,
+ * `g10.mix_result.v1`, `g10.serve_result.v1`,
  * `g10.fleet_result.v1`, `g10.metrics.v1`) so downstream tooling can
  * dispatch without sniffing fields.
  */
@@ -38,9 +38,6 @@ enum class ReportFormat
     Csv,    ///< RFC-4180-ish CSV of the same tables
 };
 
-/** Display/CLI name of a format ("table", "json", "csv"). */
-const char* reportFormatName(ReportFormat format);
-
 /**
  * Parse a `--format` value (case-insensitive); fatal() listing the
  * valid names on unknown input.
@@ -57,10 +54,6 @@ void writeRunResultJson(std::ostream& os, const RunResult& result);
 
 /** Serialize a consolidated multi-tenant result. */
 void writeMixResultJson(std::ostream& os, const MixResult& result);
-
-/** Serialize an experiment grid (ExperimentEngine output). */
-void writeGridJson(std::ostream& os,
-                   const std::vector<RunResult>& results);
 
 /** Serialize a serving sweep (`g10.serve_result.v1`). */
 void writeServeResultJson(std::ostream& os,

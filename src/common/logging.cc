@@ -25,12 +25,6 @@ setLogLevel(LogLevel level)
     g_level = level;
 }
 
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 bool
 logLevelFromName(const char* name, LogLevel* out)
 {

@@ -24,9 +24,6 @@ enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
 /** Set the global log level (default: Warn, so benches stay quiet). */
 void setLogLevel(LogLevel level);
 
-/** Current global log level. */
-LogLevel logLevel();
-
 /**
  * Parse a log-level name ("silent", "warn", "info", "debug",
  * case-insensitive) — the `--log-level` CLI surface. Returns false on

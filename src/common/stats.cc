@@ -1,9 +1,6 @@
 #include "stats.h"
 
-#include <cmath>
 #include <numeric>
-
-#include "logging.h"
 
 namespace g10 {
 
@@ -72,58 +69,6 @@ Distribution::fractionAbove(double v) const
     auto it = std::upper_bound(s.begin(), s.end(), v);
     return static_cast<double>(s.end() - it) /
            static_cast<double>(s.size());
-}
-
-LogHistogram::LogHistogram(double lo, double hi, int bins_per_decade)
-    : lo_(lo)
-{
-    if (lo <= 0.0 || hi <= lo || bins_per_decade <= 0)
-        panic("LogHistogram: bad range [%g, %g] x %d",
-              lo, hi, bins_per_decade);
-    log_lo_ = std::log10(lo);
-    bin_width_log_ = 1.0 / bins_per_decade;
-    double decades = std::log10(hi) - log_lo_;
-    auto regular = static_cast<std::size_t>(
-        std::ceil(decades * bins_per_decade));
-    // +2 clamp bins: [0] for underflow, [n+1] for overflow.
-    counts_.assign(regular + 2, 0);
-}
-
-void
-LogHistogram::add(double v)
-{
-    ++total_;
-    if (v < lo_) {
-        ++counts_.front();
-        return;
-    }
-    double pos = (std::log10(v) - log_lo_) / bin_width_log_;
-    auto idx = static_cast<std::size_t>(pos) + 1;
-    if (idx >= counts_.size() - 1) {
-        ++counts_.back();
-        return;
-    }
-    ++counts_[idx];
-}
-
-double
-LogHistogram::binCenter(std::size_t i) const
-{
-    if (i == 0)
-        return lo_ / 2.0;
-    double lo_edge = log_lo_ + static_cast<double>(i - 1) * bin_width_log_;
-    return std::pow(10.0, lo_edge + bin_width_log_ / 2.0);
-}
-
-double
-LogHistogram::cdfAt(std::size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::uint64_t cum = 0;
-    for (std::size_t j = 0; j <= i && j < counts_.size(); ++j)
-        cum += counts_[j];
-    return static_cast<double>(cum) / static_cast<double>(total_);
 }
 
 }  // namespace g10

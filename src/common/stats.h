@@ -1,16 +1,13 @@
 /**
  * @file
- * Lightweight statistics containers used across the simulator: scalar
- * counters, reservoir-free sample distributions (exact percentiles), and
- * logarithmic histograms for the paper's CDF figures (Figs. 3, 13).
+ * Exact sample distributions (every sample kept; exact percentiles),
+ * the statistics container used across the simulator.
  */
 
 #ifndef G10_COMMON_STATS_H
 #define G10_COMMON_STATS_H
 
 #include <algorithm>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "types.h"
@@ -57,55 +54,6 @@ class Distribution
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Histogram with logarithmically spaced bins, e.g. for inactive-period
- * lengths spanning 10 us .. 100 s.
- */
-class LogHistogram
-{
-  public:
-    /**
-     * @param lo         lower edge of the first bin (> 0)
-     * @param hi         upper edge of the last regular bin
-     * @param bins_per_decade  resolution
-     */
-    LogHistogram(double lo, double hi, int bins_per_decade);
-
-    /** Record one sample; out-of-range samples clamp to the edge bins. */
-    void add(double v);
-
-    /** Number of bins (including the two clamp bins). */
-    std::size_t binCount() const { return counts_.size(); }
-
-    /** Count in bin @p i. */
-    std::uint64_t binCountAt(std::size_t i) const { return counts_[i]; }
-
-    /** Geometric center of bin @p i. */
-    double binCenter(std::size_t i) const;
-
-    /** Total samples. */
-    std::uint64_t total() const { return total_; }
-
-    /** Cumulative fraction of samples <= upper edge of bin i. */
-    double cdfAt(std::size_t i) const;
-
-  private:
-    double lo_;
-    double log_lo_;
-    double bin_width_log_;  // width of one bin in log10 space
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
-/** A named monotonically increasing counter. */
-struct Counter
-{
-    std::string name;
-    std::uint64_t value = 0;
-
-    Counter& operator+=(std::uint64_t d) { value += d; return *this; }
 };
 
 }  // namespace g10

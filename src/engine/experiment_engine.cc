@@ -126,48 +126,6 @@ ExperimentEngine::parallelFor(std::size_t n,
     batch.done.wait(lk, [&batch] { return batch.remaining == 0; });
 }
 
-std::vector<ExecStats>
-ExperimentEngine::runGrid(const std::vector<ExperimentConfig>& grid)
-{
-    std::vector<ExecStats> results(grid.size());
-    parallelFor(grid.size(), [&](std::size_t i) {
-        results[i] = runExperiment(grid[i]);
-    });
-    return results;
-}
-
-std::vector<ExecStats>
-ExperimentEngine::runGridOnTrace(const KernelTrace& trace,
-                                 const std::vector<ExperimentConfig>& grid)
-{
-    std::vector<ExecStats> results(grid.size());
-    parallelFor(grid.size(), [&](std::size_t i) {
-        results[i] = runExperimentOnTrace(trace, grid[i]);
-    });
-    return results;
-}
-
-std::vector<RunResult>
-ExperimentEngine::runGridResults(const std::vector<ExperimentConfig>& grid)
-{
-    std::vector<RunResult> results(grid.size());
-    parallelFor(grid.size(), [&](std::size_t i) {
-        results[i] = runExperimentResult(grid[i]);
-    });
-    return results;
-}
-
-std::vector<RunResult>
-ExperimentEngine::runGridResultsOnTrace(
-    const KernelTrace& trace, const std::vector<ExperimentConfig>& grid)
-{
-    std::vector<RunResult> results(grid.size());
-    parallelFor(grid.size(), [&](std::size_t i) {
-        results[i] = runExperimentResultOnTrace(trace, grid[i]);
-    });
-    return results;
-}
-
 std::vector<MixResult>
 ExperimentEngine::runMixes(const std::vector<WorkloadMix>& mixes)
 {
@@ -177,18 +135,6 @@ ExperimentEngine::runMixes(const std::vector<WorkloadMix>& mixes)
         results[i] = sim.run();
     });
     return results;
-}
-
-std::vector<DesignInstance>
-ExperimentEngine::compileDesignsOnTrace(
-    const KernelTrace& trace, const SystemConfig& sys,
-    const std::vector<std::string>& designs)
-{
-    std::vector<DesignInstance> out(designs.size());
-    parallelFor(designs.size(), [&](std::size_t i) {
-        out[i] = PolicyRegistry::instance().make(designs[i], trace, sys);
-    });
-    return out;
 }
 
 }  // namespace g10

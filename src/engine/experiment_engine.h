@@ -1,7 +1,8 @@
 /**
  * @file
- * Thread-pooled experiment runner: executes grids of ExperimentConfigs
- * and WorkloadMixes concurrently across worker threads.
+ * Thread-pooled experiment runner: executes independent simulations
+ * (parallelFor over a caller's grid, WorkloadMixes, probe tasks)
+ * concurrently across worker threads.
  *
  * Every run is an isolated, deterministic simulation (its RunConfig
  * carries an explicit seed and no state is shared between runs), so
@@ -76,46 +77,9 @@ class ExperimentEngine
      */
     bool tryRunOne();
 
-    /** Run every config; results in input order. */
-    std::vector<ExecStats>
-    runGrid(const std::vector<ExperimentConfig>& grid);
-
-    /**
-     * Run every config against one pre-built trace (amortizes trace
-     * construction); results in input order.
-     */
-    std::vector<ExecStats>
-    runGridOnTrace(const KernelTrace& trace,
-                   const std::vector<ExperimentConfig>& grid);
-
-    /**
-     * Like runGrid(), but each result carries its config echo — the
-     * shape writeGridJson() serializes.
-     */
-    std::vector<RunResult>
-    runGridResults(const std::vector<ExperimentConfig>& grid);
-
-    /** runGridOnTrace() with config echoes; results in input order. */
-    std::vector<RunResult>
-    runGridResultsOnTrace(const KernelTrace& trace,
-                          const std::vector<ExperimentConfig>& grid);
-
     /** Run every workload mix; results in input order. */
     std::vector<MixResult>
     runMixes(const std::vector<WorkloadMix>& mixes);
-
-    /**
-     * Instantiate every design in @p designs for one (trace, platform)
-     * pair across the pool — the G10-family entries each run their
-     * compile pipeline (compileG10Plan), which is independent per
-     * design and whose plans are read-only after build, so grid sweeps
-     * and serving engines can compile plans concurrently. Results in
-     * input order, bit-identical regardless of worker count.
-     */
-    std::vector<DesignInstance>
-    compileDesignsOnTrace(const KernelTrace& trace,
-                          const SystemConfig& sys,
-                          const std::vector<std::string>& designs);
 
   private:
     void workerLoop();

@@ -162,27 +162,6 @@ PartitionManager::split(Lease* lease, double fraction)
 }
 
 void
-PartitionManager::merge(Lease* into, Lease* from)
-{
-    Slot& dst = checkLease(into, "merge");
-    Slot& src = checkLease(from, "merge");
-    if (&dst == &src)
-        panic("PartitionManager: merging slot %d into itself",
-              into->slot);
-    const Bytes gpu = src.gpu;
-    const Bytes host = src.host;
-    release(from);
-    // release() returned src's bytes to the pool; take them back for
-    // the destination so the merge conserves every byte.
-    leasedGpu_ += gpu;
-    leasedHost_ += host;
-    dst.gpu += gpu;
-    dst.host += host;
-    into->sys = partitionBytes(whole_, dst.gpu, dst.host);
-    ++resizes_;
-}
-
-void
 PartitionManager::release(Lease* lease)
 {
     Slot& s = checkLease(lease, "release");

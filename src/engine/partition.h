@@ -5,7 +5,7 @@
  * A PartitionManager carves one SystemConfig into per-job partitions
  * and tracks which of them are out on lease. Capacity is a *dynamic*
  * quantity: every lease is byte-accounted against the machine, and
- * live leases can be resized, split, or merged while the free pool
+ * live leases can be resized or split while the free pool
  * conserves every byte. Three sizing modes:
  *
  *  - slot leases (acquire()): the machine is divided into `slots`
@@ -19,8 +19,8 @@
  *    its memWeight-proportional split.
  *  - byte leases (acquireBytes()): each lease takes an explicit byte
  *    capacity from the free pool. The serving engine's *elastic*
- *    partition policies use this together with resize()/split()/
- *    merge() to redistribute capacity as jobs arrive and depart.
+ *    partition policies use this together with resize()/split()
+ *    to redistribute capacity as jobs arrive and depart.
  *
  * Only GPU and host memory are partitioned; the PCIe fabric and the
  * SSD stay fully shared (that is the experiment). Leases must be
@@ -129,12 +129,6 @@ class PartitionManager
      * conservation, no free-pool round trip).
      */
     Lease split(Lease* lease, double fraction);
-
-    /**
-     * Merge @p from's entire capacity into @p into and reclaim @p from
-     * (the inverse of split): @p into grows by exactly @p from's bytes.
-     */
-    void merge(Lease* into, Lease* from);
 
     /** Reclaim @p lease (panics on double/stale release); resets it. */
     void release(Lease* lease);

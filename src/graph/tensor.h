@@ -27,9 +27,6 @@ enum class TensorKind
     Workspace,       ///< kernel scratch (e.g. conv algo workspace)
 };
 
-/** Human-readable kind name (for instrumented listings and reports). */
-const char* tensorKindName(TensorKind kind);
-
 /**
  * One tensor in a DNN program.
  *

@@ -7,19 +7,6 @@
 namespace g10 {
 
 const char*
-tensorKindName(TensorKind kind)
-{
-    switch (kind) {
-      case TensorKind::Weight: return "weight";
-      case TensorKind::WeightGrad: return "weight_grad";
-      case TensorKind::Activation: return "activation";
-      case TensorKind::ActivationGrad: return "activation_grad";
-      case TensorKind::Workspace: return "workspace";
-    }
-    return "?";
-}
-
-const char*
 opKindName(OpKind kind)
 {
     switch (kind) {
@@ -185,13 +172,13 @@ KernelTrace::totalTensorBytes() const
 }
 
 Bytes
-KernelTrace::peakKernelWorkingSet() const
+KernelTrace::peakKernelWorkingSet(Bytes page) const
 {
     Bytes peak = 0;
     for (const auto& k : kernels_) {
         Bytes ws = 0;
         for (TensorId t : k.allTensors())
-            ws += tensor(t).bytes;
+            ws += (tensor(t).bytes + page - 1) / page * page;
         peak = std::max(peak, ws);
     }
     return peak;

@@ -104,8 +104,13 @@ class KernelTrace
     /** Sum of all tensor sizes (the program's total memory demand). */
     Bytes totalTensorBytes() const;
 
-    /** Largest single-kernel working set (inputs+outputs+workspace). */
-    Bytes peakKernelWorkingSet() const;
+    /**
+     * Largest single-kernel working set (inputs+outputs+workspace),
+     * each tensor rounded up to whole @p page bytes. This is exactly
+     * what the runtime's OOM guard pins: a GPU budget below it is
+     * guaranteed to fail.
+     */
+    Bytes peakKernelWorkingSet(Bytes page) const;
 
     /**
      * Sanity-check structural invariants; panics on violation:

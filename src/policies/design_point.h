@@ -1,25 +1,21 @@
 /**
  * @file
- * The named design points of the paper's evaluation, the DesignInstance
- * bundle they produce, and legacy enum-based shims over the string-keyed
- * PolicyRegistry (policies/registry.h), which is the extensible surface
- * new code should target.
+ * The named design points of the paper's evaluation and the
+ * DesignInstance bundle a design's factory produces. Designs are
+ * looked up by name through the PolicyRegistry (policies/registry.h);
+ * the enum is only the built-in tag a registry entry carries.
  */
 
 #ifndef G10_POLICIES_DESIGN_POINT_H
 #define G10_POLICIES_DESIGN_POINT_H
 
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "common/system_config.h"
-#include "graph/trace.h"
 #include "sim/runtime/policy.h"
 
 namespace g10 {
 
-/** Every design point evaluated in §7. */
+/** Every design point evaluated in §7 (PolicyInfo::builtinTag). */
 enum class DesignPoint
 {
     Ideal,
@@ -31,39 +27,12 @@ enum class DesignPoint
     G10,
 };
 
-/** Display name matching the paper's legends. */
-const char* designPointName(DesignPoint d);
-
-/**
- * Parse a design name (case-insensitive; accepts the CLI spellings
- * "ideal", "baseuvm"/"uvm", "deepum"/"deepum+", "flashneuron",
- * "g10gds"/"g10-gds", "g10host"/"g10-host", "g10"). Resolution goes
- * through the PolicyRegistry; fatal() on unknown names and on names
- * that resolve to a registered custom (non-built-in) policy — those
- * are only reachable through the string-based API.
- */
-DesignPoint designPointFromName(const std::string& name);
-
-/** The designs of Fig. 11, left-to-right. */
-std::vector<DesignPoint> allDesignPoints();
-
-/** The non-ablation designs used in the sweep figures (15-18). */
-std::vector<DesignPoint> sweepDesignPoints();
-
 /** A policy plus the runtime flags it requires. */
 struct DesignInstance
 {
     std::unique_ptr<Policy> policy;
     bool uvmExtension = false;
 };
-
-/**
- * Instantiate @p design for @p trace on @p config (runs the G10 or
- * FlashNeuron compile passes when the design needs a plan). Shim over
- * PolicyRegistry::make().
- */
-DesignInstance makeDesign(DesignPoint design, const KernelTrace& trace,
-                          const SystemConfig& config);
 
 }  // namespace g10
 

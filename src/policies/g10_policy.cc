@@ -26,6 +26,14 @@ G10Policy::capacityEvictDest(SimRuntime& rt, TensorId t)
     return rt.hostFreeBytes() > 0 ? MemLoc::Host : MemLoc::Ssd;
 }
 
+bool
+isG10Family(int tag)
+{
+    return tag == static_cast<int>(DesignPoint::G10) ||
+           tag == static_cast<int>(DesignPoint::G10Gds) ||
+           tag == static_cast<int>(DesignPoint::G10Host);
+}
+
 int
 planCompileOptionsKey(int tag)
 {

@@ -96,6 +96,13 @@ std::unique_ptr<G10Policy> makeG10Host(const KernelTrace& trace,
                                            nullptr);
 
 /**
+ * True when @p tag (a PolicyInfo::builtinTag) names a G10 family
+ * member — G10, G10-GDS or G10-Host, the designs with a compile
+ * pipeline. Custom policies (tag -1) are never family members.
+ */
+bool isG10Family(int tag);
+
+/**
  * Compile-options class of one family member (@p tag is a DesignPoint
  * value): members with equal keys run the compiler with identical
  * options and therefore produce bit-identical plans — G10 and G10-Host

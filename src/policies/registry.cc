@@ -146,12 +146,6 @@ PolicyRegistry::find(const std::string& name) const
     return it == lookup_.end() ? nullptr : it->second;
 }
 
-bool
-PolicyRegistry::contains(const std::string& name) const
-{
-    return find(name) != nullptr;
-}
-
 const PolicyInfo&
 PolicyRegistry::resolve(const std::string& name) const
 {

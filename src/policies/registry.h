@@ -64,8 +64,8 @@ struct PolicyInfo
     PolicyFactory factory;
 
     /**
-     * static_cast<int>(DesignPoint) for the seven built-ins so the
-     * legacy enum shims can map back; -1 for custom policies.
+     * static_cast<int>(DesignPoint) for the seven built-ins (see
+     * isG10Family()); -1 for custom policies.
      */
     int builtinTag = -1;
 };
@@ -89,9 +89,6 @@ class PolicyRegistry
 
     /** Entry for @p name, or nullptr when unknown. */
     const PolicyInfo* find(const std::string& name) const;
-
-    /** True when @p name resolves. */
-    bool contains(const std::string& name) const;
 
     /**
      * Entry for @p name; fatal() with the list of registered designs

@@ -31,6 +31,12 @@ mixDouble(std::uint64_t* h, double d)
 
 }  // namespace
 
+// fingerprintSystemConfig() hashes all 16 SystemConfig fields by hand.
+// A new field changes the size and fails the build here: mix it into
+// the fingerprint (the plan-cache key), then update the count.
+static_assert(sizeof(SystemConfig) == 16 * sizeof(std::uint64_t),
+              "SystemConfig changed: update fingerprintSystemConfig()");
+
 std::uint64_t
 fingerprintSystemConfig(const SystemConfig& sys)
 {

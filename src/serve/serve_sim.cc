@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/event_queue.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "engine/partition.h"
@@ -28,25 +27,9 @@ planServiceEstimateNs(const KernelTrace& trace,
 }
 
 Bytes
-maxKernelWorkingSet(const KernelTrace& trace, Bytes page)
-{
-    Bytes best = 0;
-    for (std::size_t k = 0; k < trace.numKernels(); ++k) {
-        Bytes sum = 0;
-        for (TensorId t :
-             trace.kernel(static_cast<KernelId>(k)).allTensors()) {
-            const Bytes b = trace.tensor(t).bytes;
-            sum += (b + page - 1) / page * page;
-        }
-        best = std::max(best, sum);
-    }
-    return best;
-}
-
-Bytes
 serveClassGpuFloor(const KernelTrace& trace, Bytes page)
 {
-    const Bytes ws = maxKernelWorkingSet(trace, page);
+    const Bytes ws = trace.peakKernelWorkingSet(page);
     return ws + ws / 8;
 }
 
@@ -93,15 +76,11 @@ namespace {
 using PlanCache =
     std::map<int, std::shared_ptr<const CompiledPlan>>;
 
-/** G10-family membership (the designs with a compile pipeline). */
-bool
-g10FamilyTag(const std::string& design, int* tag_out)
+/** The registry's built-in tag for @p design (-1 for custom). */
+int
+designTag(const std::string& design)
 {
-    const PolicyInfo& info = PolicyRegistry::instance().resolve(design);
-    *tag_out = info.builtinTag;
-    return *tag_out == static_cast<int>(DesignPoint::G10) ||
-           *tag_out == static_cast<int>(DesignPoint::G10Gds) ||
-           *tag_out == static_cast<int>(DesignPoint::G10Host);
+    return PolicyRegistry::instance().resolve(design).builtinTag;
 }
 
 /**
@@ -156,9 +135,9 @@ makeServeInstance(const std::string& design, const KernelTrace& trace,
                   const SystemConfig& sys, PlanCache* cache,
                   SweepPlanCache* sweepCache, CompileOutcome* oc)
 {
-    int tag = 0;
+    const int tag = designTag(design);
     *oc = CompileOutcome{};
-    if (!g10FamilyTag(design, &tag))
+    if (!isG10Family(tag))
         return PolicyRegistry::instance().make(design, trace, sys);
 
     const int model_key = static_cast<int>(cls.model);
@@ -217,6 +196,12 @@ ServeSim::ServeSim(const ServeSpec& spec, std::string design,
               baselines_.size(), classes_.size());
     if (requests_.empty())
         panic("ServeSim: no requests offered");
+    // run() walks arrivals with a cursor, so the offered sequence must
+    // already be in time order (every producer emits it sorted).
+    for (std::size_t i = 1; i < requests_.size(); ++i)
+        if (requests_[i].arrivalNs < requests_[i - 1].arrivalNs)
+            panic("ServeSim: request %zu arrives before request %zu",
+                  i, i - 1);
 }
 
 ServeCellResult
@@ -294,14 +279,14 @@ ServeSim::run()
     {
         std::size_t request = 0;
         std::size_t classIndex = 0;
-        bool g10family = false;
-        int familyTag = 0;
         DesignInstance design;
         std::unique_ptr<SimRuntime> rt;
         PartitionManager::Lease lease;
     };
     std::vector<Active> active;
     active.reserve(static_cast<std::size_t>(maxActive));
+    const int familyTag = designTag(design_);
+    const bool g10family = isG10Family(familyTag);
 
     // ---- Elastic capacity machinery ------------------------------
 
@@ -311,12 +296,12 @@ ServeSim::run()
     // scheduler replays the picks the capacity delta left valid and
     // only re-runs its greedy search on the uncovered pressure.
     auto replanAfterResize = [&](Active& a) {
-        if (!a.g10family)
+        if (!g10family)
             return;
         const auto* gp =
             static_cast<const G10Policy*>(a.design.policy.get());
         std::shared_ptr<const CompiledPlan> plan = compilePlan(
-            a.familyTag, traces_[a.classIndex],
+            familyTag, traces_[a.classIndex],
             classes_[a.classIndex], spec_.scaleDown, a.lease.sys,
             gp->compiledShared(), planCache_);
         const EvictionSchedule& ns = plan->schedule;
@@ -332,7 +317,7 @@ ServeSim::run()
         planCache[static_cast<int>(classes_[a.classIndex].model)] =
             plan;
         std::unique_ptr<G10Policy> np =
-            makeFamilyPolicy(a.familyTag, std::move(plan));
+            makeFamilyPolicy(familyTag, std::move(plan));
         a.rt->setPolicy(*np);
         a.design.policy = std::move(np);
     };
@@ -536,7 +521,6 @@ ServeSim::run()
         Active a;
         a.request = req;
         a.classIndex = r.classIndex;
-        a.g10family = g10FamilyTag(design_, &a.familyTag);
         leaseForAdmission(a);
         CompileOutcome oc;
         a.design = makeServeInstance(design_, traces_[r.classIndex],
@@ -544,7 +528,7 @@ ServeSim::run()
                                      a.lease.sys, &planCache,
                                      planCache_, &oc);
         out.jobs[req].warmCompiled = oc.warm;
-        if (tp && a.g10family)
+        if (tp && g10family)
             tp->planCacheLookup(oc.warm);
         if (oc.warm) {
             ++m.warmCompiles;
@@ -588,28 +572,18 @@ ServeSim::run()
         }
     };
 
-    // Open-loop arrival injection: the whole offered sequence is
-    // known up front, so it goes into the event queue as one bulk
-    // batch (EventQueue::scheduleBatch's O(n) heap build).
-    EventQueue arrivals;
-    std::vector<std::size_t> arrivedNow;
-    {
-        std::vector<EventQueue::TimedCallback> batch;
-        batch.reserve(requests_.size());
-        for (std::size_t i = 0; i < requests_.size(); ++i)
-            batch.push_back({requests_[i].arrivalNs,
-                             [&arrivedNow, i] {
-                                 arrivedNow.push_back(i);
-                             }});
-        arrivals.scheduleBatch(std::move(batch));
-    }
+    // Open-loop arrivals: the offered sequence is sorted by arrival
+    // time, so a cursor over it yields each instant's arrivals in
+    // request order.
+    std::size_t nextReq = 0;
 
     // Main interleaving loop: either the next arrival is due before
     // any active job's clock (process arrivals/admissions), or the
     // active job furthest behind in time replays one kernel — the
     // same deterministic furthest-behind discipline MultiTenantSim
     // uses, extended with mid-run attach/detach.
-    while (!arrivals.empty() || !queue.empty() || !active.empty()) {
+    while (nextReq < requests_.size() || !queue.empty() ||
+           !active.empty()) {
         std::size_t minIdx = SIZE_MAX;
         TimeNs minClock = 0;
         for (std::size_t i = 0; i < active.size(); ++i) {
@@ -619,13 +593,17 @@ ServeSim::run()
             }
         }
 
-        const TimeNs nextArr = arrivals.nextTime();
-        if (minIdx == SIZE_MAX || nextArr <= minClock) {
-            if (arrivals.empty())
+        const bool arrivalsLeft = nextReq < requests_.size();
+        if (minIdx == SIZE_MAX ||
+            (arrivalsLeft && requests_[nextReq].arrivalNs <= minClock)) {
+            if (!arrivalsLeft)
                 panic("serve loop stalled: queued jobs but no "
                       "arrivals and no active jobs");
-            arrivals.runUntil(nextArr);
-            for (std::size_t req : arrivedNow) {
+            const TimeNs nextArr = requests_[nextReq].arrivalNs;
+            for (; nextReq < requests_.size() &&
+                   requests_[nextReq].arrivalNs == nextArr;
+                 ++nextReq) {
+                const std::size_t req = nextReq;
                 const ServeRequest& r = requests_[req];
                 // Free capacity admits immediately — simultaneous
                 // arrivals must not be shed off a full queue while
@@ -678,7 +656,6 @@ ServeSim::run()
                                       r.arrivalNs);
                 }
             }
-            arrivedNow.clear();
             if (tp)
                 tp->queueDepth(queue.size(), nextArr);
             drainQueue(nextArr);
@@ -807,10 +784,8 @@ ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
     for (const std::string& d : spec_.designs)
         PolicyRegistry::instance().resolve(d);  // fatal on unknown
 
-    if (spec_.sweepPlanCache) {
-        ownedPlanCache_ = std::make_unique<SweepPlanCache>();
-        planCache_ = ownedPlanCache_.get();
-    }
+    if (spec_.sweepPlanCache)
+        planCache_ = std::make_unique<SweepPlanCache>();
 
     if (spec_.arrival.kind == ArrivalKind::Trace) {
         // Job classes are derived from the trace: one per distinct
@@ -862,13 +837,6 @@ ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
 }
 
 ServeSweep::~ServeSweep() = default;
-
-void
-ServeSweep::sharePlanCache(SweepPlanCache* cache)
-{
-    planCache_ = cache;
-    ownedPlanCache_.reset();
-}
 
 std::vector<ServeRequest>
 ServeSweep::requestsAtRate(double rate) const
@@ -923,13 +891,12 @@ ServeSweep::computeBaselines(ExperimentEngine& engine) const
         // task per design; sims are independent either way.
         std::vector<DesignInstance> designs(nd);
         engine.parallelFor(nd, [&](std::size_t d) {
-            int tag = 0;
-            if (planCache_ != nullptr &&
-                g10FamilyTag(spec_.designs[d], &tag)) {
+            const int tag = designTag(spec_.designs[d]);
+            if (planCache_ != nullptr && isG10Family(tag)) {
                 std::shared_ptr<const CompiledPlan> plan =
                     compilePlan(tag, traces_[c], classes_[c],
                                 spec_.scaleDown, slotSys, nullptr,
-                                planCache_);
+                                planCache_.get());
                 designs[d].uvmExtension =
                     tag == static_cast<int>(DesignPoint::G10);
                 designs[d].policy =
@@ -971,7 +938,7 @@ ServeSweep::runAutoRates(ExperimentEngine& engine,
                      minGpu_, requestsAtRate(rate), out->baselines[d]);
         sim.setObservers(d == 0 && rate == rootRate ? obs.sink : nullptr,
                          obs.collectCounters ? &pr.counters : nullptr);
-        sim.setPlanCache(planCache_);
+        sim.setPlanCache(planCache_.get());
         pr.cells.push_back(sim.run());
         pr.sustained = pr.cells.back().sustained();
         return pr;
@@ -1040,7 +1007,7 @@ ServeSweep::run(ExperimentEngine& engine, const ServeObsRequest& obs)
                      out.baselines[d]);
         sim.setObservers(i == 0 ? obs.sink : nullptr,
                          obs.collectCounters ? &regs[i] : nullptr);
-        sim.setPlanCache(planCache_);
+        sim.setPlanCache(planCache_.get());
         out.cells[i] = sim.run();
     });
     if (obs.collectCounters)

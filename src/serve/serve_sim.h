@@ -83,13 +83,6 @@ TimeNs planServiceEstimateNs(const KernelTrace& trace,
                              const SystemConfig& sys, int iterations);
 
 /**
- * The largest single-kernel working set of @p trace (page-rounded).
- * This is exactly what the runtime's OOM guard pins: a lease below it
- * is guaranteed to fail.
- */
-Bytes maxKernelWorkingSet(const KernelTrace& trace, Bytes page);
-
-/**
  * Per-class elastic capacity floor: the largest kernel working set
  * plus 12.5% headroom for in-flight transfers. ServeSweep computes
  * these once per sweep; the fleet router reuses them as the compiled
@@ -384,15 +377,6 @@ class ServeSweep
     ServeSweepResult run(ExperimentEngine& engine,
                          const ServeObsRequest& obs);
 
-    /**
-     * Share an externally owned plan cache instead of this sweep's own
-     * (pass null to disable caching outright, overriding the spec
-     * toggle). Callers running several sweeps over the same spec
-     * family (benchmarks timing static vs elastic, the fleet's nodes)
-     * use this so later sweeps start warm.
-     */
-    void sharePlanCache(SweepPlanCache* cache);
-
   private:
     ServeSpec spec_;
     std::vector<ServeJobClass> classes_;   ///< resolved classes
@@ -402,8 +386,7 @@ class ServeSweep
     std::vector<std::size_t> traceClass_;  ///< class of each trace req
 
     /** Sweep-scoped compile cache (spec.sweepPlanCache); null = off. */
-    std::unique_ptr<SweepPlanCache> ownedPlanCache_;
-    SweepPlanCache* planCache_ = nullptr;
+    std::unique_ptr<SweepPlanCache> planCache_;
 
     /** The offered request sequence at @p rate (req/s or trace
      *  multiplier); identical class sequence at every rate. */

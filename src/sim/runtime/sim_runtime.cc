@@ -156,13 +156,6 @@ SimRuntime::pinUntil(TensorId t, std::int64_t global_kernel)
     tr.pinnedUntil = std::max(tr.pinnedUntil, global_kernel);
 }
 
-bool
-SimRuntime::residentOrInFlight(TensorId t) const
-{
-    const TensorRt& tr = tensors_[static_cast<std::size_t>(t)];
-    return tr.allocated && tr.residentBytes >= tr.footprint;
-}
-
 void
 SimRuntime::drainPendingFrees(TimeNs at)
 {

@@ -192,9 +192,6 @@ class SimRuntime
         return tensors_[static_cast<std::size_t>(t)];
     }
 
-    /** True when every byte of @p t is in GPU memory or in flight. */
-    bool residentOrInFlight(TensorId t) const;
-
     /**
      * Fetch the non-resident bytes of @p t into GPU memory ahead of
      * use. No-op if fully resident or already in flight. Space is made

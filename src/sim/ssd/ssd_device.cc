@@ -324,19 +324,17 @@ SsdDevice::census() const
 }
 
 double
-SsdDevice::lifetimeYears(double dwpd, double rated_years,
-                         TimeNs elapsed_ns) const
+ssdLifetimeYears(const SsdStats& stats, Bytes capacity,
+                 TimeNs elapsed_ns, double dwpd, double rated_years)
 {
-    if (elapsed_ns <= 0 || stats_.nandWriteBytes == 0)
+    if (elapsed_ns <= 0 || stats.nandWriteBytes == 0)
         return rated_years;
     // Rated total NAND write budget.
     double budget = dwpd * rated_years * 365.0 *
-                    static_cast<double>(config_.ssdCapacityBytes);
+                    static_cast<double>(capacity);
     // Observed write rate (bytes/day).
-    double per_day = static_cast<double>(stats_.nandWriteBytes) /
+    double per_day = static_cast<double>(stats.nandWriteBytes) /
                      (static_cast<double>(elapsed_ns) / SEC) * 86400.0;
-    if (per_day <= 0.0)
-        return rated_years;
     return budget / per_day / 365.0;
 }
 

@@ -61,6 +61,21 @@ struct SsdStats
 };
 
 /**
+ * Device lifetime estimate in years under continuous operation at the
+ * NAND write rate of @p stats (§7.7's DWPD arithmetic): the rated write
+ * budget over the observed bytes written per day. @p rated_years when
+ * nothing was written.
+ *
+ * @param capacity    device capacity the endurance rating applies to
+ * @param elapsed_ns  simulated wall time that generated @p stats
+ * @param dwpd        rated drive-writes-per-day endurance
+ * @param rated_years endurance rating period
+ */
+double ssdLifetimeYears(const SsdStats& stats, Bytes capacity,
+                        TimeNs elapsed_ns, double dwpd,
+                        double rated_years);
+
+/**
  * One simulated SSD. Time is managed by the caller: service calls return
  * the device-busy duration for a request and advance internal wear state.
  */
@@ -135,17 +150,6 @@ class SsdDevice
 
     /** Recount the FTL's books (for conservation tests). */
     Census census() const;
-
-    /**
-     * Device lifetime estimate in years under continuous operation at
-     * the observed read/write mix (§7.7's DWPD arithmetic).
-     *
-     * @param dwpd        rated drive-writes-per-day endurance
-     * @param rated_years endurance rating period
-     * @param elapsed_ns  simulated wall time generating stats()
-     */
-    double lifetimeYears(double dwpd, double rated_years,
-                         TimeNs elapsed_ns) const;
 
   private:
     /** One kTableChunkPages slice of the logical page table; an empty

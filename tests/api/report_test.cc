@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "api/report.h"
-#include "engine/experiment_engine.h"
 #include "tests/test_util.h"
 
 namespace g10 {
@@ -17,13 +16,15 @@ namespace {
 const RunResult&
 smallResNetRun()
 {
-    static const RunResult r = Experiment()
-                                   .model(ModelKind::ResNet152)
-                                   .batch(256)
-                                   .scaleDown(64)
-                                   .design("g10")
-                                   .seed(11)
-                                   .run();
+    static const RunResult r = [] {
+        ExperimentConfig cfg;
+        cfg.model = ModelKind::ResNet152;
+        cfg.batchSize = 256;
+        cfg.scaleDown = 64;
+        cfg.design = "g10";
+        cfg.seed = 11;
+        return runExperimentResult(cfg);
+    }();
     return r;
 }
 
@@ -32,7 +33,6 @@ TEST(ReportFormat, NamesRoundTrip)
     EXPECT_EQ(reportFormatFromName("json"), ReportFormat::Json);
     EXPECT_EQ(reportFormatFromName("TABLE"), ReportFormat::Table);
     EXPECT_EQ(reportFormatFromName("Csv"), ReportFormat::Csv);
-    EXPECT_STREQ(reportFormatName(ReportFormat::Json), "json");
 }
 
 TEST(ReportFormatDeathTest, UnknownFormatListsValidNames)
@@ -122,35 +122,6 @@ TEST(Report, FailedRunSerializesReasonAndExitCode)
     EXPECT_EQ(doc.at("result").at("status").str, "failed");
     EXPECT_EQ(doc.at("result").at("fail_reason").str,
               "working set exceeds GPU memory");
-}
-
-TEST(Report, GridJsonPreservesOrderAndCount)
-{
-    KernelTrace trace = test::makeFwdBwdTrace(16, 6 * MiB, 500 * USEC);
-    std::vector<ExperimentConfig> grid;
-    for (const std::string& d : {"ideal", "baseuvm"}) {
-        ExperimentConfig cfg;
-        cfg.sys = test::tinySystem();
-        cfg.scaleDown = 1;
-        cfg.design = d;
-        grid.push_back(cfg);
-    }
-
-    ExperimentEngine engine(2);
-    std::vector<RunResult> results =
-        engine.runGridResultsOnTrace(trace, grid);
-    ASSERT_EQ(results.size(), 2u);
-
-    std::ostringstream os;
-    writeGridJson(os, results);
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(parseJson(os.str(), &doc, &err)) << err;
-    EXPECT_EQ(doc.at("schema").str, "g10.grid.v1");
-    EXPECT_DOUBLE_EQ(doc.at("runs").number, 2.0);
-    ASSERT_EQ(doc.at("results").items.size(), 2u);
-    EXPECT_EQ(doc.at("results").items[0].at("design").str, "Ideal");
-    EXPECT_EQ(doc.at("results").items[1].at("design").str, "Base UVM");
 }
 
 TEST(Report, MixResultJsonRoundTrip)

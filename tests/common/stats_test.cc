@@ -1,4 +1,4 @@
-/** @file Unit tests for Distribution / LogHistogram / Table / Rng. */
+/** @file Unit tests for Distribution / Table / Rng. */
 
 #include <gtest/gtest.h>
 
@@ -65,42 +65,6 @@ TEST(Distribution, AddAfterSortKeepsConsistency)
     d.add(2.0);
     EXPECT_DOUBLE_EQ(d.percentile(0.0), 1.0);
     EXPECT_DOUBLE_EQ(d.percentile(1.0), 3.0);
-}
-
-TEST(LogHistogram, BinsAndClamps)
-{
-    LogHistogram h(10.0, 1e6, 1);  // 5 decades, 1 bin each (+2 clamps)
-    h.add(5.0);      // underflow
-    h.add(15.0);     // first regular bin
-    h.add(1e7);      // overflow
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_EQ(h.binCountAt(0), 1u);
-    EXPECT_EQ(h.binCountAt(1), 1u);
-    EXPECT_EQ(h.binCountAt(h.binCount() - 1), 1u);
-}
-
-TEST(LogHistogram, CdfIsMonotoneAndEndsAtOne)
-{
-    LogHistogram h(1.0, 1e4, 2);
-    for (double v : {2.0, 20.0, 200.0, 2000.0, 2000.0})
-        h.add(v);
-    double prev = 0.0;
-    for (std::size_t i = 0; i < h.binCount(); ++i) {
-        double c = h.cdfAt(i);
-        EXPECT_GE(c, prev);
-        prev = c;
-    }
-    EXPECT_DOUBLE_EQ(h.cdfAt(h.binCount() - 1), 1.0);
-}
-
-TEST(LogHistogram, BinCenterIncreases)
-{
-    LogHistogram h(1.0, 1e3, 3);
-    double prev = 0.0;
-    for (std::size_t i = 0; i < h.binCount(); ++i) {
-        EXPECT_GT(h.binCenter(i), prev);
-        prev = h.binCenter(i);
-    }
 }
 
 TEST(Table, PrintsAlignedRowsAndCsv)

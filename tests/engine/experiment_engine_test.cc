@@ -6,10 +6,38 @@
 #include <numeric>
 
 #include "engine/experiment_engine.h"
+#include "policies/registry.h"
 #include "tests/test_util.h"
 
 namespace g10 {
 namespace {
+
+/** Run every config of @p grid against @p trace on @p engine's pool;
+ *  results in input order. */
+std::vector<ExecStats>
+runOnPool(ExperimentEngine& engine, const KernelTrace& trace,
+          const std::vector<ExperimentConfig>& grid)
+{
+    std::vector<ExecStats> results(grid.size());
+    engine.parallelFor(grid.size(), [&](std::size_t i) {
+        results[i] = runExperimentOnTrace(trace, grid[i]);
+    });
+    return results;
+}
+
+/** Instantiate every design of @p designs on @p engine's pool (the
+ *  G10-family entries each run their compile pipeline). */
+std::vector<DesignInstance>
+compileDesigns(ExperimentEngine& engine, const KernelTrace& trace,
+               const SystemConfig& sys,
+               const std::vector<std::string>& designs)
+{
+    std::vector<DesignInstance> out(designs.size());
+    engine.parallelFor(designs.size(), [&](std::size_t i) {
+        out[i] = PolicyRegistry::instance().make(designs[i], trace, sys);
+    });
+    return out;
+}
 
 /** A small grid over designs x batch-ish trace sizes. */
 std::vector<ExperimentConfig>
@@ -57,8 +85,8 @@ TEST(ExperimentEngine, GridIsBitIdenticalAcrossPoolSizes)
 
     ExperimentEngine serial(1);
     ExperimentEngine pooled(4);
-    std::vector<ExecStats> s = serial.runGridOnTrace(trace, grid);
-    std::vector<ExecStats> p = pooled.runGridOnTrace(trace, grid);
+    std::vector<ExecStats> s = runOnPool(serial, trace, grid);
+    std::vector<ExecStats> p = runOnPool(pooled, trace, grid);
 
     ASSERT_EQ(s.size(), grid.size());
     ASSERT_EQ(p.size(), grid.size());
@@ -84,7 +112,7 @@ TEST(ExperimentEngine, PooledGridMatchesDirectCalls)
     std::vector<ExperimentConfig> grid = smallGrid();
 
     ExperimentEngine pooled(3);
-    std::vector<ExecStats> p = pooled.runGridOnTrace(trace, grid);
+    std::vector<ExecStats> p = runOnPool(pooled, trace, grid);
     for (std::size_t i = 0; i < grid.size(); ++i) {
         ExecStats direct = runExperimentOnTrace(trace, grid[i]);
         EXPECT_EQ(direct.measuredIterationNs, p[i].measuredIterationNs)
@@ -148,9 +176,9 @@ TEST(ExperimentEngine, ParallelDesignCompileIsDeterministic)
     ExperimentEngine serial(1);
     ExperimentEngine pooled(4);
     std::vector<DesignInstance> s =
-        serial.compileDesignsOnTrace(trace, sys, designs);
+        compileDesigns(serial, trace, sys, designs);
     std::vector<DesignInstance> p =
-        pooled.compileDesignsOnTrace(trace, sys, designs);
+        compileDesigns(pooled, trace, sys, designs);
 
     ASSERT_EQ(s.size(), designs.size());
     ASSERT_EQ(p.size(), designs.size());

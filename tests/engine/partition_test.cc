@@ -95,7 +95,7 @@ TEST(PartitionManagerDeath, ZeroSlotsIsFatal)
                 ::testing::ExitedWithCode(1), "slots");
 }
 
-// ---- Elastic capacity: byte leases, resize, split, merge ----------
+// ---- Elastic capacity: byte leases, resize, split ------------------
 
 TEST(PartitionElastic, ByteLeaseAccountingConserves)
 {
@@ -139,7 +139,7 @@ TEST(PartitionElastic, ResizeMovesBytesThroughTheFreePool)
     pm.release(&a);
 }
 
-TEST(PartitionElastic, SplitConservesEveryByteAndMergeInverts)
+TEST(PartitionElastic, SplitConservesEveryByte)
 {
     PartitionManager pm(test::tinySystem(), 2);
     PartitionManager::Lease a = pm.acquireBytes(48 * MiB, 96 * MiB);
@@ -153,14 +153,14 @@ TEST(PartitionElastic, SplitConservesEveryByteAndMergeInverts)
     EXPECT_EQ(pm.activeLeases(), 2);
     EXPECT_NE(a.slot, child.slot);
 
-    // Merge is split's inverse: the parent gets everything back.
-    pm.merge(&a, &child);
-    EXPECT_EQ(a.sys.gpuMemBytes, 48 * MiB);
-    EXPECT_EQ(a.sys.hostMemBytes, 96 * MiB);
-    EXPECT_EQ(pm.leasedGpuBytes(), leased_before);
+    // Releasing the carved lease returns exactly its bytes.
+    const Bytes child_gpu = child.sys.gpuMemBytes;
+    pm.release(&child);
+    EXPECT_EQ(pm.leasedGpuBytes(), leased_before - child_gpu);
     EXPECT_EQ(pm.activeLeases(), 1);
     EXPECT_FALSE(child.active());
     pm.release(&a);
+    EXPECT_EQ(pm.leasedGpuBytes(), 0u);
 }
 
 TEST(PartitionElastic, ByteLeasesGrowPastTheSlotCap)
@@ -184,7 +184,7 @@ TEST(PartitionElastic, ByteLeasesGrowPastTheSlotCap)
 TEST(PartitionElastic, RandomChurnConservesBytes)
 {
     // Property: under arbitrary interleavings of acquire / release /
-    // resize / split / merge, leased + free == total at every step
+    // resize / split, leased + free == total at every step
     // and the slot table never hands out overlapping accounting.
     SystemConfig whole = test::tinySystem();
     PartitionManager pm(whole, 4);
@@ -198,7 +198,7 @@ TEST(PartitionElastic, RandomChurnConservesBytes)
     };
 
     for (int step = 0; step < 500; ++step) {
-        const std::uint64_t op = rnd() % 5;
+        const std::uint64_t op = rnd() % 4;
         if (op == 0 || leases.empty()) {
             const Bytes gpu = (1 + rnd() % 4) * MiB;
             if (gpu <= pm.freeGpuBytes() &&
@@ -217,18 +217,10 @@ TEST(PartitionElastic, RandomChurnConservesBytes)
                 pm.resize(&leases[i], gpu,
                           std::min(gpu, leases[i].sys.hostMemBytes +
                                             pm.freeHostBytes()));
-        } else if (op == 3) {
+        } else {
             const std::size_t i = rnd() % leases.size();
             if (leases[i].sys.gpuMemBytes >= 2 * MiB)
                 leases.push_back(pm.split(&leases[i], 0.5));
-        } else if (leases.size() >= 2) {
-            const std::size_t i = rnd() % leases.size();
-            std::size_t j = rnd() % leases.size();
-            if (i != j) {
-                pm.merge(&leases[i], &leases[j]);
-                leases.erase(leases.begin() +
-                             static_cast<std::ptrdiff_t>(j));
-            }
         }
 
         // Conservation invariants after every operation.

@@ -52,7 +52,9 @@ TEST(KernelTrace, PeakKernelWorkingSet)
 {
     KernelTrace t = test::makeChainTrace(3, 2 * MiB, 1 * MSEC);
     // Largest kernel touches input + output = 4 MiB.
-    EXPECT_EQ(t.peakKernelWorkingSet(), 4 * MiB);
+    EXPECT_EQ(t.peakKernelWorkingSet(1), 4 * MiB);
+    // Page rounding: each 2 MiB tensor takes one whole 3 MiB page.
+    EXPECT_EQ(t.peakKernelWorkingSet(3 * MiB), 6 * MiB);
 }
 
 TEST(KernelTraceDeath, ValidateCatchesReadBeforeWrite)

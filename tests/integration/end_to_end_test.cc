@@ -18,14 +18,13 @@ constexpr unsigned kScale = 32;  // keep CI runs fast
 ExecStats
 runModel(ModelKind m, const std::string& d, double err = 0.0)
 {
-    return Experiment()
-        .model(m)
-        .batch(paperBatchSize(m))
-        .scaleDown(kScale)
-        .design(d)
-        .timingError(err)
-        .run()
-        .stats;
+    ExperimentConfig cfg;
+    cfg.model = m;
+    cfg.batchSize = paperBatchSize(m);
+    cfg.scaleDown = kScale;
+    cfg.design = d;
+    cfg.timingErrorPct = err;
+    return runExperiment(cfg);
 }
 
 class ModelDesignTest

@@ -4,8 +4,8 @@
 
 #include "api/experiment.h"
 #include "policies/baselines.h"
-#include "policies/design_point.h"
 #include "policies/g10_policy.h"
+#include "policies/registry.h"
 #include "tests/test_util.h"
 
 namespace g10 {
@@ -13,29 +13,31 @@ namespace {
 
 TEST(DesignPoint, NamesMatchPaperLegend)
 {
-    EXPECT_STREQ(designPointName(DesignPoint::BaseUvm), "Base UVM");
-    EXPECT_STREQ(designPointName(DesignPoint::DeepUmPlus), "DeepUM+");
-    EXPECT_STREQ(designPointName(DesignPoint::FlashNeuron),
-                 "FlashNeuron");
-    EXPECT_STREQ(designPointName(DesignPoint::G10), "G10");
-    EXPECT_EQ(allDesignPoints().size(), 6u);
-    EXPECT_EQ(sweepDesignPoints().size(), 4u);
+    PolicyRegistry& reg = PolicyRegistry::instance();
+    EXPECT_EQ(reg.resolve("baseuvm").name, "Base UVM");
+    EXPECT_EQ(reg.resolve("deepum").name, "DeepUM+");
+    EXPECT_EQ(reg.resolve("flashneuron").name, "FlashNeuron");
+    EXPECT_EQ(reg.resolve("g10").name, "G10");
+    EXPECT_EQ(reg.resolve("g10").builtinTag,
+              static_cast<int>(DesignPoint::G10));
+    EXPECT_EQ(allDesignNames().size(), 6u);
+    EXPECT_EQ(sweepDesignNames().size(), 4u);
 }
 
 TEST(DesignPoint, FactoryInstantiatesEveryDesign)
 {
     KernelTrace t = test::makeFwdBwdTrace(16, 8 * MiB, 1 * MSEC);
     SystemConfig sys = test::tinySystem();
-    for (DesignPoint d : allDesignPoints()) {
-        DesignInstance inst = makeDesign(d, t, sys);
-        ASSERT_NE(inst.policy, nullptr) << designPointName(d);
-        EXPECT_STREQ(inst.policy->name(), designPointName(d));
+    PolicyRegistry& reg = PolicyRegistry::instance();
+    for (const std::string& d : allDesignNames()) {
+        DesignInstance inst = reg.make(d, t, sys);
+        ASSERT_NE(inst.policy, nullptr) << d;
+        EXPECT_EQ(inst.policy->name(), designDisplayName(d));
     }
     // Only full G10 carries the UVM extension.
-    EXPECT_TRUE(makeDesign(DesignPoint::G10, t, sys).uvmExtension);
-    EXPECT_FALSE(
-        makeDesign(DesignPoint::G10Host, t, sys).uvmExtension);
-    EXPECT_FALSE(makeDesign(DesignPoint::G10Gds, t, sys).uvmExtension);
+    EXPECT_TRUE(reg.make("g10", t, sys).uvmExtension);
+    EXPECT_FALSE(reg.make("g10host", t, sys).uvmExtension);
+    EXPECT_FALSE(reg.make("g10gds", t, sys).uvmExtension);
 }
 
 TEST(FlashNeuron, SelectsOnlyActivations)

@@ -9,6 +9,7 @@
 
 #include "api/experiment.h"
 #include "policies/baselines.h"
+#include "policies/g10_policy.h"
 #include "policies/registry.h"
 #include "sim/runtime/sim_runtime.h"
 #include "tests/test_util.h"
@@ -52,17 +53,22 @@ TEST(PolicyRegistry, AliasAndSpellingResolution)
     EXPECT_EQ(reg.find("G10-GDS"), gds);
 
     EXPECT_EQ(reg.find("deepum+"), reg.find("deepum"));
-    EXPECT_FALSE(reg.contains("nonexistent-policy"));
+    EXPECT_EQ(reg.find("nonexistent-policy"), nullptr);
 }
 
-TEST(PolicyRegistry, LegacyEnumShimsRouteThroughRegistry)
+TEST(PolicyRegistry, BuiltinTagsNameTheDesignPoint)
 {
-    EXPECT_EQ(designPointFromName("uvm"), DesignPoint::BaseUvm);
-    EXPECT_EQ(designPointFromName("G10-Host"), DesignPoint::G10Host);
+    PolicyRegistry& reg = PolicyRegistry::instance();
+    EXPECT_EQ(reg.resolve("uvm").builtinTag,
+              static_cast<int>(DesignPoint::BaseUvm));
+    EXPECT_EQ(reg.resolve("G10-Host").builtinTag,
+              static_cast<int>(DesignPoint::G10Host));
+    EXPECT_TRUE(isG10Family(reg.resolve("g10gds").builtinTag));
+    EXPECT_FALSE(isG10Family(reg.resolve("deepum").builtinTag));
 
     KernelTrace t = test::makeFwdBwdTrace(8, 4 * MiB, 500 * USEC);
     SystemConfig sys = test::tinySystem();
-    DesignInstance inst = makeDesign(DesignPoint::BaseUvm, t, sys);
+    DesignInstance inst = reg.make("Base UVM", t, sys);
     ASSERT_NE(inst.policy, nullptr);
     EXPECT_STREQ(inst.policy->name(), "Base UVM");
 }
@@ -93,20 +99,18 @@ TEST(PolicyRegistryDeathTest, DuplicateRegistrationIsFatal)
         ::testing::ExitedWithCode(1), "already registered");
 }
 
-TEST(PolicyRegistryDeathTest, CustomNameHasNoEnumValue)
+TEST(PolicyRegistry, CustomNameHasNoBuiltinTag)
 {
-    EXPECT_EXIT(
-        {
-            PolicyRegistry::instance().add(
-                {"EnumLess", "enumless", {}, "custom",
-                 [](const KernelTrace&, const SystemConfig&) {
-                     DesignInstance d;
-                     d.policy = std::make_unique<IdealPolicy>();
-                     return d;
-                 }});
-            designPointFromName("enumless");
-        },
-        ::testing::ExitedWithCode(1), "no\\s+DesignPoint enum value");
+    PolicyRegistry::instance().add(
+        {"EnumLess", "enumless", {}, "custom",
+         [](const KernelTrace&, const SystemConfig&) {
+             DesignInstance d;
+             d.policy = std::make_unique<IdealPolicy>();
+             return d;
+         }});
+    const PolicyInfo& info = PolicyRegistry::instance().resolve("enumless");
+    EXPECT_EQ(info.builtinTag, -1);
+    EXPECT_FALSE(isG10Family(info.builtinTag));
 }
 
 /** A custom design defined entirely inside this test binary. */
@@ -135,7 +139,7 @@ TEST(PolicyRegistry, CustomPolicyRunsEndToEnd)
 
     // Via the fluent builder (real model, heavily scaled down).
     RunResult r = Experiment()
-                      .model("ResNet152")
+                      .model(ModelKind::ResNet152)
                       .batch(256)
                       .scaleDown(64)
                       .design("test-custom")
@@ -158,8 +162,8 @@ TEST(PolicyRegistry, CustomPolicyRunsEndToEnd)
 
 TEST(PolicyRegistry, BuilderKnobsReachRunConfig)
 {
-    // weightWatermark and the uvmExtension override used to be
-    // unreachable through the facade; both must now affect the run.
+    // weightWatermark and the uvmExtension override set on an
+    // ExperimentConfig must reach the run.
     KernelTrace t =
         test::makeFwdBwdTrace(24, 8 * MiB, 1 * MSEC, 24 * MiB);
     SystemConfig sys = test::tinySystem();
@@ -181,21 +185,6 @@ TEST(PolicyRegistry, BuilderKnobsReachRunConfig)
     EXPECT_FALSE(off.failed);
     EXPECT_FALSE(on.failed);
     EXPECT_LE(on.measuredIterationNs, off.measuredIterationNs);
-
-    // The builder accepts and forwards the same knobs.
-    RunResult r = Experiment()
-                      .model(ModelKind::ResNet152)
-                      .batch(256)
-                      .scaleDown(64)
-                      .design("g10")
-                      .weightWatermark(0.5)
-                      .uvmExtension(false)
-                      .seed(7)
-                      .iterations(2)
-                      .run();
-    EXPECT_EQ(r.config.weightWatermark, 0.5);
-    EXPECT_EQ(r.config.uvmExtension, 0);
-    EXPECT_EQ(r.config.seed, 7u);
 }
 
 }  // namespace

@@ -264,6 +264,55 @@ TEST(ServeSim, SimultaneousArrivalsFillIdleSlotsBeforeShedding)
     EXPECT_GT(res.cells[0].jobs[2].queueNs(), 0);
 }
 
+TEST(ServeSim, SameInstantArrivalsAreHandledInRequestOrder)
+{
+    // Two requests at the same instant, one slot, no queue: the first
+    // in request order takes the slot and the second is shed.
+    std::string path = ::testing::TempDir() + "g10_serve_tie_" +
+                       std::to_string(::getpid()) + ".arr";
+    {
+        std::ofstream f(path);
+        f << "req = 10 ResNet152 batch=256\n"
+             "req = 10 ResNet152 batch=256\n";
+    }
+
+    ServeSpec spec;
+    spec.scaleDown = 64;
+    spec.slots = 1;
+    spec.queueCapacity = 0;
+    spec.designs = {"g10"};
+    spec.rates = {1.0};
+    spec.arrival.kind = ArrivalKind::Trace;
+    spec.arrival.tracePath = path;
+
+    ExperimentEngine engine(1);
+    ServeSweepResult res = ServeSweep(spec).run(engine);
+    std::remove(path.c_str());
+
+    const std::vector<ServeJobOutcome>& jobs = res.cells[0].jobs;
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_FALSE(jobs[0].rejected);
+    EXPECT_EQ(jobs[0].admitNs, 10 * MSEC);
+    EXPECT_TRUE(jobs[1].rejected);
+}
+
+TEST(ServeSimDeath, DecreasingArrivalTimesPanic)
+{
+    // The cell walks its requests with a cursor, so it refuses an
+    // offered sequence that is not in time order.
+    ServeSpec spec;
+    std::vector<KernelTrace> traces;
+    std::vector<ServeJobClass> classes;
+    std::vector<Bytes> minGpu;
+    std::vector<ServeClassBaseline> baselines;
+    std::vector<ServeRequest> requests(2);
+    requests[0].arrivalNs = 2 * MSEC;
+    requests[1].arrivalNs = 1 * MSEC;
+    EXPECT_DEATH(ServeSim(spec, "g10", 1.0, traces, classes, minGpu,
+                          requests, baselines),
+                 "request 1 arrives before request 0");
+}
+
 TEST(ServeSim, PriorityAdmissionStillServesEveryone)
 {
     ServeSpec spec = tinySpec();
@@ -423,23 +472,18 @@ TEST(ServeSimElastic, DemoCapacityKneesMatchTheReadmeTable)
 {
     // The README's elastic-capacity table: the demo mix at 1/16 scale,
     // knees auto-bisected under static slots and then under ondemand
-    // partitions, both searches sharing one plan cache.
+    // partitions.
     ServeSpec spec = demoServeSpec(16);
     spec.designs = {"baseuvm", "g10"};
     spec.rates.clear();
     spec.ratesAuto = true;
     spec.rateProbes = 14;
 
-    SweepPlanCache cache;
     ExperimentEngine engine;
     spec.partitionPolicy = PartitionPolicy::Static;
-    ServeSweep staticSweep(spec);
-    staticSweep.sharePlanCache(&cache);
-    const ServeSweepResult st = staticSweep.run(engine);
+    const ServeSweepResult st = ServeSweep(spec).run(engine);
     spec.partitionPolicy = PartitionPolicy::OnDemand;
-    ServeSweep elasticSweep(spec);
-    elasticSweep.sharePlanCache(&cache);
-    const ServeSweepResult el = elasticSweep.run(engine);
+    const ServeSweepResult el = ServeSweep(spec).run(engine);
 
     ASSERT_EQ(st.sustainedRate.size(), 2u);
     ASSERT_EQ(el.sustainedRate.size(), 2u);

@@ -86,8 +86,10 @@ TEST(SsdDevice, LifetimeYearsScalesInverselyWithWriteRate)
     a.serviceWrite(lp1, 64 * MiB);
     b.serviceWrite(lp2, 64 * MiB);
     b.serviceWrite(lp2, 64 * MiB);  // double the writes, same window
-    double la = a.lifetimeYears(30.0, 5.0, 1 * SEC);
-    double lb = b.lifetimeYears(30.0, 5.0, 1 * SEC);
+    double la = ssdLifetimeYears(a.stats(), s.ssdCapacityBytes, 1 * SEC,
+                                 30.0, 5.0);
+    double lb = ssdLifetimeYears(b.stats(), s.ssdCapacityBytes, 1 * SEC,
+                                 30.0, 5.0);
     EXPECT_NEAR(la / lb, 2.0, 0.05);
 }
 
@@ -99,7 +101,8 @@ TEST(SsdDevice, LifetimeMatchesPaperArithmetic)
     SsdDevice ssd(s);
     auto lp = ssd.allocLogical(3ULL * 1000 * 1000 * 1000);
     ssd.serviceWrite(lp, 3ULL * 1000 * 1000 * 1000);  // 3 GB of writes
-    double years = ssd.lifetimeYears(30.0, 5.0, 2 * SEC);  // in 2 s
+    double years = ssdLifetimeYears(ssd.stats(), s.ssdCapacityBytes,
+                                    2 * SEC, 30.0, 5.0);  // in 2 s
     EXPECT_NEAR(years, 3.7, 0.2);
 }
 

@@ -167,11 +167,7 @@ runConfig(const std::string& path, const tools::CliArgs& args)
     cfg.uvmExtension = file.uvmExtension;
 
     const int listing = file.listing;
-    bool g10Design =
-        design.builtinTag == static_cast<int>(DesignPoint::G10) ||
-        design.builtinTag == static_cast<int>(DesignPoint::G10Host) ||
-        design.builtinTag == static_cast<int>(DesignPoint::G10Gds);
-    if (listing > 0 && g10Design) {
+    if (listing > 0 && isG10Family(design.builtinTag)) {
         CompiledPlan plan = compileG10Plan(trace, sys);
         printInstrumentedProgram(std::cout, *plan.vitality, plan.plan,
                                  0, listing);
