@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot paths of the compile
- * pipeline and the simulator: StepFunction range math, vitality
- * analysis, Algorithm 1 scheduling, the SSD FTL under garbage
- * collection, and full simulation replay.
+ * pipeline and the simulator: PressureCurve and StepFunction range
+ * math, vitality analysis, Algorithm 1 scheduling, the SSD FTL under
+ * garbage collection, and full simulation replay.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,45 +22,54 @@ namespace {
 using namespace g10;
 
 void
-BM_StepFunctionAdd(benchmark::State& state)
+BM_PressureCurveAdd(benchmark::State& state)
 {
     const auto ranges = state.range(0);
     for (auto _ : state) {
-        StepFunction f;
+        PressureCurve f;
         for (std::int64_t i = 0; i < ranges; ++i)
-            f.add(i * 7, i * 7 + 400, 1.0);
+            f.add(i * 7, i * 7 + 400, 1);
         benchmark::DoNotOptimize(f.maxValue());
     }
     state.SetItemsProcessed(state.iterations() * ranges);
 }
-BENCHMARK(BM_StepFunctionAdd)->Arg(256)->Arg(4096);
+BENCHMARK(BM_PressureCurveAdd)->Arg(256)->Arg(4096);
 
 void
-BM_StepFunctionIntegralAbove(benchmark::State& state)
+BM_PressureCurveIntegralAbove(benchmark::State& state)
 {
-    StepFunction f;
+    // Overlapping lifetimes of random sizes. Arg 0: the threshold sits
+    // mid-range, so chunks straddle it and are scanned segment by
+    // segment. Arg 1: a saturated window, every value at least the cap
+    // above the threshold (the eviction scheduler's common case), so
+    // each whole chunk is settled from its aggregates.
+    PressureCurve f;
+    std::mt19937_64 rng(7);
     for (std::int64_t i = 0; i < 4096; ++i)
-        f.add(i * 11, i * 11 + 700, 1.0);
+        f.add(i * 11, i * 11 + 700, static_cast<std::int64_t>(rng() % 64));
+    const bool saturated = state.range(0) != 0;
+    const std::int64_t thr = saturated ? 0 : f.valueAt(4096 * 11 / 2);
+    const std::int64_t cap = saturated ? 5 : std::int64_t{1} << 40;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            f.integralAbove(0, 4096 * 11, 20.0, 5.0));
+            f.integralAbove(800, 4096 * 11, thr, cap));
 }
-BENCHMARK(BM_StepFunctionIntegralAbove);
+BENCHMARK(BM_PressureCurveIntegralAbove)->Arg(0)->Arg(1);
 
 void
-BM_StepFunctionMaxOver(benchmark::State& state)
+BM_PressureCurveMaxOver(benchmark::State& state)
 {
     // The eviction scheduler's host-peak check: window maxima over a
     // curve built from overlapping tensor lifetimes (positive adds)
     // and committed evictions (negative adds). Items are queries.
     const TimeNs horizon = 1'000'000'000;
-    StepFunction f;
+    PressureCurve f;
     std::mt19937_64 rng(7);
     for (int i = 0; i < 4000; ++i) {
         const TimeNs t0 = static_cast<TimeNs>(rng() % horizon);
         const TimeNs len = 1 + static_cast<TimeNs>(rng() % (horizon / 64));
         f.add(t0, std::min(horizon, t0 + len),
-              static_cast<double>(rng() % 8192) - 2048.0);
+              static_cast<std::int64_t>(rng() % 8192) - 2048);
     }
     std::vector<std::pair<TimeNs, TimeNs>> windows;
     for (int q = 0; q < 4000; ++q) {
@@ -74,7 +83,7 @@ BM_StepFunctionMaxOver(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(windows.size()));
 }
-BENCHMARK(BM_StepFunctionMaxOver);
+BENCHMARK(BM_PressureCurveMaxOver);
 
 void
 BM_StepFunctionCursorWalk(benchmark::State& state)

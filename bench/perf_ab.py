@@ -9,7 +9,9 @@ Extracts BASE_REV with `git archive` into a temporary directory, then
 runs each tree's own `perfbench/run.py --workload W --seconds 4` for 10
 pairs per workload, alternating which side runs first. Each tree builds
 its own g10perf. Prints each side's op_s.p50 median and quartiles, the
-pairs the change won and the median paired change/base ratio.
+pairs the change won and the median paired change/base ratio, and each
+side's median of the other end-to-end metrics (op_s.p90, op_cpu_s.p50,
+peak_rss_mb, setup_s).
 
 Exits 1 as soon as a run of either side fails, reports a failed op or
 a golden other than "match"; otherwise exits 1 if the median paired
@@ -29,6 +31,8 @@ PAIRS = 10
 SECONDS = 4
 BUDGET = 1.10
 METRIC = "op_s.p50"
+# Reported next to METRIC; only METRIC is gated.
+OTHERS = ("op_s.p90", "op_cpu_s.p50", "peak_rss_mb", "setup_s")
 
 
 def fail(msg):
@@ -49,7 +53,8 @@ def extract(rev, dest):
 
 
 def run(side, tree, workload):
-    """One perfbench run of @p tree; its op_s.p50, or exit on bad results."""
+    """One perfbench run of @p tree; its METRIC and OTHERS values, or
+    exit on bad results."""
     # Each tree builds into its own directory, whatever the caller set.
     env = dict(os.environ, CARGO_TARGET_DIR=str(tree / ".bench_build"))
     p = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
@@ -64,18 +69,24 @@ def run(side, tree, workload):
     if info["golden"] != "match" or result["failed"]:
         fail(f"{side}: {workload} golden {info['golden']!r}, "
              f"{result['failed']}/{result['attempted']} ops failed")
-    return result["metrics"][METRIC]["value"]
+    return {m: result["metrics"][m]["value"] for m in (METRIC,) + OTHERS}
 
 
 def compare(workload, trees):
     """PAIRS interleaved pairs; returns the median change/base ratio."""
-    times = {"base": [], "change": []}
+    runs = {"base": [], "change": []}
     for i in range(PAIRS):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            times[side].append(run(side, trees[side], workload))
-        print(f"  pair {i + 1:2d}: base {times['base'][-1]:.4f} s  "
-              f"change {times['change'][-1]:.4f} s", flush=True)
+            runs[side].append(run(side, trees[side], workload))
+        print(f"  pair {i + 1:2d}: base {runs['base'][-1][METRIC]:.4f} s  "
+              f"change {runs['change'][-1][METRIC]:.4f} s", flush=True)
+
+    for m in OTHERS:
+        b, c = (statistics.median(r[m] for r in runs[side])
+                for side in ("base", "change"))
+        print(f"{workload} {m}: median base {b:.4f}  change {c:.4f}")
+    times = {side: [r[METRIC] for r in runs[side]] for side in runs}
 
     pairs = list(zip(times["base"], times["change"]))
     ratio = statistics.median(c / b for b, c in pairs)

@@ -1,9 +1,6 @@
 #include "step_function.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "logging.h"
 
 namespace g10 {
 
@@ -15,59 +12,11 @@ StepFunction::ensureBreakpoint(TimeNs t)
     if (it != times_.end() && *it == t)
         return idx;
     // A new breakpoint carries the value in force at t, so the function
-    // itself (and the cached peak) is unchanged by the insertion.
+    // itself is unchanged by the insertion.
     double prev = (idx == 0) ? 0.0 : vals_[idx - 1];
     times_.insert(it, t);
     vals_.insert(vals_.begin() + static_cast<std::ptrdiff_t>(idx), prev);
-    indexShiftedAt(idx);
     return idx;
-}
-
-void
-StepFunction::indexShiftedAt(std::size_t idx)
-{
-    std::size_t nb = numBlocks();
-    blockMax_.resize(nb);
-    blockValid_.resize(nb, 0);
-    // Everything from the insertion block on holds a different slice of
-    // vals_ now; an append only dirties the final block.
-    std::fill(blockValid_.begin() +
-                  static_cast<std::ptrdiff_t>(idx >> kBlockShift),
-              blockValid_.end(), static_cast<unsigned char>(0));
-}
-
-double
-StepFunction::blockMaxOf(std::size_t b) const
-{
-    if (!blockValid_[b]) {
-        std::size_t lo = b << kBlockShift;
-        std::size_t hi = std::min(times_.size(), lo + kBlockSize);
-        double m = vals_[lo];
-        for (std::size_t i = lo + 1; i < hi; ++i)
-            m = std::max(m, vals_[i]);
-        blockMax_[b] = m;
-        blockValid_[b] = 1;
-    }
-    return blockMax_[b];
-}
-
-double
-StepFunction::maxRange(std::size_t lo, std::size_t hi, double best) const
-{
-    while (lo < hi) {
-        std::size_t b = lo >> kBlockShift;
-        std::size_t blockEnd =
-            std::min(times_.size(), (b + 1) << kBlockShift);
-        if (lo == (b << kBlockShift) && blockEnd <= hi) {
-            best = std::max(best, blockMaxOf(b));
-            lo = blockEnd;
-            continue;
-        }
-        std::size_t stop = std::min(hi, blockEnd);
-        for (; lo < stop; ++lo)
-            best = std::max(best, vals_[lo]);
-    }
-    return best;
 }
 
 void
@@ -79,42 +28,8 @@ StepFunction::add(TimeNs t0, TimeNs t1, double delta)
     std::size_t i0 = ensureBreakpoint(t0);
     std::size_t i1 = ensureBreakpoint(t1);  // i1 > i0 since t1 > t0
 
-    double span_before = vals_[i0];
-    double span_after = vals_[i0] + delta;
-    for (std::size_t i = i0; i < i1; ++i) {
-        span_before = std::max(span_before, vals_[i]);
+    for (std::size_t i = i0; i < i1; ++i)
         vals_[i] += delta;
-        span_after = std::max(span_after, vals_[i]);
-    }
-
-    // Maintain the block index across the range-add: a block fully
-    // inside [i0, i1) keeps its max witness (max(fl(v+d)) ==
-    // fl(max(v)+d) since rounding is monotone); a partially covered
-    // block goes stale.
-    for (std::size_t b = i0 >> kBlockShift; b <= ((i1 - 1) >> kBlockShift);
-         ++b) {
-        if (!blockValid_[b])
-            continue;
-        std::size_t lo = b << kBlockShift;
-        std::size_t hi = std::min(times_.size(), lo + kBlockSize);
-        if (i0 <= lo && hi <= i1)
-            blockMax_[b] += delta;
-        else
-            blockValid_[b] = 0;
-    }
-
-    if (!maxDirty_) {
-        if (delta > 0.0) {
-            // Values outside [i0,i1) are unchanged, values inside only
-            // grew: the new peak is known exactly.
-            cachedMax_ = std::max(cachedMax_, span_after);
-        } else if (span_before >= cachedMax_) {
-            // The old peak may have lived in the lowered span; a lazy
-            // rescan settles it.
-            maxDirty_ = true;
-        }
-        // else: the peak is outside the lowered span and survives.
-    }
 }
 
 double
@@ -122,124 +37,6 @@ StepFunction::valueAt(TimeNs t) const
 {
     std::size_t idx = upperBound(t);
     return (idx == 0) ? 0.0 : vals_[idx - 1];
-}
-
-double
-StepFunction::maxOver(TimeNs t0, TimeNs t1) const
-{
-    if (t1 <= t0)
-        return 0.0;
-    std::size_t lo = upperBound(t0);
-    double best = (lo == 0) ? 0.0 : vals_[lo - 1];
-    return maxRange(lo, lowerBound(t1), best);
-}
-
-double
-StepFunction::minOver(TimeNs t0, TimeNs t1) const
-{
-    if (t1 <= t0)
-        return 0.0;
-    double best = valueAt(t0);
-    for (std::size_t i = upperBound(t0);
-         i < times_.size() && times_[i] < t1; ++i)
-        best = std::min(best, vals_[i]);
-    return best;
-}
-
-double
-StepFunction::maxValue() const
-{
-    if (maxDirty_) {
-        cachedMax_ = maxRange(0, times_.size(), 0.0);
-        maxDirty_ = false;
-    }
-    return cachedMax_;
-}
-
-double
-StepFunction::integralAbove(TimeNs t0, TimeNs t1, double threshold,
-                            double cap_per_t) const
-{
-    if (t1 <= t0)
-        return 0.0;
-    double area = 0.0;
-
-    // Head segment [t0, first breakpoint past t0), value in force at t0.
-    std::size_t lo = upperBound(t0);
-    double headVal = (lo == 0) ? 0.0 : vals_[lo - 1];
-    TimeNs headEnd = (lo < times_.size())
-        ? std::min<TimeNs>(times_[lo], t1)
-        : t1;
-    double headExcess = headVal - threshold;
-    if (headExcess > 0.0)
-        area += std::min(headExcess, cap_per_t) *
-            static_cast<double>(headEnd - t0);
-
-    // Body: breakpoints inside the window, skipping whole blocks whose
-    // max sits at or below the threshold — every segment there fails
-    // the excess test and would never have touched the accumulator, so
-    // the result is bit-identical to the plain segment walk.
-    std::size_t hi = lowerBound(t1);
-    std::size_t i = lo;
-    while (i < hi) {
-        std::size_t b = i >> kBlockShift;
-        std::size_t stop =
-            std::min(hi, std::min(times_.size(), (b + 1) << kBlockShift));
-        if (blockMaxOf(b) <= threshold) {
-            i = stop;
-            continue;
-        }
-        for (; i < stop; ++i) {
-            double excess = vals_[i] - threshold;
-            if (excess > 0.0) {
-                TimeNs end = (i + 1 < times_.size())
-                    ? std::min<TimeNs>(times_[i + 1], t1)
-                    : t1;
-                area += std::min(excess, cap_per_t) *
-                    static_cast<double>(end - times_[i]);
-            }
-        }
-    }
-    return area;
-}
-
-TimeNs
-StepFunction::earliestFit(TimeNs t_min, TimeNs t_latest, TimeNs t_end,
-                          double delta, double limit) const
-{
-    if (t_latest < t_min)
-        return t_latest;
-
-    // The prefetch must fit from its issue time t' all the way to t_end
-    // (when the tensor turns active and is accounted for by the kernel
-    // itself). Scan segments backward from t_latest; the answer is the
-    // start of the earliest contiguous run of segments, ending at or after
-    // t_latest, whose value + delta stays within limit.
-    if (maxOver(t_latest, std::max(t_latest + 1, t_end)) + delta > limit) {
-        // Even the latest position overflows; report t_latest and let the
-        // caller keep the latest-safe schedule (capacity will be handled
-        // at runtime by demand eviction).
-        return t_latest;
-    }
-
-    TimeNs candidate = t_latest;
-    // Walk breakpoints in (t_min, t_latest] from the right.
-    std::size_t idx = upperBound(t_latest);
-    while (true) {
-        if (idx == 0) {
-            // Value is 0 all the way back to -inf.
-            if (0.0 + delta <= limit)
-                candidate = t_min;
-            break;
-        }
-        --idx;
-        if (vals_[idx] + delta > limit)
-            break;  // this segment [times_[idx], ...) would overflow
-        candidate = std::max<TimeNs>(t_min, times_[idx]);
-        if (times_[idx] <= t_min)
-            break;
-    }
-    return candidate;
 }
 
 std::vector<StepFunction::Segment>
@@ -257,8 +54,7 @@ void
 StepFunction::compact()
 {
     // In-place two-pointer sweep keeping only breakpoints that change
-    // the value. The function is untouched, so the cached peak stays
-    // valid: any dropped value is duplicated by the kept breakpoint
+    // the value: any dropped value is duplicated by the kept breakpoint
     // before it (or is the implicit leading 0).
     double prev = 0.0;
     std::size_t w = 0;
@@ -272,8 +68,6 @@ StepFunction::compact()
     }
     times_.resize(w);
     vals_.resize(w);
-    blockMax_.assign(numBlocks(), 0.0);
-    blockValid_.assign(numBlocks(), 0);
 }
 
 }  // namespace g10

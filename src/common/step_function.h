@@ -1,40 +1,18 @@
 /**
  * @file
- * Piecewise-constant function over simulated time.
- *
- * This is the workhorse of G10's compile-time scheduler: the GPU memory
- * pressure curve (bytes vs. time) and the per-link bandwidth occupancy
- * timelines (busy fraction vs. time) are both StepFunctions. The eviction
- * scheduler repeatedly needs
- *   - range updates:   add +size over a tensor's residency interval,
- *   - range queries:   max over [t0,t1), value at t,
- *   - "benefit" math:  the integral of the part of the curve above a
- *                      threshold, clipped per-interval (Fig. 7 of the paper).
+ * Piecewise-constant double-valued function over simulated time: the
+ * per-link bandwidth occupancy timelines (busy fraction vs. time) of
+ * BandwidthModel. (The integer memory-pressure curve is PressureCurve.)
  *
  * Representation: flat sorted breakpoint arrays (structure-of-arrays:
  * `times_[i]` holds breakpoint i, `vals_[i]` the value on
  * [times_[i], times_[i+1])) instead of a node-based std::map. Lookups
- * are binary searches over a contiguous TimeNs array, range updates
- * touch a contiguous double span (vectorizable, zero allocations in the
- * common case), and the global maximum is cached so the eviction
- * scheduler's per-iteration peak check is O(1) instead of a full
- * rescan. Values are updated eagerly (no lazy tags) so every operation
- * of this class reproduces the historical map-based implementation's
- * floating-point accumulation order bit for bit. (Callers that also
- * changed *how often* they compact() — see BandwidthModel — own any
- * regrouping that introduces; the golden-determinism suite pins the
- * combined result.)
- *
- * Windowed queries (maxOver, the maxValue rescan, integralAbove) go
- * through a block range-max index: every 64 consecutive breakpoints
- * cache their value maximum, invalidated lazily — a breakpoint
- * insertion shifts the tail of the flat arrays, so blocks from the
- * insertion point on are marked stale and repaired on next touch,
- * while a pure range-add over fully covered blocks updates the cached
- * max in place (rounding is monotone, so max(fl(v_i+d)) ==
- * fl(max(v_i)+d) exactly). The index never changes results: the max
- * of a fixed multiset of doubles is independent of scan grouping, and
- * integralAbove only skips blocks whose contribution is exactly zero.
+ * are binary searches over a contiguous TimeNs array and range updates
+ * touch a contiguous double span. Values are updated eagerly (no lazy
+ * tags), so every operation reproduces the historical map-based
+ * implementation's floating-point accumulation order bit for bit.
+ * (BandwidthModel owns the regrouping its compact() cadence
+ * introduces; the golden-determinism suite pins the combined result.)
  *
  * Iteration over segments goes through the allocation-free Cursor
  * instead of materializing a std::vector<Segment> per query; the
@@ -136,48 +114,6 @@ class StepFunction
     /** Value at time @p t. */
     double valueAt(TimeNs t) const;
 
-    /** Maximum value over [t0, t1); 0 for empty intervals. */
-    double maxOver(TimeNs t0, TimeNs t1) const;
-
-    /** Minimum value over [t0, t1); 0 for empty intervals. */
-    double minOver(TimeNs t0, TimeNs t1) const;
-
-    /**
-     * Global maximum over the whole support (never below 0, matching
-     * the zero value outside the support). O(1) when the cached peak is
-     * valid; a range add can only invalidate it when it lowers the
-     * region the maximum lived in, which triggers one amortized linear
-     * rescan of the flat value array.
-     */
-    double maxValue() const;
-
-    /**
-     * Integral over [t0, t1) of max(0, min(cap_per_t, f(t) - threshold))
-     * where cap_per_t limits the per-instant contribution.
-     *
-     * With cap_per_t = +inf this is the area of the curve above
-     * @p threshold; with cap_per_t = tensor size it is exactly the paper's
-     * shaded "benefit" area of evicting that tensor (the eviction cannot
-     * reduce pressure at an instant by more than the tensor's size).
-     *
-     * @return area in value-units * nanoseconds
-     */
-    double integralAbove(TimeNs t0, TimeNs t1, double threshold,
-                         double cap_per_t) const;
-
-    /**
-     * Latest t' <= t_latest such that f(t) + delta <= limit for all
-     * t in [t', t_end). Returns t_latest if the condition already fails at
-     * t_latest itself (caller falls back to the latest safe time), else the
-     * earliest such t' bounded below by @p t_min.
-     *
-     * Used by the eager-prefetch pass (§4.4): search backward from the
-     * latest safe prefetch time for the earliest time the whole tensor fits
-     * under the capacity limit.
-     */
-    TimeNs earliestFit(TimeNs t_min, TimeNs t_latest, TimeNs t_end,
-                       double delta, double limit) const;
-
     /** Segment cursor over the window [t0, t1); see Cursor. */
     Cursor cursor(TimeNs t0, TimeNs t1) const
     {
@@ -194,10 +130,6 @@ class StepFunction
     void compact();
 
   private:
-    /// Breakpoints per range-max block (see file comment).
-    static constexpr std::size_t kBlockShift = 6;
-    static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-
     /** Index of the first breakpoint with time > @p t. */
     std::size_t
     upperBound(TimeNs t) const
@@ -207,55 +139,16 @@ class StepFunction
             times_.begin());
     }
 
-    /** Index of the first breakpoint with time >= @p t. */
-    std::size_t
-    lowerBound(TimeNs t) const
-    {
-        return static_cast<std::size_t>(
-            std::lower_bound(times_.begin(), times_.end(), t) -
-            times_.begin());
-    }
-
     /**
      * Index of the breakpoint at exactly @p t, inserting one carrying
      * the current value if absent.
      */
     std::size_t ensureBreakpoint(TimeNs t);
 
-    /** Block count covering @c vals_. */
-    std::size_t
-    numBlocks() const
-    {
-        return (times_.size() + kBlockSize - 1) >> kBlockShift;
-    }
-
-    /**
-     * Resize the block index after an insertion at @p idx and mark
-     * every block from the insertion point on stale (their contents
-     * shifted one slot right).
-     */
-    void indexShiftedAt(std::size_t idx);
-
-    /** Cached max of block @p b, repairing a stale block by rescan. */
-    double blockMaxOf(std::size_t b) const;
-
-    /** max(@p best, max of vals_[lo, hi)) via the block index. */
-    double maxRange(std::size_t lo, std::size_t hi, double best) const;
-
     // Breakpoints ascending; vals_[i] is the value from times_[i] until
     // times_[i+1]. The value before times_[0] is 0.
     std::vector<TimeNs> times_;
     std::vector<double> vals_;
-
-    // Range-max block index over vals_: blockMax_[b] is the max of
-    // vals_[b*64, (b+1)*64) while blockValid_[b]; repaired lazily.
-    mutable std::vector<double> blockMax_;
-    mutable std::vector<unsigned char> blockValid_;
-
-    // Cached global peak (floored at 0). Exact while !maxDirty_;
-    // maxValue() rescans lazily otherwise.
-    mutable double cachedMax_ = 0.0;
-    mutable bool maxDirty_ = false;
 };
 
 }  // namespace g10

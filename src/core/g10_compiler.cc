@@ -17,6 +17,7 @@ compileG10Plan(const KernelTrace& trace, const SystemConfig& config,
     out.prefetchStats = schedulePrefetches(
         out.schedule, evictor.bandwidth(), config, options.prefetch);
     out.plan = buildMigrationPlan(*out.vitality, out.schedule);
+    out.schedule.pressure = PressureCurve();  // nothing reads it past here
 
     inform("g10 compile: %s b=%d: %zu migrations (%.1f GB ssd, %.1f GB "
            "host), peak %.2f -> %.2f GB",

@@ -19,7 +19,8 @@ EvictionScheduler::EvictionScheduler(const VitalityAnalysis& vitality,
 
 double
 EvictionScheduler::scorePeriod(std::size_t pi,
-                               const StepFunction& pressure, double cap,
+                               const PressureCurve& pressure,
+                               std::int64_t cap,
                                TimeNs* evict_complete,
                                TimeNs* prefetch_latest) const
 {
@@ -45,13 +46,13 @@ EvictionScheduler::scorePeriod(std::size_t pi,
 
     // Paper Fig. 7: benefit = area of pressure above capacity that this
     // eviction removes; per-instant removal is capped by tensor size.
-    double area = pressure.integralAbove(t_free, t_pf, cap,
-                                         static_cast<double>(size));
-    if (area <= 0.0)
+    const PressureCurve::Area area = pressure.integralAbove(
+        t_free, t_pf, cap, static_cast<std::int64_t>(size));
+    if (area <= 0)
         return 0.0;
 
     double cost_ns = static_cast<double>(evict_dur + prefetch_dur);
-    return area / cost_ns;
+    return static_cast<double>(area) / cost_ns;
 }
 
 bool
@@ -81,8 +82,9 @@ EvictionScheduler::tryCommit(std::size_t pi, double host_cap,
     }
     if (dest == MemLoc::Host) {
         // Host staging must have room for the whole inactive period.
-        double host_peak = hostMemUse_.maxOver(p.startNs, p.endNs) +
-                           static_cast<double>(size);
+        double host_peak =
+            static_cast<double>(hostMemUse_.maxOver(p.startNs, p.endNs)) +
+            static_cast<double>(size);
         if (host_peak > host_cap) {
             if (params_.allowSsd) {
                 dest = MemLoc::Ssd;  // fall back to SSD
@@ -128,12 +130,12 @@ EvictionScheduler::tryCommit(std::size_t pi, double host_cap,
     m.wrapsIteration = p.wrapsIteration;
 
     out->pressure.add(m.evictComplete, m.prefetchStart,
-                      -static_cast<double>(size));
+                      -static_cast<std::int64_t>(size));
     bandwidth_.reserveEvict(evict_flow, size, dest);
     bandwidth_.reservePrefetch(pf_flow, size, dest);
     if (dest == MemLoc::Host) {
         hostMemUse_.add(p.startNs, p.endNs,
-                        static_cast<double>(size));
+                        static_cast<std::int64_t>(size));
         out->bytesToHost += size;
     } else {
         out->bytesToSsd += size;
@@ -146,7 +148,7 @@ EvictionSchedule
 EvictionScheduler::run()
 {
     const auto& periods = vitality_.periods();
-    const double cap = static_cast<double>(config_.gpuMemBytes);
+    const auto cap = static_cast<std::int64_t>(config_.gpuMemBytes);
     const double host_cap = static_cast<double>(config_.hostMemBytes) *
                             params_.hostMemFraction;
 
@@ -173,7 +175,7 @@ EvictionScheduler::run()
     // so every convergence check below reuses this hoisted value and
     // refreshes it exactly once per successful commit instead of
     // re-asking the (possibly dirty) curve each iteration.
-    double peak = out.pressure.maxValue();
+    std::int64_t peak = out.pressure.maxValue();
 
     if (params_.warmStart != nullptr) {
         const auto& prior = params_.warmStart->migrations;

@@ -27,7 +27,7 @@
 
 #include <vector>
 
-#include "common/step_function.h"
+#include "common/pressure_curve.h"
 #include "common/system_config.h"
 #include "core/sched/bandwidth_model.h"
 #include "core/sched/schedule_types.h"
@@ -86,8 +86,12 @@ struct EvictionSchedule
 {
     std::vector<ScheduledMigration> migrations;
 
-    /** Pressure curve after all committed evictions. */
-    StepFunction pressure;
+    /**
+     * Pressure curve after all committed evictions, handed to
+     * schedulePrefetches(). compileG10Plan() drops it once that pass is
+     * done, so compiled (and cached) plans do not carry it.
+     */
+    PressureCurve pressure;
 
     /** Peak pressure before any eviction. */
     Bytes initialPeakBytes = 0;
@@ -148,8 +152,8 @@ class EvictionScheduler
      * Benefit/cost of evicting the tensor of period @p pi right now.
      * @return score, plus the window/durations via out-params.
      */
-    double scorePeriod(std::size_t pi, const StepFunction& pressure,
-                       double cap, TimeNs* evict_complete,
+    double scorePeriod(std::size_t pi, const PressureCurve& pressure,
+                       std::int64_t cap, TimeNs* evict_complete,
                        TimeNs* prefetch_latest) const;
 
     /**
@@ -166,7 +170,7 @@ class EvictionScheduler
     BandwidthModel bandwidth_;
 
     // Host staging occupancy over planned time (bytes).
-    StepFunction hostMemUse_;
+    PressureCurve hostMemUse_;
 };
 
 }  // namespace g10

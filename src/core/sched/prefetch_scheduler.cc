@@ -32,15 +32,14 @@ schedulePrefetches(EvictionSchedule& schedule, BandwidthModel& bandwidth,
         if (t_latest <= t_min)
             continue;
 
+        const auto bytes = static_cast<std::int64_t>(m.bytes);
         TimeNs chosen = schedule.pressure.earliestFit(
-            t_min, t_latest, t_latest, static_cast<double>(m.bytes),
-            limit);
+            t_min, t_latest, t_latest, bytes, limit);
         if (chosen >= t_latest)
             continue;  // no earlier slot fits; keep the latest-safe time
 
         // Move the prefetch: the tensor is resident from `chosen` on.
-        schedule.pressure.add(chosen, t_latest,
-                              static_cast<double>(m.bytes));
+        schedule.pressure.add(chosen, t_latest, bytes);
         FlowSchedule old{m.prefetchStart, m.prefetchComplete};
         bandwidth.releasePrefetch(old, m.bytes, m.dest);
         FlowSchedule moved = bandwidth.planPrefetch(chosen, m.bytes,

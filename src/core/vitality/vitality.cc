@@ -76,21 +76,21 @@ VitalityAnalysis::kernelEnd(KernelId k) const
            trace_->kernel(k).durationNs;
 }
 
-StepFunction
+PressureCurve
 VitalityAnalysis::memoryPressure() const
 {
-    StepFunction f;
+    PressureCurve f;
     const TimeNs iter_end = iterationLengthNs();
     for (const auto& lv : liveness_) {
         if (lv.uses.empty() && !lv.isGlobal)
             continue;
         const Tensor& t = trace_->tensor(lv.tensor);
         if (lv.isGlobal) {
-            f.add(0, iter_end, static_cast<double>(t.bytes));
+            f.add(0, iter_end, static_cast<std::int64_t>(t.bytes));
         } else {
             TimeNs born = kernelStart_[static_cast<std::size_t>(lv.birth)];
             TimeNs dead = kernelEnd(lv.death);
-            f.add(born, dead, static_cast<double>(t.bytes));
+            f.add(born, dead, static_cast<std::int64_t>(t.bytes));
         }
     }
     return f;

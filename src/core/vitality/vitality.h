@@ -18,7 +18,7 @@
 
 #include <vector>
 
-#include "common/step_function.h"
+#include "common/pressure_curve.h"
 #include "common/types.h"
 #include "graph/trace.h"
 
@@ -116,7 +116,7 @@ class VitalityAnalysis
      * tensor contributes its size from birth to death (globals always).
      * This is the paper's initial "memory pressure" curve.
      */
-    StepFunction memoryPressure() const;
+    PressureCurve memoryPressure() const;
 
     /** Peak of memoryPressure(). */
     Bytes peakMemoryBytes() const;

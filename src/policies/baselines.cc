@@ -60,8 +60,8 @@ FlashNeuronPolicy::FlashNeuronPolicy(const KernelTrace& trace,
         trace, config.kernelLaunchOverheadNs);
     BandwidthModel bw(config);
 
-    StepFunction pressure = vitality_->memoryPressure();
-    const double cap = static_cast<double>(config.gpuMemBytes);
+    PressureCurve pressure = vitality_->memoryPressure();
+    const auto cap = static_cast<std::int64_t>(config.gpuMemBytes);
 
     // Map each candidate tensor to its single longest inactive period
     // (FlashNeuron offloads a tensor once: after its last forward use,
@@ -99,7 +99,7 @@ FlashNeuronPolicy::FlashNeuronPolicy(const KernelTrace& trace,
     // The projected peak only moves when an offload is recorded below;
     // hoist it so the convergence check costs one rescan per selection
     // instead of one per visited tensor.
-    double peak = pressure.maxValue();
+    std::int64_t peak = pressure.maxValue();
     for (TensorId t : order) {
         if (peak <= cap)
             break;
@@ -126,7 +126,7 @@ FlashNeuronPolicy::FlashNeuronPolicy(const KernelTrace& trace,
             continue;  // period cannot hide the round trip
         schedule.migrations.push_back(m);
         pressure.add(m.evictComplete, m.prefetchStart,
-                     -static_cast<double>(size));
+                     -static_cast<std::int64_t>(size));
         peak = pressure.maxValue();
         ++selected_;
     }

@@ -1,4 +1,8 @@
-/** @file Unit tests for the piecewise-constant StepFunction. */
+/**
+ * @file Unit tests for the piecewise-constant StepFunction (the
+ * bandwidth timelines). The pressure-curve queries live in
+ * pressure_curve_test.cc.
+ */
 
 #include <gtest/gtest.h>
 
@@ -17,7 +21,9 @@ TEST(StepFunction, EmptyIsZeroEverywhere)
     EXPECT_DOUBLE_EQ(f.valueAt(-100), 0.0);
     EXPECT_DOUBLE_EQ(f.valueAt(0), 0.0);
     EXPECT_DOUBLE_EQ(f.valueAt(1 << 30), 0.0);
-    EXPECT_DOUBLE_EQ(f.maxValue(), 0.0);
+    auto segs = f.segments(-100, 100);
+    ASSERT_EQ(segs.size(), 1u);
+    EXPECT_DOUBLE_EQ(segs[0].value, 0.0);
     EXPECT_EQ(f.breakpointCount(), 0u);
 }
 
@@ -29,7 +35,6 @@ TEST(StepFunction, SingleRangeAdd)
     EXPECT_DOUBLE_EQ(f.valueAt(10), 5.0);
     EXPECT_DOUBLE_EQ(f.valueAt(19), 5.0);
     EXPECT_DOUBLE_EQ(f.valueAt(20), 0.0);  // half-open interval
-    EXPECT_DOUBLE_EQ(f.maxValue(), 5.0);
 }
 
 TEST(StepFunction, OverlappingAddsAccumulate)
@@ -40,9 +45,7 @@ TEST(StepFunction, OverlappingAddsAccumulate)
     EXPECT_DOUBLE_EQ(f.valueAt(25), 1.0);
     EXPECT_DOUBLE_EQ(f.valueAt(75), 3.0);
     EXPECT_DOUBLE_EQ(f.valueAt(125), 2.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(0, 150), 3.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(0, 50), 1.0);
-    EXPECT_DOUBLE_EQ(f.minOver(60, 140), 2.0);
+    EXPECT_DOUBLE_EQ(f.valueAt(150), 0.0);
 }
 
 TEST(StepFunction, NegativeAddCancels)
@@ -61,43 +64,6 @@ TEST(StepFunction, EmptyOrInvertedIntervalIsNoop)
     f.add(10, 10, 3.0);
     f.add(20, 5, 3.0);
     EXPECT_EQ(f.breakpointCount(), 0u);
-    EXPECT_DOUBLE_EQ(f.maxValue(), 0.0);
-}
-
-TEST(StepFunction, MaxOverRespectsBounds)
-{
-    StepFunction f;
-    f.add(100, 200, 10.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(0, 100), 0.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(0, 101), 10.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(199, 300), 10.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(200, 300), 0.0);
-    EXPECT_DOUBLE_EQ(f.maxOver(50, 50), 0.0);  // empty interval
-}
-
-TEST(StepFunction, IntegralAboveBasic)
-{
-    StepFunction f;
-    f.add(0, 10, 8.0);
-    // Area above threshold 5 over [0,10): (8-5)*10 = 30.
-    EXPECT_DOUBLE_EQ(f.integralAbove(0, 10, 5.0, 1e18), 30.0);
-    // Per-instant cap of 2 clips it: 2*10 = 20.
-    EXPECT_DOUBLE_EQ(f.integralAbove(0, 10, 5.0, 2.0), 20.0);
-    // Nothing above 8.
-    EXPECT_DOUBLE_EQ(f.integralAbove(0, 10, 8.0, 1e18), 0.0);
-}
-
-TEST(StepFunction, IntegralAboveMultiSegment)
-{
-    StepFunction f;
-    f.add(0, 10, 4.0);
-    f.add(10, 20, 10.0);
-    f.add(20, 30, 6.0);
-    // threshold 5: only [10,20) contributes (10-5)*10 = 50 and
-    // [20,30) contributes (6-5)*10 = 10.
-    EXPECT_DOUBLE_EQ(f.integralAbove(0, 30, 5.0, 1e18), 60.0);
-    // Clipped window.
-    EXPECT_DOUBLE_EQ(f.integralAbove(15, 25, 5.0, 1e18), 30.0);
 }
 
 TEST(StepFunction, SegmentsCoverQueryWindow)
@@ -120,35 +86,6 @@ TEST(StepFunction, SegmentsCoverQueryWindow)
             found = true;
         }
     EXPECT_TRUE(found);
-}
-
-TEST(StepFunction, EarliestFitFindsEarliestSlot)
-{
-    StepFunction f;
-    // Capacity 10; usage: 8 in [0,100), 3 in [100,200), 8 in [200,300).
-    f.add(0, 100, 8.0);
-    f.add(100, 200, 3.0);
-    f.add(200, 300, 8.0);
-    // Want to add 5 ending at t=200 (t_latest=200 ... but [200,300)
-    // has 8 already: checking fit at t_end=200 only looks left).
-    TimeNs t = f.earliestFit(0, 180, 200, 5.0, 10.0);
-    // Fits in [100,200) where usage 3+5=8<=10, but not in [0,100).
-    EXPECT_EQ(t, 100);
-}
-
-TEST(StepFunction, EarliestFitReturnsLatestWhenNothingFits)
-{
-    StepFunction f;
-    f.add(0, 1000, 9.0);
-    TimeNs t = f.earliestFit(0, 500, 600, 5.0, 10.0);
-    EXPECT_EQ(t, 500);  // even the latest position overflows
-}
-
-TEST(StepFunction, EarliestFitReachesLowerBound)
-{
-    StepFunction f;  // empty: fits everywhere
-    TimeNs t = f.earliestFit(25, 400, 500, 1.0, 10.0);
-    EXPECT_EQ(t, 25);
 }
 
 TEST(StepFunction, CompactRemovesRedundantBreakpoints)
@@ -221,7 +158,7 @@ TEST(StepFunction, RepeatedSameRangeDoesNotGrow)
     for (int i = 0; i < 1000; ++i)
         f.add(100, 200, 1.0);
     EXPECT_EQ(f.breakpointCount(), 2u);
-    EXPECT_DOUBLE_EQ(f.maxValue(), 1000.0);
+    EXPECT_DOUBLE_EQ(f.valueAt(150), 1000.0);
 }
 
 TEST(StepFunction, CompactBoundsResidualBreakpoints)
@@ -238,51 +175,15 @@ TEST(StepFunction, CompactBoundsResidualBreakpoints)
     EXPECT_GT(f.breakpointCount(), 0u);
     f.compact();
     EXPECT_EQ(f.breakpointCount(), 0u);
-    EXPECT_DOUBLE_EQ(f.maxValue(), 0.0);
-}
-
-TEST(StepFunction, BlockIndexSurvivesEveryInvalidationPath)
-{
-    // Force each maintenance path of the range-max block index in
-    // sequence — populate, covered-range delta update, partial-range
-    // invalidation, breakpoint insertion shifting later blocks — and
-    // cross-check maxOver against a fresh (index-cold) twin after
-    // every step. Blocks are 64 breakpoints wide, so 4096 one-tick
-    // steps span many blocks.
-    StepFunction f;
-    for (TimeNs t = 0; t < 4096; ++t)
-        f.add(t, t + 1, static_cast<double>((t * 37) % 101));
-
-    auto check = [&](TimeNs t0, TimeNs t1) {
-        StepFunction cold;
-        for (const auto& seg : f.segments(0, 1 << 20))
-            cold.add(seg.begin, seg.end, seg.value);
-        ASSERT_DOUBLE_EQ(f.maxOver(t0, t1), cold.maxOver(t0, t1))
-            << "[" << t0 << ", " << t1 << ")";
-    };
-
-    check(0, 4096);     // populate every block max
-    check(100, 3500);   // partial head/tail blocks + cached middles
-
-    f.add(0, 4096, 5.0);      // fully covers all blocks: delta update
-    check(0, 4096);
-    f.add(10, 20, -3.0);      // inside one block: invalidates it
-    check(0, 64);
-    f.add(63, 65, 40.0);      // straddles a block boundary
-    check(0, 4096);
-    f.add(-100, 7, 2.5);      // new breakpoint before block 0: shift
-    check(-100, 4096);
-    f.compact();              // rebuild from scratch
-    check(-100, 4096);
+    EXPECT_DOUBLE_EQ(f.valueAt(500), 0.0);
 }
 
 // ---- Randomized differential test -----------------------------------
 
 /**
  * Naive reference: a dense value-per-tick array over [0, kDomain).
- * Every query is answered by brute force, mirroring the documented
- * StepFunction contract. Deltas are small integers so all arithmetic
- * is exact and comparisons can demand bit equality.
+ * Deltas are small integers so all arithmetic is exact and comparisons
+ * can demand bit equality.
  */
 class DenseReference
 {
@@ -307,68 +208,6 @@ class DenseReference
         return v_[static_cast<std::size_t>(t)];
     }
 
-    double
-    maxOver(TimeNs t0, TimeNs t1) const
-    {
-        if (t1 <= t0)
-            return 0.0;
-        double best = valueAt(t0);
-        for (TimeNs t = t0; t < t1; ++t)
-            best = std::max(best, valueAt(t));
-        return best;
-    }
-
-    double
-    minOver(TimeNs t0, TimeNs t1) const
-    {
-        if (t1 <= t0)
-            return 0.0;
-        double best = valueAt(t0);
-        for (TimeNs t = t0; t < t1; ++t)
-            best = std::min(best, valueAt(t));
-        return best;
-    }
-
-    double
-    maxValue() const
-    {
-        double best = 0.0;
-        for (double x : v_)
-            best = std::max(best, x);
-        return best;
-    }
-
-    double
-    integralAbove(TimeNs t0, TimeNs t1, double threshold,
-                  double cap) const
-    {
-        double area = 0.0;
-        for (TimeNs t = t0; t < t1; ++t) {
-            double excess = valueAt(t) - threshold;
-            if (excess > 0.0)
-                area += std::min(excess, cap);
-        }
-        return area;
-    }
-
-    TimeNs
-    earliestFit(TimeNs t_min, TimeNs t_latest, TimeNs t_end,
-                double delta, double limit) const
-    {
-        if (t_latest < t_min)
-            return t_latest;
-        if (maxOver(t_latest, std::max(t_latest + 1, t_end)) + delta >
-            limit)
-            return t_latest;
-        TimeNs best = t_latest;
-        for (TimeNs t = t_latest; t >= t_min; --t) {
-            if (valueAt(t) + delta > limit)
-                break;
-            best = t;
-        }
-        return best;
-    }
-
   private:
     double v_[kDomain] = {};
 };
@@ -381,7 +220,7 @@ TEST(StepFunctionDifferential, ThousandsOfMixedOpsMatchNaive)
     constexpr TimeNs T = DenseReference::kDomain;
 
     for (int op = 0; op < 4000; ++op) {
-        int kind = rng.uniformInt(0, 9);
+        int kind = rng.uniformInt(0, 5);
         auto t0 = static_cast<TimeNs>(rng.uniformInt(0, T - 1));
         auto t1 = static_cast<TimeNs>(rng.uniformInt(0, T));
         switch (kind) {
@@ -398,45 +237,20 @@ TEST(StepFunctionDifferential, ThousandsOfMixedOpsMatchNaive)
             ASSERT_DOUBLE_EQ(f.valueAt(t0), ref.valueAt(t0)) << op;
             break;
           case 4:
-            ASSERT_DOUBLE_EQ(f.maxOver(t0, t1), ref.maxOver(t0, t1))
-                << op;
+            // The cursor tiles the window with the reference's values.
+            for (auto c = f.cursor(t0, t1); !c.done(); c.next())
+                for (TimeNs t = c.begin(); t < c.end(); ++t)
+                    ASSERT_DOUBLE_EQ(c.value(), ref.valueAt(t))
+                        << op << " @" << t;
             break;
           case 5:
-            ASSERT_DOUBLE_EQ(f.minOver(t0, t1), ref.minOver(t0, t1))
-                << op;
-            break;
-          case 6: {
-            double thr = static_cast<double>(rng.uniformInt(-2, 4));
-            double cap = static_cast<double>(rng.uniformInt(1, 3));
-            ASSERT_DOUBLE_EQ(f.integralAbove(t0, t1, thr, cap),
-                             ref.integralAbove(t0, t1, thr, cap))
-                << op;
-            break;
-          }
-          case 7: {
-            TimeNs lo = std::min(t0, t1);
-            TimeNs hi = std::max(t0, t1);
-            double delta =
-                static_cast<double>(rng.uniformInt(0, 3));
-            double limit =
-                static_cast<double>(rng.uniformInt(-1, 6));
-            ASSERT_EQ(f.earliestFit(lo, hi, hi + 8, delta, limit),
-                      ref.earliestFit(lo, hi, hi + 8, delta, limit))
-                << op;
-            break;
-          }
-          case 8:
             f.compact();  // must never change observable values
-            break;
-          case 9:
-            ASSERT_DOUBLE_EQ(f.maxValue(), ref.maxValue()) << op;
             break;
         }
     }
 
     // Final full sweep: the segment tiling must reproduce the dense
     // reference point for point.
-    ASSERT_DOUBLE_EQ(f.maxValue(), ref.maxValue());
     for (const auto& seg : f.segments(0, T))
         for (TimeNs t = seg.begin; t < seg.end; ++t)
             ASSERT_DOUBLE_EQ(seg.value, ref.valueAt(t)) << t;

@@ -323,6 +323,42 @@ TEST_F(EvictionSchedulerTest, EagerPrefetchNeverRaisesThePeak)
     EXPECT_LE(out.finalPeakBytes, peak_after_eviction + 1 * MiB);
 }
 
+TEST(PrefetchScheduler, FinalPressureConservesEveryMigrationExactly)
+{
+    // After both passes, the curve the scheduler planned against must
+    // be the ideal pressure minus each migration's off-GPU interval
+    // [evictComplete, prefetchStart), to the byte at every breakpoint.
+    for (ModelKind kind : allModels()) {
+        KernelTrace t = buildModelScaled(kind, paperBatchSize(kind), 32);
+        SystemConfig s = SystemConfig().scaledDown(32);
+        VitalityAnalysis vit(t, s.kernelLaunchOverheadNs);
+        EvictionScheduler sched(vit, s);
+        EvictionSchedule out = sched.run();
+        schedulePrefetches(out, sched.bandwidth(), s);
+        ASSERT_FALSE(out.migrations.empty()) << t.modelName();
+
+        PressureCurve expect = vit.memoryPressure();
+        for (const ScheduledMigration& m : out.migrations)
+            expect.add(m.evictComplete, m.prefetchStart,
+                       -static_cast<std::int64_t>(m.bytes));
+        for (const auto& [at, v] : out.pressure.breakpoints())
+            ASSERT_EQ(v, expect.valueAt(at)) << t.modelName() << " @" << at;
+        for (const auto& [at, v] : expect.breakpoints())
+            ASSERT_EQ(v, out.pressure.valueAt(at))
+                << t.modelName() << " @" << at;
+        EXPECT_EQ(out.finalPeakBytes,
+                  static_cast<Bytes>(expect.maxValue()));
+    }
+}
+
+TEST(G10Compiler, CompiledPlanDropsThePressureCurve)
+{
+    KernelTrace t = test::makeFwdBwdTrace(16, 16 * MiB, 4 * MSEC);
+    CompiledPlan plan = compileG10Plan(t, sys());
+    ASSERT_FALSE(plan.schedule.migrations.empty());
+    EXPECT_TRUE(plan.schedule.pressure.breakpoints().empty());
+}
+
 // ---- Full pipeline ----
 
 TEST(G10Compiler, EndToEndProducesAnchoredPlan)

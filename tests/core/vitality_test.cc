@@ -72,13 +72,13 @@ TEST(Vitality, MemoryPressurePeaksAtFwdBwdBoundary)
     const Bytes sz = 1 * MiB;
     KernelTrace t = test::makeFwdBwdTrace(n, sz, 1 * MSEC);
     VitalityAnalysis v(t, kOv);
-    StepFunction f = v.memoryPressure();
+    PressureCurve f = v.memoryPressure();
 
     // At the loss kernel all n activations plus the loss grad are live.
     Bytes peak = v.peakMemoryBytes();
     EXPECT_GE(peak, static_cast<Bytes>(n) * sz);
     // Pressure at the very start is just the first tensors.
-    EXPECT_LT(f.valueAt(0), static_cast<double>(peak));
+    EXPECT_LT(f.valueAt(0), static_cast<std::int64_t>(peak));
 }
 
 TEST(Vitality, ActiveBytesPerKernelMatchesWorkingSets)
