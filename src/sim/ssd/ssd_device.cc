@@ -26,9 +26,9 @@ SsdDevice::SsdDevice(const SystemConfig& config, Geometry geometry)
               static_cast<unsigned long long>(blocks));
     blockValid_.assign(blocks, 0);
     blockFill_.assign(blocks, 0);
-    notFull_.assign((blocks + 63) / 64, 0);
-    for (std::uint64_t b = 0; b < blocks; ++b)
-        notFull_[b / 64] |= 1ULL << (b % 64);
+    notFull_.assign((blocks + 63) / 64, ~0ULL);
+    if (blocks % 64 != 0)
+        notFull_.back() = (1ULL << (blocks % 64)) - 1;
     openBlock_ = 0;
 }
 
@@ -93,15 +93,11 @@ SsdDevice::freeLogical(std::uint64_t logical_page, Bytes bytes)
             end - lp, kTableChunkPages - lp % kTableChunkPages);
         Chunk* chunk = findChunk(lp);
         if (chunk != nullptr) {  // else never written (or already trimmed)
-            std::uint32_t* slot = &chunk->block[lp % kTableChunkPages];
-            for (std::uint64_t i = 0; i < run; ++i) {
-                if (slot[i] == kUnmapped)
-                    continue;
-                invalidate(slot[i]);
-                slot[i] = kUnmapped;
-                --chunk->mapped;
-                --mapped_;
-            }
+            std::uint64_t trimmed =
+                run - replaceSlots(&chunk->block[lp % kTableChunkPages],
+                                   run, kUnmapped);
+            chunk->mapped -= static_cast<std::uint32_t>(trimmed);
+            mapped_ -= trimmed;
             if (chunk->mapped == 0)
                 dropChunk(chunk);
         }
@@ -110,13 +106,54 @@ SsdDevice::freeLogical(std::uint64_t logical_page, Bytes bytes)
 }
 
 void
-SsdDevice::invalidate(std::uint32_t block)
+SsdDevice::invalidate(std::uint32_t block, std::uint32_t pages)
 {
-    if (blockValid_[block] == 0)
+    if (blockValid_[block] < pages)
         panic("SSD block %u: invalidating a page of a block with no "
               "valid pages", block);
-    --blockValid_[block];
+    blockValid_[block] -= pages;
     markDirty(block);
+}
+
+std::uint64_t
+SsdDevice::replaceSlots(std::uint32_t* slot, std::uint64_t n,
+                        std::uint32_t block)
+{
+    // A tensor is rewritten at its own logical range, so the old copies
+    // mostly share one block: that case is a compare and a fill the
+    // compiler vectorizes.
+    const std::uint32_t first = slot[0];
+    bool uniform = true;
+    for (std::uint64_t i = 1; i < n; ++i)
+        uniform &= slot[i] == first;
+    if (uniform) {
+        std::fill(slot, slot + n, block);
+        if (first == kUnmapped)
+            return n;
+        invalidate(first, static_cast<std::uint32_t>(n));
+        return 0;
+    }
+    // Otherwise invalidate each run of equal old blocks at once.
+    std::uint64_t unmapped = 0;
+    std::uint32_t group = kUnmapped;
+    std::uint32_t count = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::uint32_t old = slot[i];
+        slot[i] = block;
+        if (old == kUnmapped) {
+            ++unmapped;
+        } else if (old == group) {
+            ++count;
+        } else {
+            if (count > 0)
+                invalidate(group, count);
+            group = old;
+            count = 1;
+        }
+    }
+    if (count > 0)
+        invalidate(group, count);
+    return unmapped;
 }
 
 void
@@ -178,16 +215,8 @@ SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
             end - lp, kTableChunkPages - lp % kTableChunkPages);
         Chunk& chunk = residentChunk(lp);
         std::uint32_t* slot = &chunk.block[lp % kTableChunkPages];
-        for (std::uint64_t i = 0; i < run; ++i) {
-            // Invalidate the previous physical copy, if any. The page
-            // stays unusable until its block is garbage-collected and
-            // erased.
-            if (slot[i] != kUnmapped) {
-                invalidate(slot[i]);
-            } else {
-                ++chunk.mapped;
-                ++mapped_;
-            }
+        lp += run;
+        while (run > 0) {
             // Append to the open block, advancing to the next erased
             // block when it fills.
             if (blockFill_[openBlock_] == ppb)
@@ -195,19 +224,36 @@ SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
             if (blockFill_[openBlock_] >= ppb)
                 fatal("SSD is full: %llu valid pages exceed capacity",
                       static_cast<unsigned long long>(totalPages_));
-            ++blockValid_[openBlock_];
-            if (++blockFill_[openBlock_] == ppb)
+            // The segment ends where the open block fills or at the page
+            // that takes the free count below the GC threshold; page by
+            // page once free pages run out or GC could not restore them.
+            std::uint64_t n =
+                std::min<std::uint64_t>(run, ppb - blockFill_[openBlock_]);
+            if (freePages_ == 0 || freePages_ < gcThreshold_)
+                n = 1;
+            else
+                n = std::min(n, freePages_ + 1 -
+                                    std::max<std::uint64_t>(gcThreshold_, 1));
+            // Point the pages at the open block and invalidate their
+            // previous physical copies, which stay unusable until their
+            // blocks are garbage-collected and erased.
+            std::uint64_t fresh = replaceSlots(slot, n, openBlock_);
+            chunk.mapped += static_cast<std::uint32_t>(fresh);
+            mapped_ += fresh;
+            blockValid_[openBlock_] += static_cast<std::uint32_t>(n);
+            blockFill_[openBlock_] += static_cast<std::uint32_t>(n);
+            if (blockFill_[openBlock_] == ppb)
                 notFull_[openBlock_ / 64] &= ~(1ULL << (openBlock_ % 64));
-            slot[i] = openBlock_;
             if (freePages_ > 0)
-                --freePages_;
+                freePages_ -= n;  // n <= freePages_ here
             else if (totalPages_ >= ppb)
                 panic("SSD free-page count underflow with a block open");
             // (else the device is smaller than its one block: see header)
             if (freePages_ < gcThreshold_)
                 collectGarbage(&busy);
+            slot += n;
+            run -= n;
         }
-        lp += run;
     }
     return busy;
 }

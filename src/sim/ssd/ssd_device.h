@@ -20,8 +20,13 @@
  * fills.
  *
  * Cost model of the implementation (not of the device): the logical
- * page table is a dense array in fixed-size chunks, O(1) per page; a
- * chunk is freed once no page in it is mapped. The next open block comes
+ * page table is a dense array in fixed-size chunks; a chunk is freed
+ * once no page in it is mapped. A write is cut into segments at chunk
+ * ends, where the open block fills and at the page that takes free
+ * pages below the GC threshold (single pages while free pages sit below
+ * it or read 0). Each segment costs O(1) plus one table store per page;
+ * the old copies it replaces are invalidated in groups of equal blocks,
+ * one subtract and one dirty mark per group. The next open block comes
  * from a not-full bitset (find-next-set). GC victims come from a
  * min-tree over (valid pages, block index) of fully programmed, non-open
  * blocks; invalidations only mark a block dirty and dirty blocks are
@@ -166,7 +171,12 @@ class SsdDevice
     Chunk& residentChunk(std::uint64_t logical_page);
     Chunk* findChunk(std::uint64_t logical_page);
     void dropChunk(Chunk* chunk);
-    void invalidate(std::uint32_t block);
+    /** Drop @p pages valid pages of @p block and queue it for re-keying. */
+    void invalidate(std::uint32_t block, std::uint32_t pages);
+    /** Store @p block in @p n (>= 1) table slots and invalidate the
+     *  physical copies they named; returns how many were unmapped. */
+    std::uint64_t replaceSlots(std::uint32_t* slot, std::uint64_t n,
+                               std::uint32_t block);
     void advanceOpenBlock();
     std::uint32_t nextNotFull(std::uint32_t from) const;
     void collectGarbage(TimeNs* busy);

@@ -190,6 +190,32 @@ TEST(SsdDevice, LogicalTableStaysBoundedUnderJobChurn)
     EXPECT_GT(ssd.stats().blockErases, 0u);
 }
 
+TEST(SsdDevice, OpenBlockSearchCoversTheLastPartialBitsetWord)
+{
+    // 70 blocks: the not-full bitset's second word holds 6 blocks. With
+    // GC off, writes must fill every block, the last one included, and
+    // the next write must find no block at all (none past the end).
+    SystemConfig s = test::tinySystem();
+    s.ssdCapacityBytes = 70 * 4 * 4 * KiB;
+    SsdDevice::Geometry g;
+    g.flashPageBytes = 4 * KiB;
+    g.pagesPerBlock = 4;
+    g.overProvision = 0.0;
+    g.gcFreeThreshold = 0.0;
+    SsdDevice ssd(s, g);
+    ASSERT_EQ(ssd.totalPages(), 280u);
+    auto lp = ssd.allocLogical(281 * g.flashPageBytes);
+    for (std::uint64_t p = 0; p < 280; p += 28)
+        ssd.serviceWrite(lp + p, 28 * g.flashPageBytes);
+    EXPECT_EQ(ssd.freePages(), 0u);
+    EXPECT_EQ(ssd.validPages(), 280u);
+    SsdDevice::Census c = ssd.census();
+    EXPECT_EQ(c.unprogrammed, 0u);
+    EXPECT_TRUE(c.validMatchesTable);
+    EXPECT_EXIT(ssd.serviceWrite(lp + 280, g.flashPageBytes),
+                ::testing::ExitedWithCode(1), "SSD is full");
+}
+
 TEST(SsdDevice, AllocLogicalAdvances)
 {
     SystemConfig s = smallSsdSys();

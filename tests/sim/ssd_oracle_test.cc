@@ -29,6 +29,9 @@ struct OracleCase
     std::uint64_t maxWritePages;    ///< single write size bound
     double liveFraction;            ///< cap on mapped pages / block pages
     std::uint64_t seed;
+    /** Require a GC trigger strictly inside a write: some write starts
+     *  at least 2 free pages above the GC threshold and still runs GC. */
+    bool gcInsideWrites = false;
 };
 
 // Names the case in test listings (instead of its bytes).
@@ -116,6 +119,10 @@ TEST_P(SsdDeviceOracle, MatchesReferenceAfterEveryCall)
     const std::uint64_t blockPages = dut.totalPages() / ppb * ppb;
     const std::uint64_t liveCap = static_cast<std::uint64_t>(
         static_cast<double>(blockPages) * oc.liveFraction);
+    const std::uint64_t gcThreshold = static_cast<std::uint64_t>(
+        static_cast<double>(dut.totalPages()) *
+        oc.geometry.gcFreeThreshold);
+    std::uint64_t gcInsideWrites = 0;
 
     struct Region
     {
@@ -149,8 +156,12 @@ TEST_P(SsdDeviceOracle, MatchesReferenceAfterEveryCall)
         if (ref.validPages() + len > liveCap)
             return 0;
         Bytes bytes = len * page - below(page);
+        std::uint64_t freeBefore = dut.freePages();
+        std::uint64_t gcBefore = dut.stats().gcRuns;
         EXPECT_EQ(dut.serviceWrite(r.lp + off, bytes),
                   ref.serviceWrite(r.lp + off, bytes));
+        if (freeBefore >= gcThreshold + 2 && dut.stats().gcRuns > gcBefore)
+            ++gcInsideWrites;
         return len;
     };
 
@@ -204,6 +215,8 @@ TEST_P(SsdDeviceOracle, MatchesReferenceAfterEveryCall)
     EXPECT_GT(ref.stats().blockErases, 0u);
     EXPECT_GT(ref.stats().relocatedPages, 0u)
         << "mapped " << ref.validPages() << " of cap " << liveCap;
+    if (oc.gcInsideWrites)
+        EXPECT_GT(gcInsideWrites, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -220,7 +233,12 @@ INSTANTIATE_TEST_SUITE_P(
         // valid count, so the lowest-index tie-break decides victims,
         // and the high live share forces relocation.
         OracleCase{"TieHeavy", 1 * MiB, smallGeometry(4, 0.07), 24, 2,
-                   0.75, 37}),
+                   0.75, 37},
+        // Writes up to five blocks long: a write spans several open
+        // blocks, and GC triggers at a page inside it, not only at its
+        // first or last page.
+        OracleCase{"LongWrites", 2 * MiB, smallGeometry(8, 0.07), 96, 40,
+                   0.60, 53, true}),
     [](const ::testing::TestParamInfo<OracleCase>& info) {
         return std::string(info.param.name);
     });
@@ -279,6 +297,28 @@ TEST(SsdDeviceOracle, DeviceSmallerThanOneBlockMatchesReference)
     EXPECT_EQ(dut.freePages(), 0u);
     EXPECT_GT(dut.stats().gcRuns, 0u);
     EXPECT_EQ(dut.stats().blockErases, 0u);
+}
+
+TEST(SsdDeviceOracle, DeviceSmallerThanOneBlockTakesOneLongWrite)
+{
+    // The geometry above filled by one 16-page write: free pages fall
+    // below the threshold after the ninth page, and from there each page
+    // runs its own (fruitless) GC, also once free pages read 0.
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = 40 * KiB;
+    SsdDevice::Geometry g = smallGeometry(16, 0.0);
+    g.gcFreeThreshold = 0.25;
+    SsdDevice dut(sys, g);
+    test::ReferenceSsd ref(sys, g);
+    const Bytes bytes = 16 * g.flashPageBytes;
+    std::uint64_t lp = dut.allocLogical(bytes);
+    ASSERT_EQ(lp, ref.allocLogical(bytes));
+    EXPECT_EQ(dut.serviceWrite(lp, bytes), ref.serviceWrite(lp, bytes));
+    EXPECT_TRUE(sameState(dut, ref));
+    EXPECT_EQ(dut.freePages(), 0u);
+    EXPECT_EQ(dut.validPages(), 16u);
+    EXPECT_EQ(dut.stats().gcRuns, 8u);
+    EXPECT_TRUE(dut.census().validMatchesTable);
 }
 
 TEST(SsdDeviceConservation, BooksBalanceThroughJobChurnAndGc)
