@@ -105,6 +105,7 @@ struct SpecValue
     double d = 0.0;                  ///< Number
     bool on = false;                 ///< OnOff
     std::vector<std::string> items;  ///< Words
+    std::size_t item = 0;            ///< Words: index of text in items
     std::vector<double> numbers;     ///< Numbers
 
     /** The token was the key's keyword (e.g. `rates = auto`). */
@@ -141,7 +142,8 @@ template <class S>
 struct SpecKey : SpecKeyInfo
 {
     /** Store a value into the struct. Words keys are called once per
-     *  item, with the item in SpecValue::text. */
+     *  item, with the item in SpecValue::text; a key whose list
+     *  replaces a default clears it at item 0. */
     std::function<void(S&, const SpecValue&)> set;
 };
 
@@ -193,8 +195,8 @@ bindSpecKey(S& out, const SpecKey<S>& k, const std::string& text,
     SpecValue v = parseSpecValue(k, at, text);
     if (k.type != SpecType::Words || v.keyword)
         return k.set(out, v);
-    for (const std::string& item : v.items) {
-        v.text = item;
+    for (v.item = 0; v.item < v.items.size(); ++v.item) {
+        v.text = v.items[v.item];
         k.set(out, v);
     }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "engine/partition.h"
 #include "obs/tracer.h"
 #include "policies/registry.h"
@@ -24,27 +23,7 @@ FleetResult::allSucceeded() const
 
 FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
 {
-    if (spec_.nodes.empty())
-        fatal("fleet needs at least one node");
-    if (spec_.placements.empty())
-        fatal("fleet needs at least one placement policy");
-    if (spec_.classes.empty())
-        fatal("fleet needs at least one job class");
-    if (spec_.requests < 1)
-        fatal("fleet needs requests >= 1");
-    if (spec_.rate <= 0.0)
-        fatal("fleet needs rate > 0");
-    if (spec_.arrival.kind == ArrivalKind::Trace)
-        fatal("fleet arrivals must be poisson or bursty");
-    PolicyRegistry::instance().resolve(spec_.design);  // fatal on unknown
-    for (std::size_t n = 0; n < spec_.nodes.size(); ++n) {
-        const int slots = spec_.nodes[n].slots > 0
-                              ? spec_.nodes[n].slots
-                              : spec_.slots;
-        if (slots < 1)
-            fatal("fleet node '%s' needs slots >= 1",
-                  spec_.nodes[n].name.c_str());
-    }
+    checkFleetSpec(spec_);
 
     for (const ServeJobClass& cls : spec_.classes)
         classes_.push_back(resolvedClass(cls));
@@ -85,13 +64,7 @@ FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
 
     router_ = std::make_unique<Router>(spec_, classes_, serviceEst_,
                                        floors_);
-
-    for (const ServeSpec& ns : nodeSpecs_) {
-        if (ns.sweepPlanCache) {
-            planCache_ = std::make_unique<SweepPlanCache>();
-            break;
-        }
-    }
+    planCache_ = std::make_unique<SweepPlanCache>();
 }
 
 FleetSim::~FleetSim() = default;
@@ -274,9 +247,7 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
                      classes_, floors_, reqs, out.baselines[n]);
         sim.setObservers(
             sink, obs.collectCounters ? &regs[p * nn + n] : nullptr);
-        sim.setPlanCache(nodeSpecs_[n].sweepPlanCache
-                             ? planCache_.get()
-                             : nullptr);
+        sim.setPlanCache(planCache_.get());
         cell = sim.run();
     };
 
@@ -351,9 +322,7 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
             sim.setObservers(
                 traced ? &offset : nullptr,
                 obs.collectCounters ? &pr.counters : nullptr);
-            sim.setPlanCache(nodeSpecs_[n].sweepPlanCache
-                                 ? planCache_.get()
-                                 : nullptr);
+            sim.setPlanCache(planCache_.get());
             cell = sim.run();
             if (!cell.sustained())
                 pr.sustained = false;

@@ -219,8 +219,7 @@ class FleetSim
     /** One compile cache for the whole fleet: identical nodes compile
      *  each (model, capacity, seed-chain) plan once, and every
      *  placement's grid reuses it (keys fingerprint the node's system
-     *  config, so heterogeneous nodes coexist). Null when every node
-     *  spec turned sweep_cache off. */
+     *  config, so heterogeneous nodes coexist). */
     std::unique_ptr<SweepPlanCache> planCache_;
 
     /** Per-node unloaded baselines [node][class]. */

@@ -106,6 +106,8 @@ fleetFileFormat()
                 PlacementKind kind = PlacementKind::JoinShortestQueue;
                 if (!placementKindFromName(v.text, &kind))
                     v.unknown("placement", "jsq | planaware | affinity");
+                if (v.item == 0)
+                    s.placements.clear();
                 s.placements.push_back(kind);
             }));
         f.lines.push_back(specLine<S, N>(
@@ -140,30 +142,42 @@ fleetFileFormat()
     return format;
 }
 
+void
+checkFleetSpec(const FleetSpec& spec, const SpecLoc& at)
+{
+    if (spec.nodes.empty())
+        at.fail("fleet needs at least one node");
+    if (spec.placements.empty())
+        at.fail("fleet needs at least one placement policy");
+    if (spec.classes.empty())
+        at.fail("fleet needs at least one job class");
+    if (spec.rate <= 0.0)
+        at.fail("fleet needs rate > 0");
+    if (spec.arrival.kind == ArrivalKind::Trace)
+        at.fail("fleet arrivals must be poisson or bursty");
+    PolicyRegistry::instance().resolve(spec.design);  // fatal on unknown
+    checkScenarioSpec(spec, at);
+
+    std::set<std::string> names;
+    std::set<int> pinned;
+    for (const FleetNodeSpec& node : spec.nodes) {
+        if ((node.slots > 0 ? node.slots : spec.slots) < 1)
+            at.fail("fleet node '%s' needs slots >= 1", node.name.c_str());
+        if (!names.insert(node.name).second)
+            at.fail("duplicate node name '%s'", node.name.c_str());
+        for (ModelKind fam : node.families)
+            if (!pinned.insert(static_cast<int>(fam)).second)
+                at.fail("family '%s' is pinned to two nodes",
+                        modelName(fam));
+    }
+}
+
 FleetSpec
 parseFleetFile(const std::string& path)
 {
     FleetSpec spec;
     readSpecFile(path, fleetFileFormat(), spec);
-
-    // Cross-key consistency.
-    const SpecLoc file{path};
-    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 && spec.rateHi < spec.rateLo)
-        file.fail("rate_hi must be >= rate_lo");
-    if (spec.classes.empty())
-        file.fail("fleet file defines no job classes");
-    if (spec.nodes.empty())
-        file.fail("fleet file defines no nodes");
-    std::set<std::string> node_names;
-    for (const FleetNodeSpec& node : spec.nodes)
-        if (!node_names.insert(node.name).second)
-            file.fail("duplicate node name '%s'", node.name.c_str());
-    std::set<int> pinned;
-    for (const FleetNodeSpec& node : spec.nodes)
-        for (ModelKind fam : node.families)
-            if (!pinned.insert(static_cast<int>(fam)).second)
-                file.fail("family '%s' is pinned to two nodes",
-                          modelName(fam));
+    checkFleetSpec(spec, SpecLoc{path});
     return spec;
 }
 

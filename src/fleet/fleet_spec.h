@@ -134,9 +134,19 @@ const SpecFormat<FleetSpec>& fleetFileFormat();
 std::uint64_t fleetNodeSeed(std::uint64_t fleetSeed, std::size_t node);
 
 /**
+ * Every cross-key check of a fleet scenario (nodes, placements,
+ * classes, rate, arrival kind, design, the rate bracket, node slots,
+ * unique node names, and each family pinned to at most one node): an
+ * inconsistent spec fails at @p at and exits 1. parseFleetFile and
+ * the FleetSim constructor both call it.
+ */
+void checkFleetSpec(const FleetSpec& spec, const SpecLoc& at = {});
+
+/**
  * Parse a fleet file (fleetFileFormat(); `g10fleet --help` lists the
  * keys). Unknown keys, malformed values, and inconsistent scenarios
- * are fatal (exit 1) with file/line diagnostics. Example:
+ * (checkFleetSpec) are fatal (exit 1) with file/line diagnostics.
+ * Example:
  *
  *   scale = 32
  *   rate = 1.0                 # or: rate = auto (fleet knee)

@@ -35,8 +35,6 @@ Router::Router(const FleetSpec& spec,
         panic("Router: per-class inputs disagree (%zu classes, %zu "
               "estimates, %zu footprints)",
               classes_.size(), serviceEst_.size(), footprint_.size());
-    if (spec_.nodes.empty())
-        panic("Router: fleet has no nodes");
 
     slots_.reserve(spec_.nodes.size());
     totalGpu_.reserve(spec_.nodes.size());
@@ -216,11 +214,7 @@ Router::routeAffinity(const std::vector<ServeRequest>& stream) const
     std::vector<std::size_t> homed(nn, 0);
     for (std::size_t n = 0; n < nn; ++n) {
         for (ModelKind fam : spec_.nodes[n].families) {
-            const int key = static_cast<int>(fam);
-            if (home.count(key))
-                panic("Router: family '%s' pinned to two nodes",
-                      modelName(fam));
-            home[key] = n;
+            home[static_cast<int>(fam)] = n;
             ++homed[n];
         }
     }

@@ -42,7 +42,8 @@ class Router
 {
   public:
     /**
-     * @param spec         the fleet (node shapes and defaults)
+     * @param spec         the fleet (node shapes and defaults),
+     *                     already passed by checkFleetSpec
      * @param classes      resolved job classes of the stream
      * @param serviceEstNs per-class plan service estimates
      *                     (planServiceEstimateNs)

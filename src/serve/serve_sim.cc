@@ -772,17 +772,7 @@ ServeSim::run()
 
 ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
 {
-    if (spec_.designs.empty())
-        fatal("serve sweep needs at least one design");
-    if (spec_.rates.empty() && !spec_.ratesAuto)
-        fatal("serve sweep needs at least one arrival rate (or "
-              "rates = auto)");
-    if (spec_.slots < 1)
-        fatal("serve sweep needs slots >= 1");
-    if (spec_.resolvedMaxActive() < spec_.slots)
-        fatal("serve sweep needs max_active >= slots");
-    for (const std::string& d : spec_.designs)
-        PolicyRegistry::instance().resolve(d);  // fatal on unknown
+    checkServeSpec(spec_);
 
     if (spec_.sweepPlanCache)
         planCache_ = std::make_unique<SweepPlanCache>();
@@ -815,8 +805,6 @@ ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
             traceClass_.push_back(ci);
         }
     } else {
-        if (spec_.classes.empty())
-            fatal("serve sweep needs at least one job class");
         for (const ServeJobClass& cls : spec_.classes)
             classes_.push_back(resolvedClass(cls));
     }
@@ -884,15 +872,15 @@ ServeSweep::computeBaselines(ExperimentEngine& engine) const
     std::vector<std::vector<ServeClassBaseline>> baselines(
         nd, std::vector<ServeClassBaseline>(nc));
     for (std::size_t c = 0; c < nc; ++c) {
-        // G10-family designs compile through the sweep cache: the
-        // slot-capacity plans built here share keys with every cell's
-        // first (cold, slot-sized) admission compile, so the knee
-        // probes start warm. Compile + sim fuse into one parallel
-        // task per design; sims are independent either way.
+        // G10-family designs compile through the sweep cache (when
+        // on): the slot-capacity plans built here share keys with
+        // every cell's first (cold, slot-sized) admission compile, so
+        // the knee probes start warm. Compile + sim fuse into one
+        // parallel task per design; sims are independent either way.
         std::vector<DesignInstance> designs(nd);
         engine.parallelFor(nd, [&](std::size_t d) {
             const int tag = designTag(spec_.designs[d]);
-            if (planCache_ != nullptr && isG10Family(tag)) {
+            if (isG10Family(tag)) {
                 std::shared_ptr<const CompiledPlan> plan =
                     compilePlan(tag, traces_[c], classes_[c],
                                 spec_.scaleDown, slotSys, nullptr,

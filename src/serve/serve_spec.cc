@@ -193,28 +193,48 @@ serveFileFormat()
     return format;
 }
 
+void
+checkScenarioSpec(const ScenarioSpec& spec, const SpecLoc& at)
+{
+    if (spec.requests < 1)
+        at.fail("requests must be >= 1");
+    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 && spec.rateHi < spec.rateLo)
+        at.fail("rate_hi must be >= rate_lo");
+}
+
+void
+checkServeSpec(const ServeSpec& spec, const SpecLoc& at)
+{
+    if (spec.designs.empty())
+        at.fail("serve sweep needs at least one design");
+    for (const std::string& d : spec.designs)
+        PolicyRegistry::instance().resolve(d);  // fatal on unknown
+    if (spec.rates.empty() && !spec.ratesAuto)
+        at.fail("serve sweep needs at least one arrival rate (or "
+                "rates = auto)");
+    if (spec.slots < 1)
+        at.fail("serve sweep needs slots >= 1");
+    if (spec.maxActive > 0 && spec.maxActive < spec.slots)
+        at.fail("max_active (%d) must be >= slots (%d)", spec.maxActive,
+                spec.slots);
+    checkScenarioSpec(spec, at);
+    if (spec.arrival.kind == ArrivalKind::Trace) {
+        if (spec.arrival.tracePath.empty())
+            at.fail("'arrival = trace' needs 'trace = <file>'");
+        if (!spec.classes.empty())
+            at.fail("'class =' lines are only for poisson/bursty "
+                    "arrivals (trace files carry their own requests)");
+    } else if (spec.classes.empty()) {
+        at.fail("serve sweep needs at least one job class");
+    }
+}
+
 ServeSpec
 parseServeFile(const std::string& path)
 {
     ServeSpec spec;
     readSpecFile(path, serveFileFormat(), spec);
-
-    // Cross-key consistency.
-    const SpecLoc file{path};
-    if (spec.maxActive > 0 && spec.maxActive < spec.slots)
-        file.fail("max_active (%d) must be >= slots (%d)", spec.maxActive,
-                  spec.slots);
-    if (spec.rateLo > 0.0 && spec.rateHi > 0.0 && spec.rateHi < spec.rateLo)
-        file.fail("rate_hi must be >= rate_lo");
-    if (spec.arrival.kind == ArrivalKind::Trace) {
-        if (spec.arrival.tracePath.empty())
-            file.fail("'arrival = trace' needs 'trace = <file>'");
-        if (!spec.classes.empty())
-            file.fail("'class =' lines are only for poisson/bursty "
-                      "arrivals (trace files carry their own requests)");
-    } else if (spec.classes.empty()) {
-        file.fail("serve file defines no job classes");
-    }
+    checkServeSpec(spec, SpecLoc{path});
     return spec;
 }
 

@@ -179,6 +179,12 @@ struct ScenarioSpec
  */
 SpecFormat<ScenarioSpec> scenarioFormat(bool traceArrivals);
 
+/**
+ * The scenario checks serve and fleet specs share (requests >= 1,
+ * rate_hi >= rate_lo); checkServeSpec and checkFleetSpec call it.
+ */
+void checkScenarioSpec(const ScenarioSpec& spec, const SpecLoc& at);
+
 /** Everything one serving experiment needs. */
 struct ServeSpec : ScenarioSpec
 {
@@ -236,9 +242,19 @@ struct ServeSpec : ScenarioSpec
 const SpecFormat<ServeSpec>& serveFileFormat();
 
 /**
+ * Every cross-key check of a serve scenario (designs, rates, slots,
+ * max_active, the rate bracket, trace path and job classes): an
+ * inconsistent spec fails at @p at and exits 1. parseServeFile and
+ * the ServeSweep constructor both call it, so file, demo, CLI-
+ * overridden and code-built specs are held to the same rules.
+ */
+void checkServeSpec(const ServeSpec& spec, const SpecLoc& at = {});
+
+/**
  * Parse a serve file (serveFileFormat(); `g10serve --help` lists the
  * keys). Unknown keys, malformed values, and inconsistent scenarios
- * are fatal (exit 1) with file/line diagnostics. Example:
+ * (checkServeSpec) are fatal (exit 1) with file/line diagnostics.
+ * Example:
  *
  *   scale = 32
  *   slots = 2

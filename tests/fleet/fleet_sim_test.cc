@@ -217,5 +217,20 @@ TEST(FleetSimDeath, RejectsEmptyFleet)
                 "at least one node");
 }
 
+TEST(FleetSimDeath, CodeBuiltSpecsGetTheFileChecks)
+{
+    // checkFleetSpec runs in the constructor too: the demo fleet pins
+    // BERT to small0, so pinning it to big0 as well must fail.
+    FleetSpec spec = demoFleetSpec(64);
+    spec.nodes[0].families = {ModelKind::BertBase};
+    EXPECT_EXIT(FleetSim fleet(spec), ::testing::ExitedWithCode(1),
+                "family 'BERT_Base' is pinned to two nodes");
+
+    spec = demoFleetSpec(64);
+    spec.nodes[1].name = spec.nodes[0].name;
+    EXPECT_EXIT(FleetSim fleet(spec), ::testing::ExitedWithCode(1),
+                "duplicate node name 'big0'");
+}
+
 }  // namespace
 }  // namespace g10

@@ -681,5 +681,21 @@ TEST(ServeSweepAuto, UnservableClassShedsInsteadOfStalling)
     EXPECT_FALSE(res.allSucceeded());
 }
 
+TEST(ServeSweepDeath, CodeBuiltSpecsGetTheFileChecks)
+{
+    // checkServeSpec runs in the constructor too, so a spec built in
+    // code (or changed by a CLI override) fails like a file would.
+    ServeSpec spec = tinySpec();
+    spec.rateLo = 2.0;
+    spec.rateHi = 1.0;
+    EXPECT_EXIT(ServeSweep sweep(spec), ::testing::ExitedWithCode(1),
+                "rate_hi must be >= rate_lo");
+
+    spec = tinySpec();
+    spec.arrival.kind = ArrivalKind::Trace;
+    EXPECT_EXIT(ServeSweep sweep(spec), ::testing::ExitedWithCode(1),
+                "needs 'trace = <file>'");
+}
+
 }  // namespace
 }  // namespace g10

@@ -20,6 +20,11 @@
  * deterministic for a given seed regardless of --workers.
  * `--format json` emits one `g10.fleet_result.v1` document.
  *
+ * Overrides: --placement jsq|planaware|affinity[,...] and
+ * --speculate on|off set the fleet-file keys placements (replacing
+ * the file's list) and speculate, in that key's grammar
+ * (tools::kFleetOverrides).
+ *
  * Observability: --trace <out.json> (a streaming Chrome trace-event
  * timeline of the first placement policy, one process group per node),
  * --metrics (g10.metrics.v1 counters merged across every cell), and
@@ -29,10 +34,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
 #include "obs/file_trace_sink.h"
 #include "tools/cli_util.h"
 
@@ -45,19 +48,15 @@ usage(std::ostream& os, int code)
 {
     os << "usage: g10fleet <fleet-file> [--format table|json|csv] "
           "[--workers N]\n"
-          "                [--placement jsq|planaware|affinity]\n"
-          "                [--speculate on|off]\n"
-          "       g10fleet --demo [scale] [--placement ...]\n"
+          "                [override ...]\n"
+          "       g10fleet --demo [scale] [override ...]\n"
           "       g10fleet --list-designs [--format ...]\n"
           "       g10fleet --help\n"
           "\n"
-          "--placement restricts the sweep to one placement policy\n"
-          "(the fleet file's `placements` list is the default sweep).\n"
-          "\n"
-          "--speculate on|off overrides the scenario's speculate:\n"
-          "speculative parallel knee probes (rate = auto; on by\n"
-          "default). Pure wall-clock; byte-identical either way.\n"
-          "\n"
+          "Overrides (each sets the fleet-file key it names):\n";
+    tools::printOverrideFlags(os, fleetFileFormat(),
+                              tools::kFleetOverrides);
+    os << "\n"
           "Observability:\n"
           "  --trace <out.json>  streaming Chrome trace-event timeline\n"
           "                      of the first placement policy, one\n"
@@ -86,53 +85,9 @@ main(int argc, char** argv)
 {
     using namespace g10;
 
-    // --workers and --placement are options with a value; peel them
-    // off before the shared parser sees the remaining flags.
-    unsigned workers = 0;  // 0 = one per hardware thread
-    bool have_placement = false;
-    PlacementKind placement = PlacementKind::JoinShortestQueue;
-    bool have_speculate = false;
-    bool speculate = true;
-    std::vector<char*> rest;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--workers") {
-            if (i + 1 >= argc)
-                fatal("--workers needs a value");
-            long long v = 0;
-            if (!parseIntStrict(argv[++i], &v) || v < 1)
-                fatal("--workers must be a positive integer, got '%s'",
-                      argv[i]);
-            workers = static_cast<unsigned>(v);
-        } else if (std::string(argv[i]) == "--placement") {
-            if (i + 1 >= argc)
-                fatal("--placement needs a value (jsq | planaware | "
-                      "affinity)");
-            if (!placementKindFromName(argv[++i], &placement))
-                fatal("unknown --placement '%s' (jsq | planaware | "
-                      "affinity)",
-                      argv[i]);
-            have_placement = true;
-        } else if (std::string(argv[i]) == "--speculate") {
-            if (i + 1 >= argc)
-                fatal("--speculate needs a value (on | off)");
-            std::string v = argv[++i];
-            if (v == "on")
-                speculate = true;
-            else if (v == "off")
-                speculate = false;
-            else
-                fatal("unknown --speculate '%s' (on | off)",
-                      v.c_str());
-            have_speculate = true;
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-
     tools::CliArgs args = tools::parseCliArgs(
-        static_cast<int>(rest.size()), rest.data(),
-        {"--demo", "--forensics"});
+        argc, argv, {"--demo", "--forensics"}, {"--workers"},
+        tools::kFleetOverrides);
     if (args.help)
         return usage(std::cout, 0);
     if (!args.error.empty()) {
@@ -149,28 +104,14 @@ main(int argc, char** argv)
 
     FleetSpec spec;
     if (args.has("--demo")) {
-        if (args.positional.size() > 1)
-            return usage(std::cerr, 1);
-        unsigned scale = 64;
-        if (args.positional.size() == 1) {
-            long long v = 0;
-            if (!parseIntStrict(args.positional[0], &v) || v < 1)
-                fatal("--demo scale must be a positive integer, got "
-                      "'%s'",
-                      args.positional[0].c_str());
-            scale = static_cast<unsigned>(v);
-        }
-        spec = demoFleetSpec(scale);
+        spec = demoFleetSpec(args.demoScale > 0 ? args.demoScale : 64);
     } else {
         if (args.positional.size() != 1)
             return usage(std::cerr, 1);
         spec = parseFleetFile(args.positional[0]);
     }
-
-    if (have_placement)
-        spec.placements = {placement};
-    if (have_speculate)
-        spec.speculativeProbes = speculate;
+    tools::applyOverrides(spec, fleetFileFormat(), tools::kFleetOverrides,
+                          args);
 
     if (args.format == ReportFormat::Table) {
         std::cout << "# g10fleet: " << spec.nodes.size() << " nodes x "
@@ -186,7 +127,7 @@ main(int argc, char** argv)
     }
 
     FleetSim fleet(spec);
-    ExperimentEngine engine(workers);
+    ExperimentEngine engine(args.workers);
 
     // --trace streams straight to disk (FileTraceSink): a fleet sweep
     // can emit far more events than one serving cell.

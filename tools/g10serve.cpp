@@ -16,6 +16,11 @@
  * Results are deterministic for a given seed regardless of --workers.
  * `--format json` emits one `g10.serve_result.v1` document.
  *
+ * Overrides: --partition static|proportional|ondemand,
+ * --sweep-cache on|off and --speculate on|off set the serve-file keys
+ * partition_policy, sweep_cache and speculate, in that key's grammar
+ * (tools::kServeOverrides).
+ *
  * Observability: --trace <out.json> (Chrome trace-event timeline of
  * the sweep's first cell), --metrics (g10.metrics.v1 counters merged
  * across every cell, worker-count independent), and
@@ -25,10 +30,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -40,25 +43,15 @@ usage(std::ostream& os, int code)
 {
     os << "usage: g10serve <serve-file> [--format table|json|csv] "
           "[--workers N]\n"
-          "                [--partition static|proportional|ondemand]\n"
-          "                [--sweep-cache on|off] [--speculate on|off]\n"
-          "       g10serve --demo [scale] [--partition ...]\n"
+          "                [override ...]\n"
+          "       g10serve --demo [scale] [override ...]\n"
           "       g10serve --list-designs [--format ...]\n"
           "       g10serve --help\n"
           "\n"
-          "--partition overrides the scenario's partition_policy\n"
-          "(elastic capacity: proportional equal-share of the active\n"
-          "jobs, or ondemand split/merge with hysteresis).\n"
-          "\n"
-          "--sweep-cache on|off overrides the scenario's sweep_cache:\n"
-          "the cross-probe plan-compile cache (on by default). Pure\n"
-          "wall-clock; results are bit-identical either way.\n"
-          "\n"
-          "--speculate on|off overrides the scenario's speculate:\n"
-          "speculative parallel knee probes on idle pool workers\n"
-          "(rates = auto; on by default). Pure wall-clock; the\n"
-          "decided search path is byte-identical either way.\n"
-          "\n"
+          "Overrides (each sets the serve-file key it names):\n";
+    tools::printOverrideFlags(os, serveFileFormat(),
+                              tools::kServeOverrides);
+    os << "\n"
           "Observability:\n"
           "  --trace <out.json>  Chrome trace-event timeline of the\n"
           "                      sweep's first (design, rate) cell\n"
@@ -84,67 +77,8 @@ main(int argc, char** argv)
 {
     using namespace g10;
 
-    // --workers, --partition and --sweep-cache are options with a
-    // value; peel them off before the shared parser sees the
-    // remaining flags.
-    unsigned workers = 0;  // 0 = one per hardware thread
-    bool have_partition = false;
-    PartitionPolicy partition = PartitionPolicy::Static;
-    bool have_sweep_cache = false;
-    bool sweep_cache = true;
-    bool have_speculate = false;
-    bool speculate = true;
-    std::vector<char*> rest;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--sweep-cache") {
-            if (i + 1 >= argc)
-                fatal("--sweep-cache needs a value (on | off)");
-            std::string v = argv[++i];
-            if (v == "on")
-                sweep_cache = true;
-            else if (v == "off")
-                sweep_cache = false;
-            else
-                fatal("unknown --sweep-cache '%s' (on | off)",
-                      v.c_str());
-            have_sweep_cache = true;
-        } else if (std::string(argv[i]) == "--speculate") {
-            if (i + 1 >= argc)
-                fatal("--speculate needs a value (on | off)");
-            std::string v = argv[++i];
-            if (v == "on")
-                speculate = true;
-            else if (v == "off")
-                speculate = false;
-            else
-                fatal("unknown --speculate '%s' (on | off)",
-                      v.c_str());
-            have_speculate = true;
-        } else if (std::string(argv[i]) == "--workers") {
-            if (i + 1 >= argc)
-                fatal("--workers needs a value");
-            long long v = 0;
-            if (!parseIntStrict(argv[++i], &v) || v < 1)
-                fatal("--workers must be a positive integer, got '%s'",
-                      argv[i]);
-            workers = static_cast<unsigned>(v);
-        } else if (std::string(argv[i]) == "--partition") {
-            if (i + 1 >= argc)
-                fatal("--partition needs a value (static | "
-                      "proportional | ondemand)");
-            if (!partitionPolicyFromName(argv[++i], &partition))
-                fatal("unknown --partition '%s' (static | "
-                      "proportional | ondemand)",
-                      argv[i]);
-            have_partition = true;
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-
     tools::CliArgs args = tools::parseCliArgs(
-        static_cast<int>(rest.size()), rest.data(), {"--demo"});
+        argc, argv, {"--demo"}, {"--workers"}, tools::kServeOverrides);
     if (args.help)
         return usage(std::cout, 0);
     if (!args.error.empty()) {
@@ -161,30 +95,14 @@ main(int argc, char** argv)
 
     ServeSpec spec;
     if (args.has("--demo")) {
-        if (args.positional.size() > 1)
-            return usage(std::cerr, 1);
-        unsigned scale = 32;
-        if (args.positional.size() == 1) {
-            long long v = 0;
-            if (!parseIntStrict(args.positional[0], &v) || v < 1)
-                fatal("--demo scale must be a positive integer, got "
-                      "'%s'",
-                      args.positional[0].c_str());
-            scale = static_cast<unsigned>(v);
-        }
-        spec = demoServeSpec(scale);
+        spec = demoServeSpec(args.demoScale > 0 ? args.demoScale : 32);
     } else {
         if (args.positional.size() != 1)
             return usage(std::cerr, 1);
         spec = parseServeFile(args.positional[0]);
     }
-
-    if (have_partition)
-        spec.partitionPolicy = partition;
-    if (have_sweep_cache)
-        spec.sweepPlanCache = sweep_cache;
-    if (have_speculate)
-        spec.speculativeProbes = speculate;
+    tools::applyOverrides(spec, serveFileFormat(), tools::kServeOverrides,
+                          args);
 
     if (args.format == ReportFormat::Table) {
         std::cout << "# g10serve: " << spec.designs.size()
@@ -202,7 +120,7 @@ main(int argc, char** argv)
     }
 
     ServeSweep sweep(spec);
-    ExperimentEngine engine(workers);
+    ExperimentEngine engine(args.workers);
 
     MemoryTraceSink sink;
     ServeObsRequest obs;
