@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the hot paths of the compile
  * pipeline and the simulator: PressureCurve and StepFunction range
  * math, vitality analysis, Algorithm 1 scheduling, the SSD FTL's bulk
- * write path and its garbage collection, and full simulation replay.
+ * write path and its garbage collection, the migration fabric over the
+ * FTL, and full simulation replay.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 
 #include "api/g10.h"
 #include "core/g10_compiler.h"
+#include "sim/interconnect/fabric.h"
 #include "sim/ssd/ssd_device.h"
 
 namespace {
@@ -166,7 +168,9 @@ BM_SsdSteadyStateWrite(benchmark::State& state)
     std::uint64_t lp = ssd.allocLogical(region);
     std::mt19937_64 rng(42);
     auto oneWrite = [&] {
-        return ssd.serviceWrite(lp + (rng() % slots) * pagesPerWrite, write);
+        return ssd
+            .serviceWrite(lp + (rng() % slots) * pagesPerWrite, write, write)
+            .total();
     };
     for (std::uint64_t i = 0; i < 4 * slots; ++i)
         oneWrite();
@@ -205,7 +209,8 @@ BM_SsdSequentialRewrite(benchmark::State& state)
             state.ResumeTiming();
         }
         benchmark::DoNotOptimize(
-            ssd.serviceWrite(lp + next * pagesPerWrite, write));
+            ssd.serviceWrite(lp + next * pagesPerWrite, write, write)
+                .total());
         next = next + 1 == slots ? 0 : next + 1;
     }
     state.SetItemsProcessed(state.iterations() *
@@ -213,6 +218,61 @@ BM_SsdSequentialRewrite(benchmark::State& state)
     state.counters["gc_runs"] = static_cast<double>(ssd.stats().gcRuns);
 }
 BENCHMARK(BM_SsdSequentialRewrite);
+
+void
+BM_FabricTapeReplay(benchmark::State& state)
+{
+    // The ssd_gc replay's migration stream without the compiler or the
+    // runtime: G10-GDS's driver path (512 KiB copy batches) evicts
+    // tensors of 4-44 MiB (24 MiB on average) to their own logical
+    // ranges on a 4 GiB device and fetches others back, from a seeded
+    // tape built in memory. The tape replays until GC has run before
+    // timing starts, so the timed migrations include GC. Items are
+    // migrations.
+    SystemConfig sys;
+    sys.ssdCapacityBytes = 4 * GiB;
+    SsdDevice ssd(sys);
+    Fabric fabric(sys, &ssd, /*uvm_extension=*/false);
+    struct Migration
+    {
+        bool evict;
+        Bytes bytes;
+        std::uint64_t lp;  ///< evictions: the tensor's logical range
+    };
+    const int tensors = 64;
+    std::vector<Migration> evictions;
+    std::mt19937_64 rng(42);
+    for (int t = 0; t < tensors; ++t) {
+        Bytes bytes = 4 * MiB + rng() % (40 * MiB);
+        evictions.push_back({true, bytes, ssd.allocLogical(bytes)});
+    }
+    // Each eviction is followed by the fetch of the tensor evicted half
+    // a pass earlier.
+    std::vector<Migration> tape;
+    for (int t = 0; t < tensors; ++t) {
+        tape.push_back(evictions[t]);
+        tape.push_back({false, evictions[(t + tensors / 2) % tensors].bytes,
+                        0});
+    }
+    std::size_t next = 0;
+    TimeNs clock = 0;
+    auto replay = [&] {
+        const Migration& m = tape[next];
+        next = next + 1 == tape.size() ? 0 : next + 1;
+        clock += 6 * MSEC;
+        return m.evict ? fabric.fromGpu(m.bytes, MemLoc::Ssd, clock,
+                                        TransferCause::PreEvict, m.lp)
+                       : fabric.toGpu(m.bytes, MemLoc::Ssd, clock,
+                                      TransferCause::Prefetch);
+    };
+    while (ssd.stats().gcRuns == 0)
+        replay();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(replay().complete);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["gc_runs"] = static_cast<double>(ssd.stats().gcRuns);
+}
+BENCHMARK(BM_FabricTapeReplay);
 
 void
 BM_SimulateG10(benchmark::State& state)

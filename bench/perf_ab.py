@@ -10,12 +10,14 @@ runs each tree's own `perfbench/run.py --workload W --seconds 4` for 10
 pairs per workload, alternating which side runs first. Each tree builds
 its own g10perf. Prints each side's op_s.p50 median and quartiles, the
 pairs the change won and the median paired change/base ratio, and each
-side's median of the other end-to-end metrics (op_s.p90, op_cpu_s.p50,
-peak_rss_mb, setup_s).
+side's median of the other end-to-end metrics BENCHMARK.json declares
+(op_s.p90, op_cpu_s.p50, peak_rss_mb, setup_s).
 
 Exits 1 as soon as a run of either side fails, reports a failed op or
-a golden other than "match"; otherwise exits 1 if the median paired
-ratio of any workload exceeds 1.10.
+a golden other than "match". Otherwise exits 1 if, on any workload, the
+median paired op_s.p50 ratio exceeds 1.10, or the change's median of
+another end-to-end metric exceeds the base's median by more than that
+metric's `bound` in BENCHMARK.json (change/base > 1 + bound).
 """
 
 import json
@@ -31,8 +33,12 @@ PAIRS = 10
 SECONDS = 4
 BUDGET = 1.10
 METRIC = "op_s.p50"
-# Reported next to METRIC; only METRIC is gated.
-OTHERS = ("op_s.p90", "op_cpu_s.p50", "peak_rss_mb", "setup_s")
+# The other end-to-end metrics: name -> (bound, lower is better). Each
+# side's median is gated at worse/better <= 1 + bound.
+BOUNDS = {m["name"]: (m["bound"], m["better"] == "lower") for m in
+          json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+          if m["name"] != METRIC}
+OTHERS = tuple(BOUNDS)
 
 
 def fail(msg):
@@ -73,7 +79,8 @@ def run(side, tree, workload):
 
 
 def compare(workload, trees):
-    """PAIRS interleaved pairs; returns the median change/base ratio."""
+    """PAIRS interleaved pairs; returns the gate failures, one string
+    each."""
     runs = {"base": [], "change": []}
     for i in range(PAIRS):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -82,10 +89,17 @@ def compare(workload, trees):
         print(f"  pair {i + 1:2d}: base {runs['base'][-1][METRIC]:.4f} s  "
               f"change {runs['change'][-1][METRIC]:.4f} s", flush=True)
 
+    over = []
     for m in OTHERS:
         b, c = (statistics.median(r[m] for r in runs[side])
                 for side in ("base", "change"))
-        print(f"{workload} {m}: median base {b:.4f}  change {c:.4f}")
+        bound, lower = BOUNDS[m]
+        worse = c / b if lower else b / c
+        print(f"{workload} {m}: median base {b:.4f}  change {c:.4f} "
+              f"(ratio {worse:.3f}, budget {1 + bound:.2f})")
+        if worse > 1 + bound:
+            over.append(f"{workload} {m} ratio {worse:.3f} > "
+                        f"{1 + bound:.2f}")
     times = {side: [r[METRIC] for r in runs[side]] for side in runs}
 
     pairs = list(zip(times["base"], times["change"]))
@@ -99,7 +113,10 @@ def compare(workload, trees):
     print(f"{workload}: change won {won}/{PAIRS} pairs, median paired "
           f"change/base {ratio:.3f} (budget {BUDGET:.2f}), base "
           f"IQR/median {(q3 - q1) / q2:.3f}", flush=True)
-    return ratio
+    if ratio > BUDGET:
+        over.append(f"{workload} {METRIC} paired ratio {ratio:.3f} > "
+                    f"{BUDGET:.2f}")
+    return over
 
 
 def main():
@@ -111,10 +128,9 @@ def main():
         base = Path(tmp)
         extract(base_rev, base)
         trees = {"base": base, "change": ROOT}
-        over = [w for w in workloads if compare(w, trees) > BUDGET]
+        over = [o for w in workloads for o in compare(w, trees)]
     if over:
-        fail(f"{METRIC} regressed by more than {BUDGET:.2f}x on "
-             f"{', '.join(over)}")
+        fail("over budget: " + "; ".join(over))
     print("perf_ab: within budget")
 
 

@@ -40,87 +40,8 @@ Fabric::toGpu(Bytes bytes, MemLoc src, TimeNs earliest,
 {
     if (src == MemLoc::Gpu)
         panic("toGpu: source is GPU");
-    if (bytes == 0)
-        return Transfer{earliest, earliest};
-
-    ++traffic_.migrationOps;
-
-    const bool fault = (cause == TransferCause::PageFault);
-    const bool driver_path = !fault && !uvmExtension_;
-    TimeNs ready = earliest;  // when batches may start moving
-    if (!fault && uvmExtension_) {
-        // The unified page table: one PTE interaction per migration op;
-        // the hardware arbiter batches the rest.
-        TimeNs sw = hostSoftwareCost(cause);
-        ready = std::max(earliest, ch_->hostSwFree) + sw;
-        ch_->hostSwFree = ready;
-    }
-
-    Transfer out;
-    out.start = 0;
-    out.complete = ready;
-    Bytes remaining = bytes;
-    Bytes batch_limit;
-    if (fault)
-        batch_limit = std::max<Bytes>(config_.faultBatchBytes,
-                                      config_.pageBytes);
-    else if (driver_path)
-        batch_limit = std::max<Bytes>(config_.nonUvmCopyBytes,
-                                      config_.pageBytes);
-    else
-        batch_limit = std::max<Bytes>(config_.transferSetBytes,
-                                      config_.pageBytes);
-    TimeNs fault_cursor = earliest;
-    while (remaining > 0) {
-        Bytes batch = std::min(remaining, batch_limit);
-        TimeNs batch_ready = ready;
-        if (driver_path) {
-            // No unified page table: the driver sets up (PTEs,
-            // syscall, DMA descriptor) every copy chunk. Setup of
-            // chunk i+1 pipelines with the DMA of chunk i but
-            // serializes on the host software timeline.
-            TimeNs sw_done = std::max(earliest, ch_->hostSwFree) +
-                             config_.hostSwOverheadNs;
-            ch_->hostSwFree = sw_done;
-            batch_ready = std::max(batch_ready, sw_done);
-        }
-        if (fault) {
-            // On-demand paging discovers faults serially: the next
-            // fault is raised only after the previous batch landed and
-            // the warp touched the next missing page, so handler and
-            // DMA do NOT pipeline (this is what makes Base UVM pay
-            // 4-5x over ideal in the paper).
-            ++traffic_.faultBatches;
-            TimeNs sw_done = std::max(fault_cursor, ch_->hostSwFree) +
-                             config_.gpuFaultLatencyNs;
-            ch_->hostSwFree = sw_done;
-            batch_ready = sw_done;
-        }
-        TimeNs link_time = transferTimeNs(batch, config_.pcieGBps);
-        TimeNs start;
-        TimeNs done;
-        if (src == MemLoc::Ssd) {
-            TimeNs dev_busy = ssd_->serviceRead(batch);
-            start = std::max({batch_ready, ch_->pcieInFree, ch_->ssdFree});
-            ch_->ssdFree = start + dev_busy;
-            ch_->pcieInFree = start + link_time;
-            ch_->pcieInBusy += link_time;
-            done = std::max(ch_->ssdFree, ch_->pcieInFree);
-            traffic_.ssdToGpu += batch;
-        } else {
-            start = std::max(batch_ready, ch_->pcieInFree);
-            ch_->pcieInFree = start + link_time;
-            ch_->pcieInBusy += link_time;
-            done = ch_->pcieInFree;
-            traffic_.hostToGpu += batch;
-        }
-        if (out.start == 0)
-            out.start = start;
-        out.complete = std::max(out.complete, done);
-        fault_cursor = done;
-        remaining -= batch;
-    }
-    return out;
+    return migrate(bytes, src, true, earliest, cause,
+                   cause == TransferCause::PageFault, 0);
 }
 
 Fabric::Transfer
@@ -129,75 +50,117 @@ Fabric::fromGpu(Bytes bytes, MemLoc dst, TimeNs earliest,
 {
     if (dst == MemLoc::Gpu)
         panic("fromGpu: destination is GPU");
+    return migrate(bytes, dst, false, earliest, cause,
+                   cause == TransferCause::FaultEvict, ssd_logical_page);
+}
+
+Fabric::Transfer
+Fabric::migrate(Bytes bytes, MemLoc far, bool inbound, TimeNs earliest,
+                TransferCause cause, bool fault,
+                std::uint64_t ssd_logical_page)
+{
     if (bytes == 0)
         return Transfer{earliest, earliest};
 
     ++traffic_.migrationOps;
 
-    const bool fault_path = (cause == TransferCause::FaultEvict);
-    const bool driver_path = !fault_path && !uvmExtension_;
+    // Three ways to pace the batches: fault batches (on-demand paging
+    // discovers faults serially, so handler and DMA do NOT pipeline --
+    // this is what makes Base UVM pay 4-5x over ideal in the paper);
+    // driver batches (no unified page table: the driver sets up PTEs,
+    // syscall and DMA descriptor for every copy chunk, pipelined with
+    // the previous chunk's DMA but serialized on the host software
+    // timeline); and planned batches behind one PTE interaction per
+    // migration op (the unified page table, §4.5).
+    const bool driver = !fault && !uvmExtension_;
+    const Bytes batch = std::max<Bytes>(
+        fault ? config_.faultBatchBytes
+              : driver ? config_.nonUvmCopyBytes : config_.transferSetBytes,
+        config_.pageBytes);
+    const TimeNs sw = fault ? config_.gpuFaultLatencyNs
+                      : driver ? config_.hostSwOverheadNs
+                               : hostSoftwareCost(cause);
+    const std::uint64_t batches = (bytes + batch - 1) / batch;
+    const Bytes lastBytes = bytes - (batches - 1) * batch;
+
+    // The first batch's software step ends at `ready`; a driver batch j
+    // is set up by ready + j * sw, a fault batch j >= 1 by the previous
+    // batch's completion + sw, and planned batches wait on ready alone.
+    const TimeNs ready = std::max(earliest, ch_->hostSwFree) + sw;
+    if (!fault)
+        ch_->hostSwFree =
+            driver ? ready + static_cast<TimeNs>(batches - 1) * sw : ready;
+
+    const SsdDevice::BatchBusy* dev = nullptr;
+    if (far == MemLoc::Ssd)
+        dev = inbound ? &ssd_->serviceRead(bytes, batch)
+                      : &ssd_->serviceWrite(ssd_logical_page, bytes, batch);
+    TimeNs& linkFree = inbound ? ch_->pcieInFree : ch_->pcieOutFree;
+    TimeNs& linkBusy = inbound ? ch_->pcieInBusy : ch_->pcieOutBusy;
+    Bytes& moved = far == MemLoc::Ssd
+                       ? (inbound ? traffic_.ssdToGpu : traffic_.gpuToSsd)
+                       : (inbound ? traffic_.hostToGpu : traffic_.gpuToHost);
+
     Transfer out;
-    TimeNs cursor = earliest;
-    if (!fault_path && uvmExtension_) {
-        TimeNs sw = hostSoftwareCost(cause);
-        cursor = std::max(earliest, ch_->hostSwFree) + sw;
-        ch_->hostSwFree = cursor;
+    TimeNs done = 0;  // completion of the last batch advanced
+    // Advance @p count batches of @p size bytes from batch @p first,
+    // each keeping the device busy for @p busy. Within such a run batch
+    // k's start is max(driver ? ready + (first + k) * sw : 0, s + k * b):
+    // s is batch first's start and b its per-batch step -- the link or,
+    // on the SSD, the slower of link and device, plus sw for faults.
+    auto advance = [&](std::uint64_t first, std::uint64_t count, Bytes size,
+                       TimeNs busy) {
+        const TimeNs link = transferTimeNs(size, config_.pcieGBps);
+        const TimeNs step = dev != nullptr ? std::max(link, busy) : link;
+        TimeNs s = fault && first > 0 ? done + sw
+                   : driver ? ready + static_cast<TimeNs>(first) * sw
+                            : ready;
+        s = std::max(s, linkFree);
+        if (dev != nullptr)
+            s = std::max(s, ch_->ssdFree);
+        if (first == 0)
+            out.start = s;
+        const TimeNs k = static_cast<TimeNs>(count - 1);
+        TimeNs last = s + k * (fault ? step + sw : step);
+        if (driver)
+            last = std::max(
+                last, ready + static_cast<TimeNs>(first + count - 1) * sw);
+        if (fault)  // the last batch's handler step
+            ch_->hostSwFree = first + count == 1 ? ready : last;
+        linkFree = last + link;
+        linkBusy += static_cast<TimeNs>(count) * link;
+        if (dev != nullptr)
+            ch_->ssdFree = last + busy;
+        done = last + step;
+        moved += count * size;
+        if (fault && inbound)
+            traffic_.faultBatches += count;
+    };
+
+    // Runs of full batches in closed form; batch by batch only where GC
+    // lengthened a batch and for a partial last batch.
+    const TimeNs fullBusy = dev != nullptr ? dev->full : 0;
+    const TimeNs lastBusy = dev != nullptr ? dev->last : 0;
+    std::uint64_t next = 0;
+    auto fullRun = [&](std::uint64_t end) {
+        if (end > next) {
+            advance(next, end - next, batch, fullBusy);
+            next = end;
+        }
+    };
+    if (dev != nullptr) {
+        for (const auto& [j, gc] : dev->gc) {
+            fullRun(j);
+            bool last = j + 1 == batches;
+            advance(j, 1, last ? lastBytes : batch,
+                    (last ? lastBusy : fullBusy) + gc);
+            next = j + 1;
+        }
     }
-    Bytes remaining = bytes;
-    Bytes offset = 0;
-    out.start = 0;
-    Bytes batch_limit;
-    if (fault_path)
-        batch_limit = std::max<Bytes>(config_.faultBatchBytes,
-                                      config_.pageBytes);
-    else if (driver_path)
-        batch_limit = std::max<Bytes>(config_.nonUvmCopyBytes,
-                                      config_.pageBytes);
-    else
-        batch_limit = std::max<Bytes>(config_.transferSetBytes,
-                                      config_.pageBytes);
-    while (remaining > 0) {
-        Bytes batch = std::min(remaining, batch_limit);
-        if (driver_path) {
-            TimeNs sw_done = std::max(earliest, ch_->hostSwFree) +
-                             config_.hostSwOverheadNs;
-            ch_->hostSwFree = sw_done;
-            cursor = std::max(cursor, sw_done);
-        }
-        if (fault_path) {
-            // Stock UVM evicts inside the fault handler: each LRU
-            // writeback batch is a serialized host round trip.
-            TimeNs sw_done = std::max(cursor, ch_->hostSwFree) +
-                             config_.gpuFaultLatencyNs;
-            ch_->hostSwFree = sw_done;
-            cursor = sw_done;
-        }
-        TimeNs link_time = transferTimeNs(batch, config_.pcieGBps);
-        TimeNs start;
-        if (dst == MemLoc::Ssd) {
-            std::uint64_t page =
-                ssd_logical_page +
-                offset / ssd_->geometry().flashPageBytes;
-            TimeNs dev_busy = ssd_->serviceWrite(page, batch);
-            start = std::max({cursor, ch_->pcieOutFree, ch_->ssdFree});
-            ch_->ssdFree = start + dev_busy;
-            ch_->pcieOutFree = start + link_time;
-            ch_->pcieOutBusy += link_time;
-            cursor = std::max(ch_->ssdFree, ch_->pcieOutFree);
-            traffic_.gpuToSsd += batch;
-        } else {
-            start = std::max(cursor, ch_->pcieOutFree);
-            ch_->pcieOutFree = start + link_time;
-            ch_->pcieOutBusy += link_time;
-            cursor = ch_->pcieOutFree;
-            traffic_.gpuToHost += batch;
-        }
-        if (out.start == 0)
-            out.start = start;
-        remaining -= batch;
-        offset += batch;
-    }
-    out.complete = cursor;
+    fullRun(lastBytes == batch ? batches : batches - 1);
+    if (next < batches)
+        advance(next, 1, lastBytes, lastBusy);
+    out.complete = done;
     return out;
 }
 

@@ -17,6 +17,18 @@
  * A transfer's completion is the max across the resources it uses;
  * transfers are internally split into transfer-set batches so a large
  * migration does not monopolize a resource timeline.
+ *
+ * Cost model of the implementation: a migration costs O(1) here plus
+ * one SsdDevice call, whatever its batch count. Batch j's start is a
+ * max-plus recurrence with constant integer increments, so over a run
+ * of equal batches it is the max of two affine terms in j:
+ * max(A + j*a, S + j*b), where S is the run's first start, b the link
+ * time (on SSD paths the larger of link and device busy time) plus,
+ * for fault batches, the fault latency, and a the driver's per-batch
+ * software cost (planned and fault batches: none). Only the last
+ * (partial) batch and the batches garbage collection lengthened are
+ * advanced one by one. tests/sim/fabric_reference.h keeps the
+ * batch-by-batch loop this must equal exactly.
  */
 
 #ifndef G10_SIM_INTERCONNECT_FABRIC_H
@@ -138,6 +150,11 @@ class Fabric
   private:
     /** Host software serialization cost for one migration op. */
     TimeNs hostSoftwareCost(TransferCause cause) const;
+
+    /** The batch routine behind toGpu (@p inbound) and fromGpu. */
+    Transfer migrate(Bytes bytes, MemLoc far, bool inbound,
+                     TimeNs earliest, TransferCause cause, bool fault,
+                     std::uint64_t ssd_logical_page);
 
     SystemConfig config_;
     SsdDevice* ssd_;

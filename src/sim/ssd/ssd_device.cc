@@ -197,25 +197,58 @@ SsdDevice::advanceOpenBlock()
     openBlock_ = next;
 }
 
-TimeNs
-SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
+void
+SsdDevice::startBatches(Bytes bytes, Bytes batch, TimeNs latency,
+                        double gbps)
 {
-    std::uint64_t pages =
-        (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
+    if (bytes == 0 || batch == 0)
+        panic("SSD service call of %llu bytes in %llu-byte batches",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(batch));
+    busy_.batches = (bytes + batch - 1) / batch;
+    busy_.full = latency + transferTimeNs(batch, gbps);
+    busy_.last = latency +
+                 transferTimeNs(bytes - (busy_.batches - 1) * batch, gbps);
+    busy_.gc.clear();
+}
+
+const SsdDevice::BatchBusy&
+SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes,
+                        Bytes batch)
+{
+    startBatches(bytes, batch, config_.ssdWriteLatencyNs,
+                 config_.ssdWriteGBps);
+    const Bytes fpb = geom_.flashPageBytes;
     stats_.hostWriteBytes += bytes;
-    stats_.nandWriteBytes += pages * geom_.flashPageBytes;
+    if (batch % fpb == 0) {
+        // Whole-page batches tile one contiguous page range.
+        std::uint64_t pages = (bytes + fpb - 1) / fpb;
+        stats_.nandWriteBytes += pages * fpb;
+        program(logical_page, pages, 0, batch / fpb);
+        return busy_;
+    }
+    // Batch j may start in the page batch j - 1 ends in and rewrite
+    // it, so each batch is programmed on its own.
+    for (std::uint64_t j = 0; j < busy_.batches; ++j) {
+        Bytes size = std::min(batch, bytes - j * batch);
+        std::uint64_t pages = (size + fpb - 1) / fpb;
+        stats_.nandWriteBytes += pages * fpb;
+        program(logical_page + j * batch / fpb, pages, j, pages);
+    }
+    return busy_;
+}
 
-    TimeNs busy = config_.ssdWriteLatencyNs +
-                  transferTimeNs(bytes, config_.ssdWriteGBps);
-
+void
+SsdDevice::program(std::uint64_t logical_page, std::uint64_t pages,
+                   std::uint64_t first_batch, std::uint64_t batch_pages)
+{
     const std::uint32_t ppb = geom_.pagesPerBlock;
-    std::uint64_t end = logical_page + pages;
+    const std::uint64_t end = logical_page + pages;
     for (std::uint64_t lp = logical_page; lp < end;) {
         std::uint64_t run = std::min(
             end - lp, kTableChunkPages - lp % kTableChunkPages);
         Chunk& chunk = residentChunk(lp);
         std::uint32_t* slot = &chunk.block[lp % kTableChunkPages];
-        lp += run;
         while (run > 0) {
             // Append to the open block, advancing to the next erased
             // block when it fills.
@@ -249,21 +282,33 @@ SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
             else if (totalPages_ >= ppb)
                 panic("SSD free-page count underflow with a block open");
             // (else the device is smaller than its one block: see header)
-            if (freePages_ < gcThreshold_)
-                collectGarbage(&busy);
             slot += n;
             run -= n;
+            lp += n;
+            if (freePages_ >= gcThreshold_)
+                continue;
+            // GC's time goes to the batch of the page that triggered it,
+            // the segment's last; a run that took no time changes none.
+            TimeNs t = collectGarbage();
+            if (t == 0)
+                continue;
+            std::uint64_t batch =
+                first_batch + (lp - 1 - logical_page) / batch_pages;
+            if (!busy_.gc.empty() && busy_.gc.back().first == batch)
+                busy_.gc.back().second += t;
+            else
+                busy_.gc.emplace_back(batch, t);
         }
     }
-    return busy;
 }
 
-TimeNs
-SsdDevice::serviceRead(Bytes bytes)
+const SsdDevice::BatchBusy&
+SsdDevice::serviceRead(Bytes bytes, Bytes batch)
 {
+    startBatches(bytes, batch, config_.ssdReadLatencyNs,
+                 config_.ssdReadGBps);
     stats_.hostReadBytes += bytes;
-    return config_.ssdReadLatencyNs +
-           transferTimeNs(bytes, config_.ssdReadGBps);
+    return busy_;
 }
 
 std::uint64_t
@@ -305,10 +350,11 @@ SsdDevice::bestVictim()
     return victimTree_[1];
 }
 
-void
-SsdDevice::collectGarbage(TimeNs* busy)
+TimeNs
+SsdDevice::collectGarbage()
 {
     ++stats_.gcRuns;
+    TimeNs busy = 0;
     // Greedy: relocate the fullest-of-invalid (fewest valid pages)
     // *programmed* block, lowest index on ties, until comfortably above
     // the threshold.
@@ -327,7 +373,7 @@ SsdDevice::collectGarbage(TimeNs* busy)
         stats_.relocatedPages += best_valid;
         stats_.nandWriteBytes +=
             static_cast<Bytes>(best_valid) * geom_.flashPageBytes;
-        *busy += geom_.eraseLatencyNs +
+        busy += geom_.eraseLatencyNs +
                  transferTimeNs(static_cast<Bytes>(best_valid) *
                                     geom_.flashPageBytes,
                                 config_.ssdWriteGBps);
@@ -340,6 +386,7 @@ SsdDevice::collectGarbage(TimeNs* busy)
         notFull_[victim / 64] |= 1ULL << (victim % 64);
         markDirty(victim);
     }
+    return busy;
 }
 
 std::uint64_t

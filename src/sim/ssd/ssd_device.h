@@ -19,12 +19,17 @@
  * totalPages have been programmed and writes go on until the block
  * fills.
  *
- * Cost model of the implementation (not of the device): the logical
- * page table is a dense array in fixed-size chunks; a chunk is freed
- * once no page in it is mapped. A write is cut into segments at chunk
- * ends, where the open block fills and at the page that takes free
- * pages below the GC threshold (single pages while free pages sit below
- * it or read 0). Each segment costs O(1) plus one table store per page;
+ * Cost model of the implementation (not of the device): the logical page
+ * table is a dense array in fixed-size chunks; a chunk is freed once no
+ * page in it is mapped. One write call takes a migration's whole page
+ * range and its batch size. Batches of whole flash pages tile one
+ * contiguous range, so the write is cut into segments only at chunk
+ * ends, where the open block fills and at the page that takes free pages
+ * below the GC threshold (single pages while free pages sit below it or
+ * read 0); batches that are not whole pages may share a page with the
+ * next batch and are programmed one by one. Every batch's busy time is
+ * one formula; the result lists only the batches GC lengthened, and a
+ * read is O(1). Each segment costs O(1) plus one table store per page;
  * the old copies it replaces are invalidated in groups of equal blocks,
  * one subtract and one dirty mark per group. The next open block comes
  * from a not-full bitset (find-next-set). GC victims come from a
@@ -38,6 +43,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/system_config.h"
@@ -104,14 +110,48 @@ class SsdDevice
     SsdDevice(const SystemConfig& config, Geometry geometry);
 
     /**
-     * Write @p bytes at logical address space of tensor @p tensor chunk
-     * region starting at @p logical_page. Returns device busy time
-     * (program latency + streaming + any GC this write triggered).
+     * Device busy time of one migration that moves in batches of equal
+     * size: one value for every full batch, one for the last batch
+     * (shorter when the batch size does not divide the bytes), and the
+     * garbage-collection time the few batches that triggered GC add on
+     * top of theirs.
      */
-    TimeNs serviceWrite(std::uint64_t logical_page, Bytes bytes);
+    struct BatchBusy
+    {
+        std::uint64_t batches = 0;
+        TimeNs full = 0;  ///< a full batch, before GC
+        TimeNs last = 0;  ///< the last batch, before GC
+        /** (batch index, GC time it adds): ascending, one entry per
+         *  batch, only batches whose GC took time. */
+        std::vector<std::pair<std::uint64_t, TimeNs>> gc;
 
-    /** Read @p bytes; returns busy time. */
-    TimeNs serviceRead(Bytes bytes);
+        /** Busy time summed over every batch. */
+        TimeNs total() const
+        {
+            TimeNs t = static_cast<TimeNs>(batches - 1) * full + last;
+            for (const auto& charge : gc)
+                t += charge.second;
+            return t;
+        }
+    };
+
+    /**
+     * Write @p bytes (> 0) of one migration, starting at logical page
+     * @p logical_page, as ceil(bytes / batch) batches of @p batch bytes.
+     * Batch j programs ceil(its bytes / flashPageBytes) pages from
+     * logical_page + j * batch / flashPageBytes, so batches that are not
+     * a whole number of flash pages rewrite the page they share. A
+     * batch's busy time is program latency + streaming, plus the time
+     * of every GC run a page of the batch triggered. A single write is
+     * the call with batch = bytes. The result stays valid until the
+     * next service call.
+     */
+    const BatchBusy& serviceWrite(std::uint64_t logical_page, Bytes bytes,
+                                  Bytes batch);
+
+    /** Read @p bytes (> 0) in batches of @p batch bytes; reads have no
+     *  GC. The result stays valid until the next service call. */
+    const BatchBusy& serviceRead(Bytes bytes, Bytes batch);
 
     /** Allocate a run of logical pages for @p bytes; returns first page. */
     std::uint64_t allocLogical(Bytes bytes);
@@ -177,9 +217,17 @@ class SsdDevice
      *  physical copies they named; returns how many were unmapped. */
     std::uint64_t replaceSlots(std::uint32_t* slot, std::uint64_t n,
                                std::uint32_t block);
+    /** Start busy_ for @p bytes in batches of @p batch bytes. */
+    void startBatches(Bytes bytes, Bytes batch, TimeNs latency,
+                      double gbps);
+    /** Program the @p pages logical pages from @p logical_page, which
+     *  are batch @p first_batch onward at @p batch_pages pages each. */
+    void program(std::uint64_t logical_page, std::uint64_t pages,
+                 std::uint64_t first_batch, std::uint64_t batch_pages);
     void advanceOpenBlock();
     std::uint32_t nextNotFull(std::uint32_t from) const;
-    void collectGarbage(TimeNs* busy);
+    /** Run GC; returns the device time it took. */
+    TimeNs collectGarbage();
     std::uint64_t victimKey(std::uint32_t block) const;
     std::uint64_t bestVictim();
     void markDirty(std::uint32_t block);
@@ -214,6 +262,8 @@ class SsdDevice
     std::vector<std::uint64_t> victimTree_;
     std::vector<std::uint8_t> dirty_;
     std::vector<std::uint32_t> dirtyBlocks_;
+
+    BatchBusy busy_;  ///< the last service call's result
 
     SsdStats stats_;
 };

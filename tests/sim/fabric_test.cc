@@ -126,6 +126,25 @@ TEST(Fabric, ZeroByteTransfersAreFree)
     EXPECT_EQ(f.fabric.traffic().migrationOps, 0u);
 }
 
+TEST(Fabric, TransferStartingAtTimeZeroStartsAtZero)
+{
+    // The driver path with no software cost on idle channels: the
+    // first batch of each transfer starts at t = 0, so the transfer
+    // does too (not at its second batch's start).
+    SystemConfig sys = test::tinySystem();
+    sys.hostSwOverheadNs = 0;
+    SsdDevice ssd(sys);
+    Fabric f(sys, &ssd, /*uvm_extension=*/false);
+    const Bytes b = 4 * sys.nonUvmCopyBytes;
+    auto in = f.toGpu(b, MemLoc::Host, 0, TransferCause::Prefetch);
+    EXPECT_EQ(in.start, 0);
+    EXPECT_EQ(in.complete, 4 * transferTimeNs(sys.nonUvmCopyBytes,
+                                              sys.pcieGBps));
+    auto out = f.fromGpu(b, MemLoc::Host, 0, TransferCause::PreEvict,
+                         UINT64_MAX);
+    EXPECT_EQ(out.start, 0);
+}
+
 TEST(Fabric, LinkBusyAccountingConservesBytes)
 {
     FabricFixture f;

@@ -20,8 +20,8 @@ TEST(SsdDevice, ReadTimingMatchesDatasheet)
 {
     SystemConfig s = smallSsdSys();
     SsdDevice ssd(s);
-    // 3.2 GB/s + 20 us latency.
-    TimeNs t = ssd.serviceRead(3200000);  // 1 ms of streaming
+    // 3.2 GB/s + 20 us latency: 1 ms of streaming.
+    TimeNs t = ssd.serviceRead(3200000, 3200000).total();
     EXPECT_NEAR(static_cast<double>(t), 1.0 * MSEC + 20.0 * USEC,
                 2.0 * USEC);
     EXPECT_EQ(ssd.stats().hostReadBytes, 3200000u);
@@ -32,7 +32,7 @@ TEST(SsdDevice, WriteTimingAndTraffic)
     SystemConfig s = smallSsdSys();
     SsdDevice ssd(s);
     auto lp = ssd.allocLogical(8 * MiB);
-    TimeNs t = ssd.serviceWrite(lp, 8 * MiB);
+    TimeNs t = ssd.serviceWrite(lp, 8 * MiB, 8 * MiB).total();
     EXPECT_GT(t, transferTimeNs(8 * MiB, s.ssdWriteGBps));
     EXPECT_EQ(ssd.stats().hostWriteBytes, 8 * MiB);
     EXPECT_GE(ssd.stats().nandWriteBytes, 8 * MiB);
@@ -43,7 +43,7 @@ TEST(SsdDevice, FreshDeviceWafIsOne)
     SystemConfig s = smallSsdSys();
     SsdDevice ssd(s);
     auto lp = ssd.allocLogical(16 * MiB);
-    ssd.serviceWrite(lp, 16 * MiB);
+    ssd.serviceWrite(lp, 16 * MiB, 16 * MiB);
     EXPECT_DOUBLE_EQ(ssd.stats().waf(), 1.0);
     EXPECT_EQ(ssd.stats().gcRuns, 0u);
 }
@@ -54,12 +54,12 @@ TEST(SsdDevice, OverwritesInvalidateOldPages)
     SsdDevice ssd(s);
     auto lp = ssd.allocLogical(4 * MiB);
     std::uint64_t before = ssd.freePages();
-    ssd.serviceWrite(lp, 4 * MiB);
+    ssd.serviceWrite(lp, 4 * MiB, 4 * MiB);
     std::uint64_t after_first = ssd.freePages();
     EXPECT_LT(after_first, before);
     // A rewrite appends to the log (consuming fresh pages) and only
     // *invalidates* the old copies -- they stay unusable until GC.
-    ssd.serviceWrite(lp, 4 * MiB);
+    ssd.serviceWrite(lp, 4 * MiB, 4 * MiB);
     EXPECT_EQ(ssd.freePages(), after_first - 4 * MiB / 64 / KiB);
 }
 
@@ -70,7 +70,7 @@ TEST(SsdDevice, GarbageCollectionTriggersUnderChurn)
     // Hammer one logical region until the log wraps and GC must run.
     auto lp = ssd.allocLogical(32 * MiB);
     for (int i = 0; i < 40; ++i)
-        ssd.serviceWrite(lp, 32 * MiB);
+        ssd.serviceWrite(lp, 32 * MiB, 32 * MiB);
     EXPECT_GT(ssd.stats().gcRuns, 0u);
     EXPECT_GT(ssd.stats().blockErases, 0u);
     EXPECT_GE(ssd.stats().waf(), 1.0);
@@ -83,9 +83,9 @@ TEST(SsdDevice, LifetimeYearsScalesInverselyWithWriteRate)
     SsdDevice b(s);
     auto lp1 = a.allocLogical(64 * MiB);
     auto lp2 = b.allocLogical(64 * MiB);
-    a.serviceWrite(lp1, 64 * MiB);
-    b.serviceWrite(lp2, 64 * MiB);
-    b.serviceWrite(lp2, 64 * MiB);  // double the writes, same window
+    a.serviceWrite(lp1, 64 * MiB, 64 * MiB);
+    b.serviceWrite(lp2, 64 * MiB, 64 * MiB);
+    b.serviceWrite(lp2, 64 * MiB, 64 * MiB);  // double, same window
     double la = ssdLifetimeYears(a.stats(), s.ssdCapacityBytes, 1 * SEC,
                                  30.0, 5.0);
     double lb = ssdLifetimeYears(b.stats(), s.ssdCapacityBytes, 1 * SEC,
@@ -99,8 +99,9 @@ TEST(SsdDevice, LifetimeMatchesPaperArithmetic)
     // 50/50 read/write mix) wears a 30-DWPD 3.2 TB device in ~3.7 years.
     SystemConfig s;  // full-size device
     SsdDevice ssd(s);
-    auto lp = ssd.allocLogical(3ULL * 1000 * 1000 * 1000);
-    ssd.serviceWrite(lp, 3ULL * 1000 * 1000 * 1000);  // 3 GB of writes
+    const Bytes written = 3ULL * 1000 * 1000 * 1000;  // 3 GB of writes
+    auto lp = ssd.allocLogical(written);
+    ssd.serviceWrite(lp, written, written);
     double years = ssdLifetimeYears(ssd.stats(), s.ssdCapacityBytes,
                                     2 * SEC, 30.0, 5.0);  // in 2 s
     EXPECT_NEAR(years, 3.7, 0.2);
@@ -111,7 +112,7 @@ TEST(SsdDevice, FreeLogicalInvalidatesPages)
     SystemConfig s = smallSsdSys();
     SsdDevice ssd(s);
     auto lp = ssd.allocLogical(4 * MiB);
-    ssd.serviceWrite(lp, 4 * MiB);
+    ssd.serviceWrite(lp, 4 * MiB, 4 * MiB);
     std::uint64_t pages = 4 * MiB / (64 * KiB);
     EXPECT_EQ(ssd.validPages(), pages);
     ssd.freeLogical(lp, 4 * MiB);
@@ -141,7 +142,7 @@ TEST(SsdDevice, TrimmedSpaceIsReclaimedUnderJobChurn)
     SsdDevice ssd(s);
     for (int gen = 0; gen < 8; ++gen) {
         auto lp = ssd.allocLogical(160 * MiB);
-        ssd.serviceWrite(lp, 160 * MiB);
+        ssd.serviceWrite(lp, 160 * MiB, 160 * MiB);
         ssd.freeLogical(lp, 160 * MiB);
     }
     EXPECT_GT(ssd.stats().gcRuns, 0u);
@@ -162,7 +163,7 @@ TEST(SsdDeviceDeath, LeakedLogicalSpaceEventuallyFillsTheDevice)
         {
             for (int gen = 0; gen < 8; ++gen) {
                 auto lp = ssd.allocLogical(160 * MiB);
-                ssd.serviceWrite(lp, 160 * MiB);
+                ssd.serviceWrite(lp, 160 * MiB, 160 * MiB);
                 // no freeLogical: space leaks
             }
         },
@@ -181,7 +182,7 @@ TEST(SsdDevice, LogicalTableStaysBoundedUnderJobChurn)
         SsdDevice::kTableChunkPages * sizeof(std::uint32_t);
     for (int gen = 0; gen < 1000; ++gen) {
         auto lp = ssd.allocLogical(8 * MiB);
-        ssd.serviceWrite(lp, 8 * MiB);
+        ssd.serviceWrite(lp, 8 * MiB, 8 * MiB);
         ASSERT_LT(ssd.logicalTableBytes(), 3 * chunkBytes) << "gen " << gen;
         ssd.freeLogical(lp, 8 * MiB);
         ASSERT_EQ(ssd.logicalTableBytes(), 0u) << "gen " << gen;
@@ -206,13 +207,15 @@ TEST(SsdDevice, OpenBlockSearchCoversTheLastPartialBitsetWord)
     ASSERT_EQ(ssd.totalPages(), 280u);
     auto lp = ssd.allocLogical(281 * g.flashPageBytes);
     for (std::uint64_t p = 0; p < 280; p += 28)
-        ssd.serviceWrite(lp + p, 28 * g.flashPageBytes);
+        ssd.serviceWrite(lp + p, 28 * g.flashPageBytes,
+                         28 * g.flashPageBytes);
     EXPECT_EQ(ssd.freePages(), 0u);
     EXPECT_EQ(ssd.validPages(), 280u);
     SsdDevice::Census c = ssd.census();
     EXPECT_EQ(c.unprogrammed, 0u);
     EXPECT_TRUE(c.validMatchesTable);
-    EXPECT_EXIT(ssd.serviceWrite(lp + 280, g.flashPageBytes),
+    EXPECT_EXIT(ssd.serviceWrite(lp + 280, g.flashPageBytes,
+                                 g.flashPageBytes),
                 ::testing::ExitedWithCode(1), "SSD is full");
 }
 

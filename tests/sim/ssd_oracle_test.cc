@@ -3,8 +3,9 @@
  * Differential and conservation tests for the SSD FTL: SsdDevice is
  * driven side by side with the naive reference FTL (ssd_reference.h)
  * through seeded random allocate / write / overwrite / trim sequences,
- * and after every call both must agree on busy time, every SsdStats
- * field, free and valid pages, while SsdDevice's own books balance.
+ * and after every call both must agree on each batch's busy time (the
+ * reference takes one call per batch), every SsdStats field, free and
+ * valid pages, while SsdDevice's own books balance.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,17 @@ conserved(const SsdDevice& ssd)
     return ::testing::AssertionSuccess();
 }
 
+/** Every batch's busy time, as one reference call per batch returns. */
+std::vector<TimeNs>
+perBatch(const SsdDevice::BatchBusy& busy)
+{
+    std::vector<TimeNs> t(busy.batches, busy.full);
+    t.back() = busy.last;
+    for (const auto& [batch, gc] : busy.gc)
+        t[batch] += gc;
+    return t;
+}
+
 class SsdDeviceOracle : public ::testing::TestWithParam<OracleCase>
 {};
 
@@ -148,18 +160,36 @@ TEST_P(SsdDeviceOracle, MatchesReferenceAfterEveryCall)
             trimmed.erase(trimmed.begin());
         }
     };
+    // Batch sizes come from their own stream, so the call sequence is
+    // the same whatever they are: one batch, whole pages, or ragged
+    // batches whose page spans overlap.
+    std::mt19937_64 batchRng(oc.seed + 1);
+    auto batchFor = [&](Bytes bytes) -> Bytes {
+        switch (batchRng() % 3) {
+          case 0: return bytes;
+          case 1: return page * (1 + batchRng() % 4);
+          default: return page * (1 + batchRng() % 3) + 1 +
+                          batchRng() % (page - 1);
+        }
+    };
     // Writes part of @p r; returns the pages written, 0 when the write
-    // would push mapped pages past the live cap.
+    // would push mapped pages past the live cap. The reference takes
+    // one call per batch.
     auto writeRange = [&](const Region& r) -> std::uint64_t {
         std::uint64_t len = 1 + below(std::min(r.pages, oc.maxWritePages));
         std::uint64_t off = below(r.pages - len + 1);
         if (ref.validPages() + len > liveCap)
             return 0;
         Bytes bytes = len * page - below(page);
+        Bytes batch = batchFor(bytes);
         std::uint64_t freeBefore = dut.freePages();
         std::uint64_t gcBefore = dut.stats().gcRuns;
-        EXPECT_EQ(dut.serviceWrite(r.lp + off, bytes),
-                  ref.serviceWrite(r.lp + off, bytes));
+        std::vector<TimeNs> want;
+        for (Bytes o = 0; o < bytes; o += batch)
+            want.push_back(ref.serviceWrite(r.lp + off + o / page,
+                                            std::min(batch, bytes - o)));
+        EXPECT_EQ(perBatch(dut.serviceWrite(r.lp + off, bytes, batch)),
+                  want);
         if (freeBefore >= gcThreshold + 2 && dut.stats().gcRuns > gcBefore)
             ++gcInsideWrites;
         return len;
@@ -266,7 +296,8 @@ TEST(SsdDeviceOracle, HotPagesRewrittenInTheOpenBlockMatchReference)
     for (int step = 0; step < 20000; ++step) {
         std::uint64_t lp = rng() % 2 == 0 ? hot + rng() % 3
                                           : cold + next++ % coldPages;
-        ASSERT_EQ(dut.serviceWrite(lp, page), ref.serviceWrite(lp, page))
+        ASSERT_EQ(dut.serviceWrite(lp, page, page).total(),
+                  ref.serviceWrite(lp, page))
             << "step " << step;
         ASSERT_TRUE(sameState(dut, ref)) << "step " << step;
         ASSERT_TRUE(conserved(dut)) << "step " << step;
@@ -290,8 +321,10 @@ TEST(SsdDeviceOracle, DeviceSmallerThanOneBlockMatchesReference)
     std::uint64_t lp = dut.allocLogical(16 * g.flashPageBytes);
     ASSERT_EQ(lp, ref.allocLogical(16 * g.flashPageBytes));
     for (std::uint64_t i = 0; i < 16; ++i) {
-        EXPECT_EQ(dut.serviceWrite(lp + i, g.flashPageBytes),
-                  ref.serviceWrite(lp + i, g.flashPageBytes));
+        EXPECT_EQ(
+            dut.serviceWrite(lp + i, g.flashPageBytes, g.flashPageBytes)
+                .total(),
+            ref.serviceWrite(lp + i, g.flashPageBytes));
         ASSERT_TRUE(sameState(dut, ref)) << "page " << i;
     }
     EXPECT_EQ(dut.freePages(), 0u);
@@ -313,7 +346,8 @@ TEST(SsdDeviceOracle, DeviceSmallerThanOneBlockTakesOneLongWrite)
     const Bytes bytes = 16 * g.flashPageBytes;
     std::uint64_t lp = dut.allocLogical(bytes);
     ASSERT_EQ(lp, ref.allocLogical(bytes));
-    EXPECT_EQ(dut.serviceWrite(lp, bytes), ref.serviceWrite(lp, bytes));
+    EXPECT_EQ(dut.serviceWrite(lp, bytes, bytes).total(),
+              ref.serviceWrite(lp, bytes));
     EXPECT_TRUE(sameState(dut, ref));
     EXPECT_EQ(dut.freePages(), 0u);
     EXPECT_EQ(dut.validPages(), 16u);
@@ -340,8 +374,8 @@ TEST(SsdDeviceConservation, BooksBalanceThroughJobChurnAndGc)
         auto job = ssd.allocLogical(96 * MiB);
         for (std::uint64_t i = 0; i < 96; ++i) {
             if (gen == 0 || i % 8 == 0)
-                ssd.serviceWrite(resident + i * piecePages, piece);
-            ssd.serviceWrite(job + i * piecePages, piece);
+                ssd.serviceWrite(resident + i * piecePages, piece, piece);
+            ssd.serviceWrite(job + i * piecePages, piece, piece);
             ASSERT_TRUE(conserved(ssd)) << "gen " << gen << " piece " << i;
         }
         ssd.freeLogical(job + 32 * piecePages, 16 * piece);

@@ -114,8 +114,17 @@ class ReferenceSsd
         return busy;
     }
 
+    TimeNs
+    serviceRead(Bytes bytes)
+    {
+        stats_.hostReadBytes += bytes;
+        return config_.ssdReadLatencyNs +
+               transferTimeNs(bytes, config_.ssdReadGBps);
+    }
+
     std::uint64_t validPages() const { return logicalToBlock_.size(); }
     const SsdStats& stats() const { return stats_; }
+    const Geometry& geometry() const { return geom_; }
     std::uint64_t freePages() const { return freePages_; }
     std::uint64_t totalPages() const { return totalPages_; }
 

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
+#include "common/spec_reader.h"
 #include "graph/trace_io.h"
 #include "obs/analysis/diff_attribution.h"
 #include "obs/attribution.h"
@@ -76,18 +76,9 @@ dumpTrace(const std::vector<std::string>& args)
         fatal("usage: g10sim --dump-trace <model> <batch> <scale> "
               "<out.trace>");
     ModelKind m = modelKindFromName(args[0]);
-    long long batch = 0;
-    long long scale = 0;
-    if (!parseIntStrict(args[1], &batch) || batch < 1 ||
-        batch > (1 << 24))
-        fatal("--dump-trace batch must be an integer in [1, %d], got "
-              "'%s'",
-              1 << 24, args[1].c_str());
-    if (!parseIntStrict(args[2], &scale) || scale < 1 ||
-        scale > (1 << 20))
-        fatal("--dump-trace scale must be an integer in [1, %d], got "
-              "'%s'",
-              1 << 20, args[2].c_str());
+    const SpecLoc at{"--dump-trace"};
+    const long long batch = parseSpecValue(kBatchKey, at, args[1]).i;
+    const long long scale = parseSpecValue(kScaleKey, at, args[2]).i;
     KernelTrace trace = buildModelScaled(m, static_cast<int>(batch),
                                          static_cast<unsigned>(scale));
     saveTraceFile(args[3], trace);
