@@ -4,18 +4,23 @@
  * pipeline and the simulator: PressureCurve and StepFunction range
  * math, vitality analysis, Algorithm 1 scheduling, the SSD FTL's bulk
  * write path and its garbage collection, the migration fabric over the
- * FTL, and full simulation replay.
+ * FTL, full simulation replay, and the Chrome-trace export and re-read.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <random>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "api/g10.h"
 #include "core/g10_compiler.h"
+#include "obs/analysis/trace_reader.h"
+#include "obs/chrome_trace.h"
+#include "obs/tracer.h"
 #include "sim/interconnect/fabric.h"
 #include "sim/ssd/ssd_device.h"
 
@@ -308,6 +313,82 @@ BM_SimulateBaseUvm(benchmark::State& state)
     }
 }
 BENCHMARK(BM_SimulateBaseUvm);
+
+void
+BM_ChromeTraceRoundTrip(benchmark::State& state)
+{
+    // A seeded in-memory stream with a traced serve run's mix: mostly
+    // migrations and eviction picks, then kernels, stalls and request
+    // events, over 16 jobs; 64k events, ~10 MB of JSON. Arg 0 times
+    // writeChromeTrace into memory, arg 1 readChromeTrace of that
+    // document; bytes are the document's either way.
+    MemoryTraceSink sink;
+    Tracer tracer(&sink, nullptr);
+    std::mt19937_64 rng(42);
+    TimeNs clock = 0;
+    while (sink.events().size() < 65536) {
+        const int pid = static_cast<int>(rng() % 16);
+        clock += 1 + static_cast<TimeNs>(rng() % 5000);
+        const Bytes bytes = 4096 * (1 + rng() % 4096);
+        switch (rng() % 8) {
+          case 0:
+          case 1:
+          case 2: {
+            const MemLoc far = rng() % 2 ? MemLoc::Ssd : MemLoc::Host;
+            const bool out = rng() % 2;
+            tracer.transfer(pid, static_cast<TransferCause>(rng() % 5),
+                            out ? MemLoc::Gpu : far, out ? far : MemLoc::Gpu,
+                            bytes, clock,
+                            clock + 1 + static_cast<TimeNs>(rng() % 9000));
+            break;
+          }
+          case 3:
+          case 4:
+            tracer.evictionPick(pid, static_cast<TensorId>(rng() % 900),
+                                MemLoc::Host, bytes, clock);
+            break;
+          case 5:
+            tracer.kernelSpan(pid, "layer3_" + std::to_string(rng() % 40) +
+                                       "_conv2d_backward",
+                              static_cast<KernelId>(rng() % 2000), clock,
+                              2000, true, 1900, 2000);
+            break;
+          case 6:
+            tracer.stallSpan(pid, static_cast<StallCause>(rng() % 4),
+                             static_cast<KernelId>(rng() % 2000), clock,
+                             100, true);
+            break;
+          default:
+            tracer.departure(pid, "ResNet152-512", clock / 2, clock, false,
+                             clock, true);
+            tracer.queueDepth(rng() % 8, clock);
+            break;
+        }
+    }
+    std::ostringstream doc;
+    writeChromeTrace(doc, sink.events());
+    const std::string text = doc.str();
+    const bool read = state.range(0) == 1;
+    for (auto _ : state) {
+        if (read) {
+            TraceDocument parsed;
+            if (!readChromeTrace(text, &parsed))
+                state.SkipWithError("readChromeTrace rejected the document");
+            benchmark::DoNotOptimize(parsed.events.data());
+        } else {
+            std::ostringstream os;
+            writeChromeTrace(os, sink.events());
+            benchmark::DoNotOptimize(os.tellp());
+        }
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ChromeTraceRoundTrip)
+    ->ArgName("read")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "json_writer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -41,13 +42,33 @@ JsonWriter::prefix(bool isKey)
         return;  // the value right after its key: no comma/indent
 
     if (hasItems_.back())
-        os_ << ',';
-    if (indent_ > 0) {
-        os_ << '\n';
-        os_ << std::string(stack_.size() *
-                           static_cast<std::size_t>(indent_), ' ');
-    }
+        frag_ += ',';
+    if (indent_ > 0)
+        newline();
     hasItems_.back() = true;
+}
+
+void
+JsonWriter::newline()
+{
+    frag_ += '\n';
+    frag_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
+}
+
+void
+JsonWriter::flush()
+{
+    os_.write(frag_.data(), static_cast<std::streamsize>(frag_.size()));
+    frag_.clear();
+}
+
+void
+JsonWriter::endValue()
+{
+    keyPending_ = false;
+    if (stack_.empty())
+        done_ = true;
+    flush();
 }
 
 JsonWriter&
@@ -55,9 +76,10 @@ JsonWriter::beginObject()
 {
     prefix(false);
     keyPending_ = false;
-    os_ << '{';
+    frag_ += '{';
     stack_.push_back(Ctx::Object);
     hasItems_.push_back(false);
+    flush();
     return *this;
 }
 
@@ -70,12 +92,9 @@ JsonWriter::endObject()
     stack_.pop_back();
     hasItems_.pop_back();
     if (had && indent_ > 0)
-        os_ << '\n'
-            << std::string(stack_.size() *
-                           static_cast<std::size_t>(indent_), ' ');
-    os_ << '}';
-    if (stack_.empty())
-        done_ = true;
+        newline();
+    frag_ += '}';
+    endValue();
     return *this;
 }
 
@@ -84,9 +103,10 @@ JsonWriter::beginArray()
 {
     prefix(false);
     keyPending_ = false;
-    os_ << '[';
+    frag_ += '[';
     stack_.push_back(Ctx::Array);
     hasItems_.push_back(false);
+    flush();
     return *this;
 }
 
@@ -99,58 +119,47 @@ JsonWriter::endArray()
     stack_.pop_back();
     hasItems_.pop_back();
     if (had && indent_ > 0)
-        os_ << '\n'
-            << std::string(stack_.size() *
-                           static_cast<std::size_t>(indent_), ' ');
-    os_ << ']';
-    if (stack_.empty())
-        done_ = true;
+        newline();
+    frag_ += ']';
+    endValue();
     return *this;
 }
 
 JsonWriter&
-JsonWriter::key(const std::string& k)
+JsonWriter::key(std::string_view k)
 {
     if (keyPending_)
-        panic("JsonWriter: key('%s') while another key is pending",
-              k.c_str());
+        panic("JsonWriter: key('%.*s') while another key is pending",
+              static_cast<int>(k.size()), k.data());
     prefix(true);
-    os_ << quote(k) << (indent_ > 0 ? ": " : ":");
+    appendQuoted(k);
+    frag_ += indent_ > 0 ? ": " : ":";
     keyPending_ = true;
+    flush();
     return *this;
 }
 
 JsonWriter&
-JsonWriter::value(const std::string& v)
+JsonWriter::value(std::string_view v)
 {
     prefix(false);
-    keyPending_ = false;
-    os_ << quote(v);
-    if (stack_.empty())
-        done_ = true;
+    appendQuoted(v);
+    endValue();
     return *this;
-}
-
-JsonWriter&
-JsonWriter::value(const char* v)
-{
-    return value(std::string(v));
 }
 
 JsonWriter&
 JsonWriter::value(double v)
 {
     prefix(false);
-    keyPending_ = false;
     if (!std::isfinite(v)) {
-        os_ << "null";
+        frag_ += "null";
     } else {
         char buf[64];
-        std::snprintf(buf, sizeof buf, "%.12g", v);
-        os_ << buf;
+        const int n = std::snprintf(buf, sizeof buf, "%.12g", v);
+        frag_.append(buf, static_cast<std::size_t>(n));
     }
-    if (stack_.empty())
-        done_ = true;
+    endValue();
     return *this;
 }
 
@@ -158,21 +167,30 @@ JsonWriter&
 JsonWriter::value(bool v)
 {
     prefix(false);
-    keyPending_ = false;
-    os_ << (v ? "true" : "false");
-    if (stack_.empty())
-        done_ = true;
+    frag_ += v ? "true" : "false";
+    endValue();
     return *this;
 }
+
+namespace {
+
+template <typename Int>
+void
+appendInteger(std::string& out, Int v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
+
+}  // namespace
 
 JsonWriter&
 JsonWriter::value(std::int64_t v)
 {
     prefix(false);
-    keyPending_ = false;
-    os_ << v;
-    if (stack_.empty())
-        done_ = true;
+    appendInteger(frag_, v);
+    endValue();
     return *this;
 }
 
@@ -180,21 +198,17 @@ JsonWriter&
 JsonWriter::value(std::uint64_t v)
 {
     prefix(false);
-    keyPending_ = false;
-    os_ << v;
-    if (stack_.empty())
-        done_ = true;
+    appendInteger(frag_, v);
+    endValue();
     return *this;
 }
 
 JsonWriter&
-JsonWriter::rawNumber(const std::string& token)
+JsonWriter::rawNumber(std::string_view token)
 {
     prefix(false);
-    keyPending_ = false;
-    os_ << token;
-    if (stack_.empty())
-        done_ = true;
+    frag_ += token;
+    endValue();
     return *this;
 }
 
@@ -202,43 +216,374 @@ JsonWriter&
 JsonWriter::null()
 {
     prefix(false);
-    keyPending_ = false;
-    os_ << "null";
-    if (stack_.empty())
-        done_ = true;
+    frag_ += "null";
+    endValue();
     return *this;
 }
 
-std::string
-JsonWriter::quote(const std::string& s)
+void
+JsonWriter::appendQuoted(std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (unsigned char c : s) {
+    frag_ += '"';
+    std::size_t run = 0;  // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        frag_.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+          case '"': frag_ += "\\\""; break;
+          case '\\': frag_ += "\\\\"; break;
+          case '\b': frag_ += "\\b"; break;
+          case '\f': frag_ += "\\f"; break;
+          case '\n': frag_ += "\\n"; break;
+          case '\r': frag_ += "\\r"; break;
+          case '\t': frag_ += "\\t"; break;
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            frag_ += buf;
+          }
         }
     }
-    out += '"';
-    return out;
+    frag_.append(s, run, s.size() - run);
+    frag_ += '"';
 }
 
-// ------------------------------------------------------------- parser
+// ------------------------------------------------------------- cursor
+
+bool
+JsonCursor::fail(const char* msg)
+{
+    if (error_.empty())
+        error_ = std::string(msg) + " at byte " + std::to_string(pos_);
+    return false;
+}
+
+void
+JsonCursor::skipWs()
+{
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r'))
+        ++pos_;
+}
+
+bool
+JsonCursor::consume(char c)
+{
+    if (pos_ < text_.size() && text_[pos_] == c) {
+        ++pos_;
+        return true;
+    }
+    return false;
+}
+
+bool
+JsonCursor::atValue(char* c)
+{
+    if (!ok())
+        return false;
+    if (depth_ > 128)
+        return fail("nesting too deep");
+    skipWs();
+    if (pos_ >= text_.size())
+        return fail("unexpected end of input");
+    *c = text_[pos_];
+    return true;
+}
+
+bool
+JsonCursor::peek(JsonToken* token)
+{
+    char c = 0;
+    if (!atValue(&c))
+        return false;
+    switch (c) {
+      case '{': *token = JsonToken::Object; return true;
+      case '[': *token = JsonToken::Array; return true;
+      case '"': *token = JsonToken::String; return true;
+      case 't': *token = JsonToken::True; return true;
+      case 'f': *token = JsonToken::False; return true;
+      case 'n': *token = JsonToken::Null; return true;
+      default:
+        if (c == '-' || (c >= '0' && c <= '9')) {
+            *token = JsonToken::Number;
+            return true;
+        }
+        return fail("unexpected character");
+    }
+}
+
+bool
+JsonCursor::beginObject()
+{
+    char c = 0;
+    if (!atValue(&c))
+        return false;
+    if (c != '{')
+        return fail("expected '{'");
+    ++pos_;
+    ++depth_;
+    first_ = true;
+    return true;
+}
+
+bool
+JsonCursor::beginArray()
+{
+    char c = 0;
+    if (!atValue(&c))
+        return false;
+    if (c != '[')
+        return fail("expected '['");
+    ++pos_;
+    ++depth_;
+    first_ = true;
+    return true;
+}
+
+bool
+JsonCursor::close()
+{
+    --depth_;
+    first_ = false;  // the closed container was its parent's item
+    return false;
+}
+
+bool
+JsonCursor::nextMember(std::string_view* key)
+{
+    if (!ok())
+        return false;
+    skipWs();
+    if (first_) {
+        first_ = false;
+        if (consume('}'))
+            return close();
+    } else if (consume(',')) {
+        skipWs();
+    } else if (consume('}')) {
+        return close();
+    } else {
+        return fail("expected ',' or '}'");
+    }
+    if (!readString(key))
+        return false;
+    skipWs();
+    if (!consume(':'))
+        return fail("expected ':'");
+    return true;
+}
+
+bool
+JsonCursor::nextItem()
+{
+    if (!ok())
+        return false;
+    skipWs();
+    if (first_) {
+        first_ = false;
+        return !consume(']') || close();
+    }
+    if (consume(','))
+        return true;
+    if (consume(']'))
+        return close();
+    return fail("expected ',' or ']'");
+}
+
+bool
+JsonCursor::string(std::string_view* out)
+{
+    char c = 0;
+    return atValue(&c) && readString(out);
+}
+
+bool
+JsonCursor::number(double* out)
+{
+    char c = 0;
+    return atValue(&c) && readNumber(out);
+}
+
+bool
+JsonCursor::literal()
+{
+    char c = 0;
+    if (!atValue(&c))
+        return false;
+    const char* word = c == 't' ? "true" : c == 'f' ? "false" : "null";
+    const std::size_t len = std::char_traits<char>::length(word);
+    if (text_.compare(pos_, len, word) != 0)
+        return fail(c == 't'   ? "expected 'true'"
+                    : c == 'f' ? "expected 'false'"
+                               : "expected 'null'");
+    pos_ += len;
+    return true;
+}
+
+bool
+JsonCursor::skipValue()
+{
+    JsonToken token = JsonToken::Null;
+    if (!peek(&token))
+        return false;
+    std::string_view key;
+    switch (token) {
+      case JsonToken::Object:
+        beginObject();
+        while (nextMember(&key))
+            skipValue();
+        return ok();
+      case JsonToken::Array:
+        beginArray();
+        while (nextItem())
+            skipValue();
+        return ok();
+      case JsonToken::String: return readString(nullptr);
+      case JsonToken::Number: return readNumber(nullptr);
+      default: return literal();
+    }
+}
+
+bool
+JsonCursor::finish()
+{
+    if (!ok())
+        return false;
+    skipWs();
+    return pos_ == text_.size() || fail("trailing garbage");
+}
+
+bool
+JsonCursor::readString(std::string_view* out)
+{
+    if (!consume('"'))
+        return fail("expected '\"'");
+    const std::size_t start = pos_;
+    // Fast path: a run with no escape is viewed in place.
+    while (pos_ < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20)
+            break;
+        ++pos_;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '"') {
+        if (out)
+            *out = std::string_view(text_).substr(start, pos_ - start);
+        ++pos_;
+        return true;
+    }
+    if (out)
+        scratch_.assign(text_, start, pos_ - start);
+    auto put = [&](char ch) {
+        if (out)
+            scratch_ += ch;
+    };
+    while (pos_ < text_.size()) {
+        char c = text_[pos_++];
+        if (c == '"') {
+            if (out)
+                *out = scratch_;
+            return true;
+        }
+        if (static_cast<unsigned char>(c) < 0x20)
+            return fail("raw control character in string");
+        if (c != '\\') {
+            put(c);
+            continue;
+        }
+        if (pos_ >= text_.size())
+            return fail("dangling escape");
+        char e = text_[pos_++];
+        switch (e) {
+          case '"': put('"'); break;
+          case '\\': put('\\'); break;
+          case '/': put('/'); break;
+          case 'b': put('\b'); break;
+          case 'f': put('\f'); break;
+          case 'n': put('\n'); break;
+          case 'r': put('\r'); break;
+          case 't': put('\t'); break;
+          case 'u': {
+            if (pos_ + 4 > text_.size())
+                return fail("truncated \\u escape");
+            unsigned cp = 0;
+            for (int i = 0; i < 4; ++i) {
+                char h = text_[pos_++];
+                cp <<= 4;
+                if (h >= '0' && h <= '9')
+                    cp |= static_cast<unsigned>(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    cp |= static_cast<unsigned>(h - 'a' + 10);
+                else if (h >= 'A' && h <= 'F')
+                    cp |= static_cast<unsigned>(h - 'A' + 10);
+                else
+                    return fail("bad \\u escape digit");
+            }
+            // UTF-8 encode (surrogate pairs are passed through as
+            // two 3-byte sequences; the writer never emits them).
+            if (cp < 0x80) {
+                put(static_cast<char>(cp));
+            } else if (cp < 0x800) {
+                put(static_cast<char>(0xC0 | (cp >> 6)));
+                put(static_cast<char>(0x80 | (cp & 0x3F)));
+            } else {
+                put(static_cast<char>(0xE0 | (cp >> 12)));
+                put(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+                put(static_cast<char>(0x80 | (cp & 0x3F)));
+            }
+            break;
+          }
+          default: return fail("unknown escape");
+        }
+    }
+    return fail("unterminated string");
+}
+
+bool
+JsonCursor::readNumber(double* out)
+{
+    const std::size_t start = pos_;
+    auto digit = [&] {
+        return pos_ < text_.size() && text_[pos_] >= '0' &&
+               text_[pos_] <= '9';
+    };
+    consume('-');
+    if (!digit())
+        return fail("malformed number");
+    if (text_[pos_] == '0') {
+        ++pos_;
+    } else {
+        while (digit())
+            ++pos_;
+    }
+    if (consume('.')) {
+        if (!digit())
+            return fail("malformed fraction");
+        while (digit())
+            ++pos_;
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+        ++pos_;
+        if (pos_ < text_.size() &&
+            (text_[pos_] == '+' || text_[pos_] == '-'))
+            ++pos_;
+        if (!digit())
+            return fail("malformed exponent");
+        while (digit())
+            ++pos_;
+    }
+    if (out) {
+        scratch_.assign(text_, start, pos_ - start);
+        *out = std::strtod(scratch_.c_str(), nullptr);
+    }
+    return true;
+}
+
+// ------------------------------------------------------------- tree
 
 const JsonValue*
 JsonValue::find(const std::string& k) const
@@ -262,248 +607,58 @@ JsonValue::at(const std::string& k) const
 
 namespace {
 
-/** Cursor over the input text with error reporting. */
-struct JsonParser
+bool
+buildValue(JsonCursor& cur, JsonValue* out)
 {
-    const std::string& text;
-    std::size_t pos = 0;
-    std::string error;
-
-    bool
-    fail(const std::string& msg)
-    {
-        if (error.empty())
-            error = msg + " at byte " + std::to_string(pos);
+    JsonToken token = JsonToken::Null;
+    if (!cur.peek(&token))
         return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
+    std::string_view text;
+    switch (token) {
+      case JsonToken::Object:
+        out->kind = JsonValue::Kind::Object;
+        cur.beginObject();
+        while (cur.nextMember(&text)) {
+            out->members.emplace_back(std::string(text), JsonValue{});
+            if (!buildValue(cur, &out->members.back().second))
+                return false;
         }
-        return false;
-    }
-
-    bool
-    literal(const char* word, std::size_t len)
-    {
-        if (text.compare(pos, len, word) != 0)
-            return fail(std::string("expected '") + word + "'");
-        pos += len;
+        return cur.ok();
+      case JsonToken::Array:
+        out->kind = JsonValue::Kind::Array;
+        cur.beginArray();
+        while (cur.nextItem())
+            if (!buildValue(cur, &out->items.emplace_back()))
+                return false;
+        return cur.ok();
+      case JsonToken::String:
+        out->kind = JsonValue::Kind::String;
+        if (!cur.string(&text))
+            return false;
+        out->str.assign(text);
         return true;
+      case JsonToken::Number:
+        out->kind = JsonValue::Kind::Number;
+        return cur.number(&out->number);
+      case JsonToken::Null:
+        return cur.literal();
+      default:
+        out->kind = JsonValue::Kind::Bool;
+        out->boolean = token == JsonToken::True;
+        return cur.literal();
     }
-
-    bool
-    parseString(std::string* out)
-    {
-        if (!consume('"'))
-            return fail("expected '\"'");
-        out->clear();
-        while (pos < text.size()) {
-            char c = text[pos++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("raw control character in string");
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (pos >= text.size())
-                return fail("dangling escape");
-            char e = text[pos++];
-            switch (e) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'b': *out += '\b'; break;
-              case 'f': *out += '\f'; break;
-              case 'n': *out += '\n'; break;
-              case 'r': *out += '\r'; break;
-              case 't': *out += '\t'; break;
-              case 'u': {
-                if (pos + 4 > text.size())
-                    return fail("truncated \\u escape");
-                unsigned cp = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text[pos++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9')
-                        cp |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        cp |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        cp |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
-                }
-                // UTF-8 encode (surrogate pairs are passed through as
-                // two 3-byte sequences; the writer never emits them).
-                if (cp < 0x80) {
-                    *out += static_cast<char>(cp);
-                } else if (cp < 0x800) {
-                    *out += static_cast<char>(0xC0 | (cp >> 6));
-                    *out += static_cast<char>(0x80 | (cp & 0x3F));
-                } else {
-                    *out += static_cast<char>(0xE0 | (cp >> 12));
-                    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-                    *out += static_cast<char>(0x80 | (cp & 0x3F));
-                }
-                break;
-              }
-              default: return fail("unknown escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseValue(JsonValue* out, int depth)
-    {
-        if (depth > 128)
-            return fail("nesting too deep");
-        skipWs();
-        if (pos >= text.size())
-            return fail("unexpected end of input");
-        char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out->kind = JsonValue::Kind::Object;
-            skipWs();
-            if (consume('}'))
-                return true;
-            while (true) {
-                skipWs();
-                std::string k;
-                if (!parseString(&k))
-                    return false;
-                skipWs();
-                if (!consume(':'))
-                    return fail("expected ':'");
-                JsonValue v;
-                if (!parseValue(&v, depth + 1))
-                    return false;
-                out->members.emplace_back(std::move(k), std::move(v));
-                skipWs();
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            out->kind = JsonValue::Kind::Array;
-            skipWs();
-            if (consume(']'))
-                return true;
-            while (true) {
-                JsonValue v;
-                if (!parseValue(&v, depth + 1))
-                    return false;
-                out->items.push_back(std::move(v));
-                skipWs();
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '"') {
-            out->kind = JsonValue::Kind::String;
-            return parseString(&out->str);
-        }
-        if (c == 't') {
-            out->kind = JsonValue::Kind::Bool;
-            out->boolean = true;
-            return literal("true", 4);
-        }
-        if (c == 'f') {
-            out->kind = JsonValue::Kind::Bool;
-            out->boolean = false;
-            return literal("false", 5);
-        }
-        if (c == 'n') {
-            out->kind = JsonValue::Kind::Null;
-            return literal("null", 4);
-        }
-        if (c == '-' || (c >= '0' && c <= '9')) {
-            std::size_t start = pos;
-            if (consume('-')) {}
-            if (pos >= text.size() || !std::isdigit(
-                    static_cast<unsigned char>(text[pos])))
-                return fail("malformed number");
-            if (text[pos] == '0') {
-                ++pos;
-            } else {
-                while (pos < text.size() &&
-                       std::isdigit(
-                           static_cast<unsigned char>(text[pos])))
-                    ++pos;
-            }
-            if (consume('.')) {
-                if (pos >= text.size() || !std::isdigit(
-                        static_cast<unsigned char>(text[pos])))
-                    return fail("malformed fraction");
-                while (pos < text.size() &&
-                       std::isdigit(
-                           static_cast<unsigned char>(text[pos])))
-                    ++pos;
-            }
-            if (pos < text.size() &&
-                (text[pos] == 'e' || text[pos] == 'E')) {
-                ++pos;
-                if (pos < text.size() &&
-                    (text[pos] == '+' || text[pos] == '-'))
-                    ++pos;
-                if (pos >= text.size() || !std::isdigit(
-                        static_cast<unsigned char>(text[pos])))
-                    return fail("malformed exponent");
-                while (pos < text.size() &&
-                       std::isdigit(
-                           static_cast<unsigned char>(text[pos])))
-                    ++pos;
-            }
-            out->kind = JsonValue::Kind::Number;
-            out->number =
-                std::strtod(text.substr(start, pos - start).c_str(),
-                            nullptr);
-            return true;
-        }
-        return fail("unexpected character");
-    }
-};
+}
 
 }  // namespace
 
 bool
 parseJson(const std::string& text, JsonValue* out, std::string* err)
 {
-    JsonParser p{text, 0, {}};
+    JsonCursor cur(text);
     JsonValue v;
-    if (!p.parseValue(&v, 0)) {
+    if (!buildValue(cur, &v) || !cur.finish()) {
         if (err)
-            *err = p.error;
-        return false;
-    }
-    p.skipWs();
-    if (p.pos != text.size()) {
-        if (err)
-            *err = "trailing garbage at byte " + std::to_string(p.pos);
+            *err = cur.error();
         return false;
     }
     *out = std::move(v);

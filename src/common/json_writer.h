@@ -1,9 +1,12 @@
 /**
  * @file
- * Minimal dependency-free JSON support for machine-readable results:
- * a streaming writer (pretty-printed, RFC 8259 escaping) used by the
- * report layer, and a small recursive-descent parser used by tests and
- * smoke checks to validate what the writer emitted.
+ * Minimal dependency-free JSON support: a streaming writer
+ * (pretty-printed, RFC 8259 escaping) used by the report layer and the
+ * trace exporters, and JsonCursor, the library's one JSON tokenizer —
+ * a pull cursor the Chrome-trace reader walks in one pass with no
+ * document tree. parseJson() builds a JsonValue tree over the same
+ * cursor; it is a test seam, used by tests and smoke checks to
+ * validate what the writer emitted.
  */
 
 #ifndef G10_COMMON_JSON_WRITER_H
@@ -12,6 +15,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,8 @@ namespace g10 {
 /**
  * Streaming JSON emitter. Call begin/end/key/value in document order;
  * commas, indentation, and string escaping are handled internally.
+ * Each call writes its text, separator included, to the stream with
+ * one write before it returns.
  * Nesting errors (a value without a pending key inside an object, or
  * unbalanced begin/end) are programming errors and panic().
  *
@@ -40,10 +46,11 @@ class JsonWriter
     JsonWriter& endArray();
 
     /** Member key; must be directly inside an object. */
-    JsonWriter& key(const std::string& k);
+    JsonWriter& key(std::string_view k);
 
-    JsonWriter& value(const std::string& v);
-    JsonWriter& value(const char* v);
+    JsonWriter& value(std::string_view v);
+    /** Without it a literal would bind to value(bool). */
+    JsonWriter& value(const char* v) { return value(std::string_view(v)); }
     JsonWriter& value(double v);
     JsonWriter& value(bool v);
     JsonWriter& value(std::int64_t v);
@@ -56,19 +63,16 @@ class JsonWriter
      * %.12g would lose precision (exact decimal microsecond
      * timestamps in the chrome-trace writer).
      */
-    JsonWriter& rawNumber(const std::string& token);
+    JsonWriter& rawNumber(std::string_view token);
 
     /** key(k) + value(v) in one call. */
     template <typename T>
     JsonWriter&
-    field(const std::string& k, T&& v)
+    field(std::string_view k, T&& v)
     {
         key(k);
         return value(std::forward<T>(v));
     }
-
-    /** Escape @p s into a quoted JSON string literal. */
-    static std::string quote(const std::string& s);
 
   private:
     enum class Ctx { Top, Object, Array };
@@ -76,12 +80,111 @@ class JsonWriter
     /** Comma/newline/indent bookkeeping before any value or key. */
     void prefix(bool isKey);
 
+    /** Newline plus indentation for the current nesting level. */
+    void newline();
+
+    /** Append @p s as a quoted, escaped JSON string literal: each run
+     *  that needs no escape is copied whole. */
+    void appendQuoted(std::string_view s);
+
+    /** Close a value (the top-level one ends the document); flush(). */
+    void endValue();
+
+    /** Write this call's text to the stream in one piece. */
+    void flush();
+
     std::ostream& os_;
     int indent_;
     std::vector<Ctx> stack_;
     std::vector<bool> hasItems_;  ///< per level: emitted anything yet?
     bool keyPending_ = false;
     bool done_ = false;  ///< one top-level value already written
+    std::string frag_;   ///< the current call's text (capacity reused)
+};
+
+/** Kind of the value a JsonCursor is positioned on. */
+enum class JsonToken { Object, Array, String, Number, True, False, Null };
+
+/**
+ * Pull tokenizer over one JSON document (RFC 8259; at most 128 nested
+ * containers). The caller walks the document in order: peek() at each
+ * value, then consume it with the matching call or skipValue(); open
+ * containers with beginObject()/beginArray() and step through them
+ * with nextMember()/nextItem(), which return false when the container
+ * closes; finish() after the top-level value.
+ *
+ * Errors are sticky: the first malformed byte records
+ * "<message> at byte <offset>" in error(), and that call and every
+ * later one return false — so a loop over members or items ends at
+ * the first error as well as at the container's end, and one ok()
+ * check after the walk tells the two apart.
+ */
+class JsonCursor
+{
+  public:
+    /** @p text must outlive the cursor. */
+    explicit JsonCursor(const std::string& text) : text_(text) {}
+    JsonCursor(std::string&&) = delete;
+
+    /** Classify the next value, skipping whitespace before it. */
+    bool peek(JsonToken* token);
+
+    bool beginObject();
+    bool beginArray();
+
+    /**
+     * Advance to the open object's next member: reads its key into
+     * @p key (valid until the next call) and leaves the cursor on the
+     * member's value. False once the object has closed.
+     */
+    bool nextMember(std::string_view* key);
+
+    /** Advance to the open array's next item; false once it closed. */
+    bool nextItem();
+
+    /** Read a string value, escapes decoded; @p out is valid until
+     *  the next call. */
+    bool string(std::string_view* out);
+
+    /** Read a number value, converted by strtod. */
+    bool number(double* out);
+
+    /** Consume the true, false or null the cursor is on. */
+    bool literal();
+
+    /** Consume the next value, validating it, without decoding it. */
+    bool skipValue();
+
+    /** After the top-level value: only whitespace may remain. */
+    bool finish();
+
+    bool ok() const { return error_.empty(); }
+    const std::string& error() const { return error_; }
+
+  private:
+    bool fail(const char* msg);
+    void skipWs();
+    bool consume(char c);
+
+    /** Depth check, whitespace and end-of-input check before a value;
+     *  on success @p c is the value's first byte. */
+    bool atValue(char* c);
+
+    /** String literal at pos_; @p out null validates only. */
+    bool readString(std::string_view* out);
+
+    /** Number literal at pos_; @p out null validates only. */
+    bool readNumber(double* out);
+
+    /** Close the innermost container. */
+    bool close();
+
+    const std::string& text_;
+    std::size_t pos_ = 0;
+    int depth_ = 0;        ///< containers open around the cursor
+    bool first_ = false;   ///< innermost container has no item yet
+    std::string scratch_;  ///< decoded escaped strings, number text
+    std::string error_;
 };
 
 /**
@@ -113,8 +216,10 @@ struct JsonValue
 };
 
 /**
- * Parse one complete JSON document (trailing whitespace allowed,
- * trailing garbage rejected).
+ * Test seam: parse one complete JSON document (trailing whitespace
+ * allowed, trailing garbage rejected) into a JsonValue tree built
+ * over JsonCursor. The library itself reads documents with the
+ * cursor and builds no tree.
  *
  * @param err when non-null, receives a message with the byte offset of
  *        the first error

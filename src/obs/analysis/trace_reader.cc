@@ -1,8 +1,10 @@
 #include "obs/analysis/trace_reader.h"
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -26,26 +28,201 @@ fail(std::string* err, const std::string& msg)
     return false;
 }
 
-/** Integer member lookup that tolerates absence (returns false). */
-bool
-intMemberOf(const JsonValue& rec, const char* key, int* out)
+/** One member value as a JsonValue would hold it: the number for a
+ *  number, the text for a string, an empty text for anything else. */
+struct Field
 {
-    const JsonValue* v = rec.find(key);
-    if (!v || !v->isNumber())
-        return false;
-    *out = static_cast<int>(v->number);
-    return true;
+    bool present = false;
+    JsonToken kind = JsonToken::Null;
+    double number = 0.0;
+    std::string str;
+
+    bool isString() const { return present && kind == JsonToken::String; }
+    bool isNumber() const { return present && kind == JsonToken::Number; }
+};
+
+/** One member of a record's "args", in document order. */
+struct ArgField
+{
+    std::string key;
+    Field value;
+};
+
+/**
+ * The members of one traceEvents record the reader looks at. A key
+ * that repeats keeps its first value, as JsonValue::find does; every
+ * member of the first "args" object is kept, in order. Reused across
+ * records so its strings keep their capacity.
+ */
+struct Record
+{
+    Field ph, name, cat, ts, dur, pid, tid;
+    bool hasArgs = false;
+    std::vector<ArgField> args;
+    std::size_t numArgs = 0;  ///< args[0, numArgs) belong to this record
+};
+
+/** Read the value under @p cur into @p f unless @p f is already set. */
+void
+readField(JsonCursor& cur, Field* f)
+{
+    JsonToken kind = JsonToken::Null;
+    if (f->present || !cur.peek(&kind)) {
+        cur.skipValue();
+        return;
+    }
+    f->present = true;
+    f->kind = kind;
+    f->str.clear();
+    std::string_view text;
+    if (kind == JsonToken::String) {
+        if (cur.string(&text))
+            f->str.assign(text);
+    } else if (kind == JsonToken::Number) {
+        cur.number(&f->number);
+    } else {
+        cur.skipValue();
+    }
 }
 
-/** parseTraceName() that reports an unknown @p what as an error. */
+/** Read the args value under @p cur into @p rec (objects only: any
+ *  other value has no members, as in JsonValue). */
+void
+readArgs(JsonCursor& cur, Record* rec)
+{
+    JsonToken kind = JsonToken::Null;
+    if (!cur.peek(&kind) || kind != JsonToken::Object) {
+        cur.skipValue();
+        return;
+    }
+    cur.beginObject();
+    std::string_view key;
+    while (cur.nextMember(&key)) {
+        if (rec->numArgs == rec->args.size())
+            rec->args.emplace_back();
+        ArgField& arg = rec->args[rec->numArgs++];
+        arg.key.assign(key);
+        arg.value.present = false;
+        readField(cur, &arg.value);
+    }
+}
+
+/** Read the record object under @p cur into @p rec. */
+void
+readRecord(JsonCursor& cur, Record* rec)
+{
+    for (Field* f : {&rec->ph, &rec->name, &rec->cat, &rec->ts, &rec->dur,
+                     &rec->pid, &rec->tid})
+        f->present = false;
+    rec->hasArgs = false;
+    rec->numArgs = 0;
+
+    cur.beginObject();
+    std::string_view key;
+    while (cur.nextMember(&key)) {
+        Field* f = key == "ph"     ? &rec->ph
+                   : key == "name" ? &rec->name
+                   : key == "cat"  ? &rec->cat
+                   : key == "ts"   ? &rec->ts
+                   : key == "dur"  ? &rec->dur
+                   : key == "pid"  ? &rec->pid
+                   : key == "tid"  ? &rec->tid
+                                   : nullptr;
+        if (f) {
+            readField(cur, f);
+        } else if (key == "args" && !rec->hasArgs) {
+            rec->hasArgs = true;
+            readArgs(cur, rec);
+        } else {
+            cur.skipValue();
+        }
+    }
+}
+
+/** parseTraceName() that reports an unknown @p what in @p why. */
 template <typename E>
 bool
-parseNameOf(const std::string& name, const char* what,
-            const std::string& where, E* out, std::string* err)
+parseNameOf(const std::string& name, const char* what, E* out,
+            std::string* why)
 {
     if (parseTraceName(name, out))
         return true;
-    return fail(err, where + "unknown " + what + " '" + name + "'");
+    return fail(why, std::string("unknown ") + what + " '" + name + "'");
+}
+
+using Lanes = std::map<std::pair<int, int>, TraceTrack>;  // (pid,tid)
+
+/**
+ * Fold one record into @p doc: "M" records name processes and lanes,
+ * "X"/"i" records become events. On a malformed record, @p why
+ * receives the reason (without the record number).
+ */
+bool
+applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
+            std::string* why)
+{
+    if (!rec.ph.isString())
+        return fail(why, "missing 'ph'");
+    const std::string& ph = rec.ph.str;
+
+    if (ph == "M") {
+        const Field* name = nullptr;
+        for (std::size_t i = 0; i < rec.numArgs && !name; ++i)
+            if (rec.args[i].key == "name")
+                name = &rec.args[i].value;
+        if (!rec.name.present || !name || !name->isString() ||
+            !rec.pid.isNumber() || !rec.tid.isNumber())
+            return fail(why, "malformed metadata");
+        const int pid = static_cast<int>(rec.pid.number);
+        const int tid = static_cast<int>(rec.tid.number);
+        if (rec.name.str == "process_name") {
+            doc->processNames[pid] = name->str;
+            return true;
+        }
+        if (rec.name.str != "thread_name")
+            return fail(why, "unknown metadata '" + rec.name.str + "'");
+        return parseNameOf(name->str, "track", &(*tracks)[{pid, tid}], why);
+    }
+    if (ph != "X" && ph != "i")
+        return fail(why, "unsupported phase '" + ph + "'");
+
+    TraceEvent ev;
+    ev.kind = ph == "X" ? TraceEventKind::Span : TraceEventKind::Instant;
+    if (!rec.name.isString() || !rec.cat.isString() || !rec.ts.isNumber())
+        return fail(why, "missing name/cat/ts");
+    ev.name = rec.name.str;
+    if (!parseNameOf(rec.cat.str, "category", &ev.category, why))
+        return false;
+    ev.ts = nanosecondsOf(rec.ts.number);
+    if (!rec.pid.isNumber() || !rec.tid.isNumber())
+        return fail(why, "missing pid/tid");
+    ev.pid = static_cast<int>(rec.pid.number);
+    const int tid = static_cast<int>(rec.tid.number);
+    if (ev.kind == TraceEventKind::Span) {
+        if (!rec.dur.isNumber())
+            return fail(why, "span without 'dur'");
+        ev.dur = nanosecondsOf(rec.dur.number);
+    }
+    const auto lane = tracks->find({ev.pid, tid});
+    if (lane == tracks->end())
+        return fail(why, "event before its thread_name");
+    ev.track = lane->second;
+    ev.args.reserve(rec.numArgs);
+    for (std::size_t i = 0; i < rec.numArgs; ++i) {
+        const ArgField& a = rec.args[i];
+        if (a.key == "detail") {
+            ev.detail = a.value.str;
+            continue;
+        }
+        if (!a.value.isNumber())
+            return fail(why, "non-numeric arg '" + a.key + "'");
+        TraceArg& arg = ev.args.emplace_back();
+        if (!parseNameOf(a.key, "arg key", &arg.key, why))
+            return false;
+        arg.value = std::llround(a.value.number);
+    }
+    doc->events.push_back(std::move(ev));
+    return true;
 }
 
 }  // namespace
@@ -54,96 +231,60 @@ bool
 readChromeTrace(const std::string& text, TraceDocument* out,
                 std::string* err)
 {
-    JsonValue doc;
-    std::string parseErr;
-    if (!parseJson(text, &doc, &parseErr))
-        return fail(err, "not valid JSON: " + parseErr);
-    const JsonValue* records = doc.find("traceEvents");
-    if (!records || !records->isArray())
-        return fail(err, "missing 'traceEvents' array");
-
+    // One pass over the text. After the first malformed record the
+    // walk goes on, validating only: a JSON syntax error anywhere
+    // outranks it, as when the whole document was parsed first.
+    JsonCursor cur(text);
     TraceDocument result;
-    std::map<std::pair<int, int>, TraceTrack> tracks;  // (pid,tid)
-    for (std::size_t i = 0; i < records->items.size(); ++i) {
-        const JsonValue& rec = records->items[i];
-        const std::string where =
-            "record " + std::to_string(i) + ": ";
-        if (!rec.isObject())
-            return fail(err, where + "not an object");
-        const JsonValue* ph = rec.find("ph");
-        if (!ph || !ph->isString())
-            return fail(err, where + "missing 'ph'");
+    Lanes tracks;
+    Record rec;
+    std::string recordErr;
+    bool haveEvents = false;
 
-        if (ph->str == "M") {
-            const JsonValue* metaName = rec.find("name");
-            const JsonValue* args = rec.find("args");
-            const JsonValue* name =
-                args ? args->find("name") : nullptr;
-            int pid = 0;
-            int tid = 0;
-            if (!metaName || !name || !name->isString() ||
-                !intMemberOf(rec, "pid", &pid) ||
-                !intMemberOf(rec, "tid", &tid))
-                return fail(err, where + "malformed metadata");
-            if (metaName->str == "process_name")
-                result.processNames[pid] = name->str;
-            else if (metaName->str != "thread_name")
-                return fail(err, where + "unknown metadata '" +
-                                     metaName->str + "'");
-            else if (!parseNameOf(name->str, "track", where,
-                                  &tracks[{pid, tid}], err))
-                return false;
-            continue;
-        }
-        if (ph->str != "X" && ph->str != "i")
-            return fail(err, where + "unsupported phase '" + ph->str +
-                                 "'");
-
-        TraceEvent ev;
-        ev.kind = ph->str == "X" ? TraceEventKind::Span
-                                 : TraceEventKind::Instant;
-        const JsonValue* name = rec.find("name");
-        const JsonValue* cat = rec.find("cat");
-        const JsonValue* ts = rec.find("ts");
-        if (!name || !name->isString() || !cat || !cat->isString() ||
-            !ts || !ts->isNumber())
-            return fail(err, where + "missing name/cat/ts");
-        ev.name = name->str;
-        if (!parseNameOf(cat->str, "category", where, &ev.category,
-                         err))
-            return false;
-        ev.ts = nanosecondsOf(ts->number);
-        int tid = 0;
-        if (!intMemberOf(rec, "pid", &ev.pid) ||
-            !intMemberOf(rec, "tid", &tid))
-            return fail(err, where + "missing pid/tid");
-        if (ev.kind == TraceEventKind::Span) {
-            const JsonValue* dur = rec.find("dur");
-            if (!dur || !dur->isNumber())
-                return fail(err, where + "span without 'dur'");
-            ev.dur = nanosecondsOf(dur->number);
-        }
-        const auto lane = tracks.find({ev.pid, tid});
-        if (lane == tracks.end())
-            return fail(err, where + "event before its thread_name");
-        ev.track = lane->second;
-        if (const JsonValue* args = rec.find("args")) {
-            for (const auto& [key, value] : args->members) {
-                if (key == "detail") {
-                    ev.detail = value.str;
+    JsonToken kind = JsonToken::Null;
+    if (cur.peek(&kind) && kind == JsonToken::Object) {
+        cur.beginObject();
+        bool seenKey = false;  // only the first "traceEvents" counts
+        std::string_view key;
+        while (cur.nextMember(&key)) {
+            if (key != "traceEvents" || seenKey) {
+                cur.skipValue();
+                continue;
+            }
+            seenKey = true;
+            if (!cur.peek(&kind) || kind != JsonToken::Array) {
+                cur.skipValue();
+                continue;
+            }
+            haveEvents = true;
+            cur.beginArray();
+            for (std::size_t i = 0; cur.nextItem(); ++i) {
+                std::string why;
+                if (!recordErr.empty() || !cur.peek(&kind)) {
+                    cur.skipValue();
                     continue;
                 }
-                if (!value.isNumber())
-                    return fail(err, where + "non-numeric arg '" +
-                                         key + "'");
-                TraceArg& arg = ev.args.emplace_back();
-                if (!parseNameOf(key, "arg key", where, &arg.key, err))
-                    return false;
-                arg.value = std::llround(value.number);
+                if (kind != JsonToken::Object) {
+                    why = "not an object";
+                    cur.skipValue();
+                } else {
+                    readRecord(cur, &rec);
+                    if (cur.ok())
+                        applyRecord(rec, &tracks, &result, &why);
+                }
+                if (!why.empty())
+                    recordErr = "record " + std::to_string(i) + ": " + why;
             }
         }
-        result.events.push_back(std::move(ev));
+    } else {
+        cur.skipValue();
     }
+    if (!cur.finish())
+        return fail(err, "not valid JSON: " + cur.error());
+    if (!haveEvents)
+        return fail(err, "missing 'traceEvents' array");
+    if (!recordErr.empty())
+        return fail(err, recordErr);
     *out = std::move(result);
     return true;
 }
@@ -152,15 +293,23 @@ bool
 readChromeTraceFile(const std::string& path, TraceDocument* out,
                     std::string* err)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return fail(err, "cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!in.good() && !in.eof())
+    // Append straight into one string, reserved to the size of a
+    // regular file (a pipe has none), so the text is copied once.
+    std::string text;
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec)
+        text.reserve(static_cast<std::size_t>(size));
+    char buf[1 << 16];
+    while (in.read(buf, sizeof buf) || in.gcount() > 0)
+        text.append(buf, static_cast<std::size_t>(in.gcount()));
+    if (in.bad())
         return fail(err, "error reading '" + path + "'");
     std::string parseErr;
-    if (!readChromeTrace(buf.str(), out, &parseErr))
+    if (!readChromeTrace(text, out, &parseErr))
         return fail(err, path + ": " + parseErr);
     return true;
 }

@@ -12,6 +12,13 @@
  * map back to their enum values through trace_event.h's name tables,
  * so re-ingested events compare equal (field by field) to the
  * originals — the round-trip golden test pins this.
+ *
+ * The document is read in one streaming pass: a JsonCursor walks the
+ * text straight into TraceEvents, one record at a time, and no JSON
+ * tree is built. Records keep JsonValue::find's semantics — unknown
+ * keys are skipped and a repeated key keeps its first value — and a
+ * JSON syntax error anywhere outranks a malformed record, as if the
+ * whole document had been parsed first.
  */
 
 #ifndef G10_OBS_ANALYSIS_TRACE_READER_H
@@ -39,13 +46,16 @@ struct TraceDocument
  * names outside trace_event.h's tables fail — the reader only
  * accepts what the in-repo writers produce.
  *
- * @param err when non-null, receives a description of the first error
+ * @param err when non-null, receives a description of the first
+ *        error: "not valid JSON: <cursor message>" for a syntax error,
+ *        "record <N>: <reason>" for the first malformed record
  * @return false on malformed input
  */
 bool readChromeTrace(const std::string& text, TraceDocument* out,
                      std::string* err = nullptr);
 
-/** readChromeTrace over the contents of @p path. */
+/** readChromeTrace over the contents of @p path, read into one
+ *  string sized from the file. */
 bool readChromeTraceFile(const std::string& path, TraceDocument* out,
                          std::string* err = nullptr);
 

@@ -212,6 +212,10 @@ TEST(TraceReader, RejectsMalformedDocuments)
     EXPECT_FALSE(readChromeTraceFile("/nonexistent/trace.json", &doc,
                                      &err));
     EXPECT_NE(err.find("cannot open"), std::string::npos);
+
+    // A directory opens but cannot be read.
+    EXPECT_FALSE(readChromeTraceFile(".", &doc, &err));
+    EXPECT_NE(err.find("error reading '.'"), std::string::npos) << err;
 }
 
 }  // namespace
