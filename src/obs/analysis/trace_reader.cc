@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -26,6 +27,20 @@ fail(std::string* err, const std::string& msg)
     if (err)
         *err = msg;
     return false;
+}
+
+/** @p v as a @p T when it is a whole number in @p T's range. */
+template <typename T>
+bool
+integerOf(double v, T* out)
+{
+    // -min is a power of two, so both bounds are exact doubles; NaN
+    // fails the comparisons.
+    const double lo = static_cast<double>(std::numeric_limits<T>::min());
+    if (!(v >= lo && v < -lo) || std::trunc(v) != v)
+        return false;
+    *out = static_cast<T>(v);
+    return true;
 }
 
 /** One member value as a JsonValue would hold it: the number for a
@@ -173,8 +188,11 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
         if (!rec.name.present || !name || !name->isString() ||
             !rec.pid.isNumber() || !rec.tid.isNumber())
             return fail(why, "malformed metadata");
-        const int pid = static_cast<int>(rec.pid.number);
-        const int tid = static_cast<int>(rec.tid.number);
+        int pid = 0;
+        int tid = 0;
+        if (!integerOf(rec.pid.number, &pid) ||
+            !integerOf(rec.tid.number, &tid))
+            return fail(why, "pid/tid is not a 32-bit integer");
         if (rec.name.str == "process_name") {
             doc->processNames[pid] = name->str;
             return true;
@@ -196,8 +214,10 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
     ev.ts = nanosecondsOf(rec.ts.number);
     if (!rec.pid.isNumber() || !rec.tid.isNumber())
         return fail(why, "missing pid/tid");
-    ev.pid = static_cast<int>(rec.pid.number);
-    const int tid = static_cast<int>(rec.tid.number);
+    int tid = 0;
+    if (!integerOf(rec.pid.number, &ev.pid) ||
+        !integerOf(rec.tid.number, &tid))
+        return fail(why, "pid/tid is not a 32-bit integer");
     if (ev.kind == TraceEventKind::Span) {
         if (!rec.dur.isNumber())
             return fail(why, "span without 'dur'");
@@ -219,7 +239,8 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
         TraceArg& arg = ev.args.emplace_back();
         if (!parseNameOf(a.key, "arg key", &arg.key, why))
             return false;
-        arg.value = std::llround(a.value.number);
+        if (!integerOf(a.value.number, &arg.value))
+            return fail(why, "arg '" + a.key + "' is not a 64-bit integer");
     }
     doc->events.push_back(std::move(ev));
     return true;

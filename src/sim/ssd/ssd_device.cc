@@ -42,117 +42,103 @@ SsdDevice::allocLogical(Bytes bytes)
     return first;
 }
 
-SsdDevice::Chunk*
-SsdDevice::findChunk(std::uint64_t logical_page)
-{
-    std::uint64_t c = logical_page / kTableChunkPages;
-    if (c < chunkBase_ || c - chunkBase_ >= chunks_.size())
-        return nullptr;
-    Chunk& chunk = chunks_[c - chunkBase_];
-    return chunk.block.empty() ? nullptr : &chunk;
-}
-
-SsdDevice::Chunk&
-SsdDevice::residentChunk(std::uint64_t logical_page)
-{
-    std::uint64_t c = logical_page / kTableChunkPages;
-    if (chunks_.empty())
-        chunkBase_ = c;
-    if (c < chunkBase_) {
-        chunks_.insert(chunks_.begin(), chunkBase_ - c, Chunk());
-        chunkBase_ = c;
-    }
-    if (c - chunkBase_ >= chunks_.size())
-        chunks_.resize(c - chunkBase_ + 1);
-    Chunk& chunk = chunks_[c - chunkBase_];
-    if (chunk.block.empty())
-        chunk.block.assign(kTableChunkPages, kUnmapped);
-    return chunk;
-}
-
-void
-SsdDevice::dropChunk(Chunk* chunk)
-{
-    *chunk = Chunk();
-    while (!chunks_.empty() && chunks_.front().block.empty()) {
-        chunks_.pop_front();
-        ++chunkBase_;
-    }
-    while (!chunks_.empty() && chunks_.back().block.empty())
-        chunks_.pop_back();
-}
-
 void
 SsdDevice::freeLogical(std::uint64_t logical_page, Bytes bytes)
 {
     std::uint64_t pages =
         (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
-    std::uint64_t end = logical_page + pages;
-    for (std::uint64_t lp = logical_page; lp < end;) {
-        std::uint64_t run = std::min(
-            end - lp, kTableChunkPages - lp % kTableChunkPages);
-        Chunk* chunk = findChunk(lp);
-        if (chunk != nullptr) {  // else never written (or already trimmed)
-            std::uint64_t trimmed =
-                run - replaceSlots(&chunk->block[lp % kTableChunkPages],
-                                   run, kUnmapped);
-            chunk->mapped -= static_cast<std::uint32_t>(trimmed);
-            mapped_ -= trimmed;
-            if (chunk->mapped == 0)
-                dropChunk(chunk);
-        }
-        lp += run;
-    }
+    // Pages never written (or already trimmed) are skipped.
+    mapped_ -= pages - replaceRange(logical_page, pages, kUnmapped);
 }
 
 void
-SsdDevice::invalidate(std::uint32_t block, std::uint32_t pages)
+SsdDevice::invalidate(std::uint32_t block, std::uint64_t pages)
 {
     if (blockValid_[block] < pages)
         panic("SSD block %u: invalidating a page of a block with no "
               "valid pages", block);
-    blockValid_[block] -= pages;
+    blockValid_[block] -= static_cast<std::uint32_t>(pages);
     markDirty(block);
 }
 
+SsdDevice::Table::iterator
+SsdDevice::put(Table::iterator hint, std::uint64_t first, Extent extent)
+{
+    if (spare_.empty())
+        return table_.emplace_hint(hint, first, extent);
+    spare_.key() = first;
+    spare_.mapped() = extent;
+    return table_.insert(hint, std::move(spare_));
+}
+
+SsdDevice::Table::iterator
+SsdDevice::drop(Table::iterator it)
+{
+    if (!spare_.empty())
+        return table_.erase(it);
+    auto next = std::next(it);
+    spare_ = table_.extract(it);
+    return next;
+}
+
 std::uint64_t
-SsdDevice::replaceSlots(std::uint32_t* slot, std::uint64_t n,
+SsdDevice::replaceRange(std::uint64_t lp, std::uint64_t n,
                         std::uint32_t block)
 {
-    // A tensor is rewritten at its own logical range, so the old copies
-    // mostly share one block: that case is a compare and a fill the
-    // compiler vectorizes.
-    const std::uint32_t first = slot[0];
-    bool uniform = true;
-    for (std::uint64_t i = 1; i < n; ++i)
-        uniform &= slot[i] == first;
-    if (uniform) {
-        std::fill(slot, slot + n, block);
-        if (first == kUnmapped)
-            return n;
-        invalidate(first, static_cast<std::uint32_t>(n));
+    if (n == 0)
         return 0;
+    const std::uint64_t end = lp + n;
+    std::uint64_t unmapped = n;
+    // The first extent that ends after lp; a rewrite of a tensor finds
+    // one that starts at lp without stepping back.
+    auto it = table_.lower_bound(lp);
+    if (it != table_.begin() && (it == table_.end() || it->first > lp)) {
+        auto left = std::prev(it);
+        if (left->second.end > lp)
+            it = left;
     }
-    // Otherwise invalidate each run of equal old blocks at once.
-    std::uint64_t unmapped = 0;
-    std::uint32_t group = kUnmapped;
-    std::uint32_t count = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint32_t old = slot[i];
-        slot[i] = block;
-        if (old == kUnmapped) {
-            ++unmapped;
-        } else if (old == group) {
-            ++count;
+    // Invalidate every extent [lp, end) overlaps, keep the parts outside
+    // it, and keep the node of one that starts at lp for the new extent:
+    // rewriting a tensor in place changes no node.
+    auto reuse = table_.end();
+    while (it != table_.end() && it->first < end) {
+        const std::uint64_t first = it->first;
+        const Extent old = it->second;
+        const std::uint64_t overlap =
+            std::min(old.end, end) - std::max(first, lp);
+        invalidate(old.block, overlap);
+        unmapped -= overlap;
+        if (first < lp) {
+            it->second.end = lp;  // keep the head
+            ++it;
+        } else if (first == lp && block != kUnmapped) {
+            reuse = it++;
         } else {
-            if (count > 0)
-                invalidate(group, count);
-            group = old;
-            count = 1;
+            it = drop(it);
+        }
+        if (old.end > end) {  // keep the tail
+            it = put(it, end, Extent{old.end, old.block});
+            break;
         }
     }
-    if (count > 0)
-        invalidate(group, count);
+    if (block == kUnmapped)
+        return unmapped;
+    // A segment cut by a GC trigger continues its left neighbour's
+    // block: extend that extent.
+    auto at = reuse != table_.end() ? reuse : it;
+    if (at != table_.begin()) {
+        Extent& left = std::prev(at)->second;
+        if (left.end == lp && left.block == block) {
+            left.end = end;
+            if (reuse != table_.end())
+                drop(reuse);
+            return unmapped;
+        }
+    }
+    if (reuse != table_.end())
+        reuse->second = Extent{end, block};
+    else
+        put(it, lp, Extent{end, block});
     return unmapped;
 }
 
@@ -245,60 +231,50 @@ SsdDevice::program(std::uint64_t logical_page, std::uint64_t pages,
     const std::uint32_t ppb = geom_.pagesPerBlock;
     const std::uint64_t end = logical_page + pages;
     for (std::uint64_t lp = logical_page; lp < end;) {
-        std::uint64_t run = std::min(
-            end - lp, kTableChunkPages - lp % kTableChunkPages);
-        Chunk& chunk = residentChunk(lp);
-        std::uint32_t* slot = &chunk.block[lp % kTableChunkPages];
-        while (run > 0) {
-            // Append to the open block, advancing to the next erased
-            // block when it fills.
-            if (blockFill_[openBlock_] == ppb)
-                advanceOpenBlock();
-            if (blockFill_[openBlock_] >= ppb)
-                fatal("SSD is full: %llu valid pages exceed capacity",
-                      static_cast<unsigned long long>(totalPages_));
-            // The segment ends where the open block fills or at the page
-            // that takes the free count below the GC threshold; page by
-            // page once free pages run out or GC could not restore them.
-            std::uint64_t n =
-                std::min<std::uint64_t>(run, ppb - blockFill_[openBlock_]);
-            if (freePages_ == 0 || freePages_ < gcThreshold_)
-                n = 1;
-            else
-                n = std::min(n, freePages_ + 1 -
-                                    std::max<std::uint64_t>(gcThreshold_, 1));
-            // Point the pages at the open block and invalidate their
-            // previous physical copies, which stay unusable until their
-            // blocks are garbage-collected and erased.
-            std::uint64_t fresh = replaceSlots(slot, n, openBlock_);
-            chunk.mapped += static_cast<std::uint32_t>(fresh);
-            mapped_ += fresh;
-            blockValid_[openBlock_] += static_cast<std::uint32_t>(n);
-            blockFill_[openBlock_] += static_cast<std::uint32_t>(n);
-            if (blockFill_[openBlock_] == ppb)
-                notFull_[openBlock_ / 64] &= ~(1ULL << (openBlock_ % 64));
-            if (freePages_ > 0)
-                freePages_ -= n;  // n <= freePages_ here
-            else if (totalPages_ >= ppb)
-                panic("SSD free-page count underflow with a block open");
-            // (else the device is smaller than its one block: see header)
-            slot += n;
-            run -= n;
-            lp += n;
-            if (freePages_ >= gcThreshold_)
-                continue;
-            // GC's time goes to the batch of the page that triggered it,
-            // the segment's last; a run that took no time changes none.
-            TimeNs t = collectGarbage();
-            if (t == 0)
-                continue;
-            std::uint64_t batch =
-                first_batch + (lp - 1 - logical_page) / batch_pages;
-            if (!busy_.gc.empty() && busy_.gc.back().first == batch)
-                busy_.gc.back().second += t;
-            else
-                busy_.gc.emplace_back(batch, t);
-        }
+        // Append to the open block, advancing to the next erased block
+        // when it fills.
+        if (blockFill_[openBlock_] == ppb)
+            advanceOpenBlock();
+        if (blockFill_[openBlock_] >= ppb)
+            fatal("SSD is full: %llu valid pages exceed capacity",
+                  static_cast<unsigned long long>(totalPages_));
+        // The segment ends where the open block fills or at the page
+        // that takes the free count below the GC threshold; page by page
+        // once free pages run out or GC could not restore them.
+        std::uint64_t n =
+            std::min<std::uint64_t>(end - lp, ppb - blockFill_[openBlock_]);
+        if (freePages_ == 0 || freePages_ < gcThreshold_)
+            n = 1;
+        else
+            n = std::min(n, freePages_ + 1 -
+                                std::max<std::uint64_t>(gcThreshold_, 1));
+        // Point the pages at the open block and invalidate their
+        // previous physical copies, which stay unusable until their
+        // blocks are garbage-collected and erased.
+        mapped_ += replaceRange(lp, n, openBlock_);
+        blockValid_[openBlock_] += static_cast<std::uint32_t>(n);
+        blockFill_[openBlock_] += static_cast<std::uint32_t>(n);
+        if (blockFill_[openBlock_] == ppb)
+            notFull_[openBlock_ / 64] &= ~(1ULL << (openBlock_ % 64));
+        if (freePages_ > 0)
+            freePages_ -= n;  // n <= freePages_ here
+        else if (totalPages_ >= ppb)
+            panic("SSD free-page count underflow with a block open");
+        // (else the device is smaller than its one block: see header)
+        lp += n;
+        if (freePages_ >= gcThreshold_)
+            continue;
+        // GC's time goes to the batch of the page that triggered it, the
+        // segment's last; a run that took no time changes none.
+        TimeNs t = collectGarbage();
+        if (t == 0)
+            continue;
+        std::uint64_t batch =
+            first_batch + (lp - 1 - logical_page) / batch_pages;
+        if (!busy_.gc.empty() && busy_.gc.back().first == batch)
+            busy_.gc.back().second += t;
+        else
+            busy_.gc.emplace_back(batch, t);
     }
 }
 
@@ -392,10 +368,7 @@ SsdDevice::collectGarbage()
 std::uint64_t
 SsdDevice::logicalTableBytes() const
 {
-    std::uint64_t bytes = chunks_.size() * sizeof(Chunk);
-    for (const Chunk& chunk : chunks_)
-        bytes += chunk.block.capacity() * sizeof(std::uint32_t);
-    return bytes;
+    return table_.size() * sizeof(Table::value_type);
 }
 
 SsdDevice::Census
@@ -403,10 +376,16 @@ SsdDevice::census() const
 {
     Census c;
     std::vector<std::uint64_t> named(blockValid_.size(), 0);
-    for (const Chunk& chunk : chunks_)
-        for (std::uint32_t b : chunk.block)
-            if (b != kUnmapped)
-                ++named[b];
+    std::uint64_t prevEnd = 0;
+    for (const auto& [first, extent] : table_) {
+        if (first < prevEnd || extent.end <= first ||
+            extent.block >= named.size()) {
+            c.validMatchesTable = false;
+            continue;
+        }
+        named[extent.block] += extent.end - first;
+        prevEnd = extent.end;
+    }
     for (std::size_t b = 0; b < blockValid_.size(); ++b) {
         c.blockValid += blockValid_[b];
         c.unprogrammed += geom_.pagesPerBlock - blockFill_[b];

@@ -20,29 +20,34 @@
  * fills.
  *
  * Cost model of the implementation (not of the device): the logical page
- * table is a dense array in fixed-size chunks; a chunk is freed once no
- * page in it is mapped. One write call takes a migration's whole page
- * range and its batch size. Batches of whole flash pages tile one
- * contiguous range, so the write is cut into segments only at chunk
- * ends, where the open block fills and at the page that takes free pages
- * below the GC threshold (single pages while free pages sit below it or
- * read 0); batches that are not whole pages may share a page with the
- * next batch and are programmed one by one. Every batch's busy time is
- * one formula; the result lists only the batches GC lengthened, and a
- * read is O(1). Each segment costs O(1) plus one table store per page;
- * the old copies it replaces are invalidated in groups of equal blocks,
- * one subtract and one dirty mark per group. The next open block comes
- * from a not-full bitset (find-next-set). GC victims come from a
- * min-tree over (valid pages, block index) of fully programmed, non-open
- * blocks; invalidations only mark a block dirty and dirty blocks are
- * re-keyed, O(log blocks) each, before the next victim query.
+ * table is an extent map, runs [first, end) of logical pages in one
+ * block keyed by their first page. Tensors are written and trimmed as
+ * whole ranges, so each is a few extents, and the table follows live,
+ * not ever-written, logical space. One write call takes a
+ * migration's whole page range and its batch size. Batches of whole
+ * flash pages tile one contiguous range, so the write is cut into
+ * segments only where the open block fills and at the page that takes
+ * free pages below the GC threshold (single pages while free pages sit
+ * below it or read 0); batches that are not whole pages may share a page
+ * with the next batch and are programmed one by one. Every batch's busy
+ * time is one formula; the result lists only the batches GC lengthened,
+ * and a read is O(1). Each segment, and each trim, is one map edit that
+ * costs O(log extents) plus O(1) per extent it overlaps, whatever its
+ * page count: each overlapped extent's old copies are invalidated with
+ * one subtract and one dirty mark, the extents straddling the range's
+ * ends are split, and a segment that continues its left neighbour's
+ * block extends that extent. The next open block comes from a not-full
+ * bitset (find-next-set). GC victims come from a min-tree over (valid
+ * pages, block index) of fully programmed, non-open blocks;
+ * invalidations only mark a block dirty and dirty blocks are re-keyed,
+ * O(log blocks) each, before the next victim query.
  */
 
 #ifndef G10_SIM_SSD_SSD_DEVICE_H
 #define G10_SIM_SSD_SSD_DEVICE_H
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -177,11 +182,8 @@ class SsdDevice
     /** Total physical pages. */
     std::uint64_t totalPages() const { return totalPages_; }
 
-    /** Logical pages per page-table chunk. */
-    static constexpr std::uint64_t kTableChunkPages = 4096;
-
-    /** Bytes the logical page table holds: its chunk directory plus
-     *  every resident chunk. Tracks live, not ever-allocated, space. */
+    /** Bytes the logical page table's extents hold. Tracks live, not
+     *  ever-allocated, space. */
     std::uint64_t logicalTableBytes() const;
 
     /** Block-level sums recomputed from scratch, O(blocks + table). */
@@ -189,7 +191,9 @@ class SsdDevice
     {
         std::uint64_t blockValid = 0;    ///< sum of per-block valid pages
         std::uint64_t unprogrammed = 0;  ///< sum of (pagesPerBlock - fill)
-        /** Every block's valid count equals the table entries naming it. */
+        /** The table's extents are non-empty, ordered, disjoint and
+         *  name real blocks, and every block's valid count equals the
+         *  pages they map to it. */
         bool validMatchesTable = true;
     };
 
@@ -197,26 +201,29 @@ class SsdDevice
     Census census() const;
 
   private:
-    /** One kTableChunkPages slice of the logical page table; an empty
-     *  `block` means no page in the slice is mapped. */
-    struct Chunk
+    /** Logical pages [key, end) all sit in `block`. */
+    struct Extent
     {
-        std::uint32_t mapped = 0;
-        std::vector<std::uint32_t> block;  ///< block per page or kUnmapped
+        std::uint64_t end;
+        std::uint32_t block;
     };
+    using Table = std::map<std::uint64_t, Extent>;
 
     static constexpr std::uint32_t kUnmapped = UINT32_MAX;
     static constexpr std::uint64_t kNoVictim = UINT64_MAX;
 
-    Chunk& residentChunk(std::uint64_t logical_page);
-    Chunk* findChunk(std::uint64_t logical_page);
-    void dropChunk(Chunk* chunk);
     /** Drop @p pages valid pages of @p block and queue it for re-keying. */
-    void invalidate(std::uint32_t block, std::uint32_t pages);
-    /** Store @p block in @p n (>= 1) table slots and invalidate the
-     *  physical copies they named; returns how many were unmapped. */
-    std::uint64_t replaceSlots(std::uint32_t* slot, std::uint64_t n,
+    void invalidate(std::uint32_t block, std::uint64_t pages);
+    /** Map logical pages [@p lp, +@p n) to @p block (kUnmapped: trim
+     *  them) and invalidate the physical copies they named; returns how
+     *  many were unmapped before. */
+    std::uint64_t replaceRange(std::uint64_t lp, std::uint64_t n,
                                std::uint32_t block);
+    /** Insert an extent before @p hint, in the spare node if there is
+     *  one; erase one into the spare node. */
+    Table::iterator put(Table::iterator hint, std::uint64_t first,
+                        Extent extent);
+    Table::iterator drop(Table::iterator it);
     /** Start busy_ for @p bytes in batches of @p batch bytes. */
     void startBatches(Bytes bytes, Bytes batch, TimeNs latency,
                       double gbps);
@@ -241,11 +248,11 @@ class SsdDevice
     std::uint64_t gcThreshold_ = 0;  ///< collect when free drops below
     std::uint64_t gcTarget_ = 0;     ///< ...until free reaches this
 
-    // Logical page table: chunks_[i] covers logical pages from
-    // (chunkBase_ + i) * kTableChunkPages; the directory is trimmed at
-    // both ends as chunks empty.
-    std::deque<Chunk> chunks_;
-    std::uint64_t chunkBase_ = 0;
+    // Logical page table: disjoint extents of mapped pages. An erased
+    // node waits in spare_ for the next insert, so the splits and
+    // merges that rewrites cause reuse nodes instead of allocating.
+    Table table_;
+    Table::node_type spare_;
     std::uint64_t mapped_ = 0;
 
     // per-block count of valid pages.

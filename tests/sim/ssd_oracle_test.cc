@@ -355,6 +355,131 @@ TEST(SsdDeviceOracle, DeviceSmallerThanOneBlockTakesOneLongWrite)
     EXPECT_TRUE(dut.census().validMatchesTable);
 }
 
+/** Drives one SsdDevice and the reference with the same whole-page
+ *  writes (one batch each) and trims, checking after every call. */
+struct ScriptedPair
+{
+    SsdDevice dut;
+    test::ReferenceSsd ref;
+    Bytes page;
+
+    ScriptedPair(const SystemConfig& sys, const SsdDevice::Geometry& g)
+        : dut(sys, g), ref(sys, g), page(g.flashPageBytes)
+    {}
+
+    std::uint64_t
+    alloc(std::uint64_t pages)
+    {
+        std::uint64_t lp = dut.allocLogical(pages * page);
+        EXPECT_EQ(lp, ref.allocLogical(pages * page));
+        return lp;
+    }
+
+    ::testing::AssertionResult
+    write(std::uint64_t lp, std::uint64_t pages)
+    {
+        Bytes bytes = pages * page;
+        TimeNs got = dut.serviceWrite(lp, bytes, bytes).total();
+        TimeNs want = ref.serviceWrite(lp, bytes);
+        if (got != want)
+            return ::testing::AssertionFailure()
+                   << "busy " << got << " vs " << want;
+        return check();
+    }
+
+    ::testing::AssertionResult
+    trim(std::uint64_t lp, std::uint64_t pages)
+    {
+        dut.freeLogical(lp, pages * page);
+        ref.freeLogical(lp, pages * page);
+        return check();
+    }
+
+    ::testing::AssertionResult
+    check()
+    {
+        ::testing::AssertionResult same = sameState(dut, ref);
+        return same ? conserved(dut) : same;
+    }
+};
+
+TEST(SsdDeviceOracle, ExtentEdgesMatchReference)
+{
+    // 1 MiB * 1.07 = 273 pages: 17 blocks of 16, GC below 13 free
+    // pages. Page offsets below are within the 64-page region r; the
+    // comments give the extents a step leaves, as [first, end) block.
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = 1 * MiB;
+    ScriptedPair p(sys, smallGeometry(16, 0.07));
+    const std::uint64_t r = p.alloc(64);
+    const std::uint64_t s = p.alloc(32);
+    // [0,16) b0, [16,32) b1, [32,40) b2.
+    ASSERT_TRUE(p.write(r, 40));
+    // Starts and ends inside [0,16): [0,3) b0, [3,6) b2, [6,16) b0.
+    ASSERT_TRUE(p.write(r + 3, 3));
+    // A prefix shorter than the tensor, as an eviction of a partly
+    // resident tensor writes: covers [0,3) and [3,6), cuts [6,16) at 10
+    // and crosses from b2 into b3.
+    ASSERT_TRUE(p.write(r, 10));
+    // Covers several whole extents and the never-written [40,48).
+    ASSERT_TRUE(p.write(r, 48));
+    // Trims the middle of an extent, then a range that is partly
+    // written and partly never written, then one spanning that hole.
+    ASSERT_TRUE(p.trim(r + 20, 4));
+    ASSERT_TRUE(p.trim(r + 44, 20));
+    ASSERT_TRUE(p.trim(r + 18, 12));
+    // Trims over a never-written region, whole and in part.
+    ASSERT_TRUE(p.trim(s + 4, 8));
+    ASSERT_TRUE(p.trim(s, 32));
+    // Fills part of the hole, then spans mapped pages, the rest of the
+    // hole and more mapped pages.
+    ASSERT_TRUE(p.write(r + 20, 4));
+    ASSERT_TRUE(p.write(r + 16, 16));
+    // Adjacent writes into the same open block: the second extends the
+    // first's extent, and rewriting both starts at that extent.
+    ASSERT_TRUE(p.write(r + 50, 2));
+    ASSERT_TRUE(p.write(r + 52, 2));
+    ASSERT_TRUE(p.write(r + 50, 4));
+    ASSERT_TRUE(p.write(r + 51, 1));
+    ASSERT_TRUE(p.trim(r, 64));
+    EXPECT_EQ(p.dut.validPages(), 0u);
+    EXPECT_EQ(p.dut.logicalTableBytes(), 0u);
+}
+
+TEST(SsdDeviceOracle, GcTriggerInsideABlockExtendsTheExtent)
+{
+    // 8 blocks of 16 pages, GC below 12 free pages. With blocks 0..3
+    // written and trimmed and blocks 4..6 full, free pages read 16, so
+    // an 8-page write into block 7 triggers GC at its fifth page and is
+    // programmed as two segments in one block: one extent.
+    SystemConfig sys = test::tinySystem();
+    sys.ssdCapacityBytes = 512 * KiB;
+    SsdDevice::Geometry g = smallGeometry(16, 0.0);
+    g.gcFreeThreshold = 0.1;
+    std::uint64_t oneExtent = 0;
+    {
+        SsdDevice one(sys, g);
+        one.serviceWrite(one.allocLogical(g.flashPageBytes),
+                         g.flashPageBytes, g.flashPageBytes);
+        oneExtent = one.logicalTableBytes();
+    }
+    ScriptedPair p(sys, g);
+    ASSERT_EQ(p.dut.totalPages(), 128u);
+    const std::uint64_t a = p.alloc(64);
+    const std::uint64_t b = p.alloc(48);
+    const std::uint64_t c = p.alloc(8);
+    ASSERT_TRUE(p.write(a, 64));
+    ASSERT_TRUE(p.trim(a, 64));
+    ASSERT_TRUE(p.write(b, 48));
+    ASSERT_EQ(p.dut.freePages(), 16u);
+    ASSERT_EQ(p.dut.stats().gcRuns, 0u);
+    ASSERT_EQ(p.dut.logicalTableBytes(), 3 * oneExtent);
+    ASSERT_TRUE(p.write(c, 8));
+    EXPECT_EQ(p.dut.stats().gcRuns, 1u);
+    EXPECT_EQ(p.dut.stats().blockErases, 1u);
+    EXPECT_EQ(p.dut.logicalTableBytes(), 4 * oneExtent);
+}
+
 TEST(SsdDeviceConservation, BooksBalanceThroughJobChurnAndGc)
 {
     // The serving pattern at the default geometry: a resident job and a
