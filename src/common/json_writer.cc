@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 #include "common/logging.h"
 
@@ -14,7 +15,9 @@ namespace g10 {
 
 JsonWriter::JsonWriter(std::ostream& os, int indent)
     : os_(os), indent_(indent)
-{}
+{
+    buf_.reserve(kInitialBytes);
+}
 
 JsonWriter::~JsonWriter()
 {
@@ -26,40 +29,42 @@ JsonWriter::~JsonWriter()
 void
 JsonWriter::prefix(bool isKey)
 {
-    Ctx ctx = stack_.empty() ? Ctx::Top : stack_.back();
-    if (ctx == Ctx::Top) {
+    if (stack_.empty()) {
         if (isKey)
             panic("JsonWriter: key() outside any object");
         if (done_)
             panic("JsonWriter: second top-level value");
         return;
     }
-    if (ctx == Ctx::Object && !isKey && !keyPending_)
+    Level& level = stack_.back();
+    if (level.isObject && !isKey && !keyPending_)
         panic("JsonWriter: object member needs key() first");
-    if (ctx == Ctx::Array && isKey)
+    if (!level.isObject && isKey)
         panic("JsonWriter: key() inside an array");
     if (keyPending_)
         return;  // the value right after its key: no comma/indent
 
-    if (hasItems_.back())
-        frag_ += ',';
+    if (level.hasItems)
+        buf_ += ',';
+    level.hasItems = true;
     if (indent_ > 0)
         newline();
-    hasItems_.back() = true;
 }
 
 void
 JsonWriter::newline()
 {
-    frag_ += '\n';
-    frag_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
+    buf_ += '\n';
+    buf_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
 }
 
 void
-JsonWriter::flush()
+JsonWriter::settle()
 {
-    os_.write(frag_.data(), static_cast<std::streamsize>(frag_.size()));
-    frag_.clear();
+    if (!stack_.empty() && buf_.size() < kFlushBytes)
+        return;
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
 }
 
 void
@@ -68,33 +73,44 @@ JsonWriter::endValue()
     keyPending_ = false;
     if (stack_.empty())
         done_ = true;
-    flush();
+    settle();
+}
+
+void
+JsonWriter::open(bool isObject)
+{
+    keyPending_ = false;
+    stack_.push_back({isObject, false});
+    settle();
+}
+
+void
+JsonWriter::close(bool isObject, char bracket, const char* what)
+{
+    if (stack_.empty() || stack_.back().isObject != isObject ||
+        keyPending_)
+        panic("JsonWriter: %s", what);
+    const bool had = stack_.back().hasItems;
+    stack_.pop_back();
+    if (had && indent_ > 0)
+        newline();
+    buf_ += bracket;
+    endValue();
 }
 
 JsonWriter&
 JsonWriter::beginObject()
 {
     prefix(false);
-    keyPending_ = false;
-    frag_ += '{';
-    stack_.push_back(Ctx::Object);
-    hasItems_.push_back(false);
-    flush();
+    buf_ += '{';
+    open(true);
     return *this;
 }
 
 JsonWriter&
 JsonWriter::endObject()
 {
-    if (stack_.empty() || stack_.back() != Ctx::Object || keyPending_)
-        panic("JsonWriter: endObject() does not match an open object");
-    bool had = hasItems_.back();
-    stack_.pop_back();
-    hasItems_.pop_back();
-    if (had && indent_ > 0)
-        newline();
-    frag_ += '}';
-    endValue();
+    close(true, '}', "endObject() does not match an open object");
     return *this;
 }
 
@@ -102,26 +118,15 @@ JsonWriter&
 JsonWriter::beginArray()
 {
     prefix(false);
-    keyPending_ = false;
-    frag_ += '[';
-    stack_.push_back(Ctx::Array);
-    hasItems_.push_back(false);
-    flush();
+    buf_ += '[';
+    open(false);
     return *this;
 }
 
 JsonWriter&
 JsonWriter::endArray()
 {
-    if (stack_.empty() || stack_.back() != Ctx::Array)
-        panic("JsonWriter: endArray() does not match an open array");
-    bool had = hasItems_.back();
-    stack_.pop_back();
-    hasItems_.pop_back();
-    if (had && indent_ > 0)
-        newline();
-    frag_ += ']';
-    endValue();
+    close(false, ']', "endArray() does not match an open array");
     return *this;
 }
 
@@ -133,9 +138,9 @@ JsonWriter::key(std::string_view k)
               static_cast<int>(k.size()), k.data());
     prefix(true);
     appendQuoted(k);
-    frag_ += indent_ > 0 ? ": " : ":";
+    buf_ += indent_ > 0 ? ": " : ":";
     keyPending_ = true;
-    flush();
+    settle();
     return *this;
 }
 
@@ -153,11 +158,11 @@ JsonWriter::value(double v)
 {
     prefix(false);
     if (!std::isfinite(v)) {
-        frag_ += "null";
+        buf_ += "null";
     } else {
         char buf[64];
         const int n = std::snprintf(buf, sizeof buf, "%.12g", v);
-        frag_.append(buf, static_cast<std::size_t>(n));
+        buf_.append(buf, static_cast<std::size_t>(n));
     }
     endValue();
     return *this;
@@ -167,7 +172,7 @@ JsonWriter&
 JsonWriter::value(bool v)
 {
     prefix(false);
-    frag_ += v ? "true" : "false";
+    buf_ += v ? "true" : "false";
     endValue();
     return *this;
 }
@@ -183,13 +188,20 @@ appendInteger(std::string& out, Int v)
     out.append(buf, res.ptr);
 }
 
+/** Bytes a JSON string literal cannot hold raw: controls, '"', '\\'. */
+constexpr bool
+needsEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
 }  // namespace
 
 JsonWriter&
 JsonWriter::value(std::int64_t v)
 {
     prefix(false);
-    appendInteger(frag_, v);
+    appendInteger(buf_, v);
     endValue();
     return *this;
 }
@@ -198,7 +210,7 @@ JsonWriter&
 JsonWriter::value(std::uint64_t v)
 {
     prefix(false);
-    appendInteger(frag_, v);
+    appendInteger(buf_, v);
     endValue();
     return *this;
 }
@@ -207,7 +219,7 @@ JsonWriter&
 JsonWriter::rawNumber(std::string_view token)
 {
     prefix(false);
-    frag_ += token;
+    buf_ += token;
     endValue();
     return *this;
 }
@@ -216,7 +228,7 @@ JsonWriter&
 JsonWriter::null()
 {
     prefix(false);
-    frag_ += "null";
+    buf_ += "null";
     endValue();
     return *this;
 }
@@ -224,31 +236,32 @@ JsonWriter::null()
 void
 JsonWriter::appendQuoted(std::string_view s)
 {
-    frag_ += '"';
+    buf_ += '"';
     std::size_t run = 0;  // start of the pending unescaped run
     for (std::size_t i = 0; i < s.size(); ++i) {
         const unsigned char c = static_cast<unsigned char>(s[i]);
-        if (c >= 0x20 && c != '"' && c != '\\')
+        if (!needsEscape(c))
             continue;
-        frag_.append(s, run, i - run);
+        buf_.append(s, run, i - run);
         run = i + 1;
         switch (c) {
-          case '"': frag_ += "\\\""; break;
-          case '\\': frag_ += "\\\\"; break;
-          case '\b': frag_ += "\\b"; break;
-          case '\f': frag_ += "\\f"; break;
-          case '\n': frag_ += "\\n"; break;
-          case '\r': frag_ += "\\r"; break;
-          case '\t': frag_ += "\\t"; break;
+          case '"': buf_ += "\\\""; break;
+          case '\\': buf_ += "\\\\"; break;
+          case '\b': buf_ += "\\b"; break;
+          case '\f': buf_ += "\\f"; break;
+          case '\n': buf_ += "\\n"; break;
+          case '\r': buf_ += "\\r"; break;
+          case '\t': buf_ += "\\t"; break;
           default: {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            frag_ += buf;
+            static const char kHex[] = "0123456789abcdef";
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+            buf_.append(esc, sizeof esc);
           }
         }
     }
-    frag_.append(s, run, s.size() - run);
-    frag_ += '"';
+    buf_.append(s, run, s.size() - run);
+    buf_ += '"';
 }
 
 // ------------------------------------------------------------- cursor
@@ -576,8 +589,14 @@ JsonCursor::readNumber(double* out)
         while (digit())
             ++pos_;
     }
-    if (out) {
-        scratch_.assign(text_, start, pos_ - start);
+    if (!out)
+        return true;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    // from_chars rounds correctly, as strtod does, but leaves a
+    // literal past double range unread; strtod reads it as ±inf or 0.
+    if (std::from_chars(first, last, *out).ec != std::errc()) {
+        scratch_.assign(first, last);
         *out = std::strtod(scratch_.c_str(), nullptr);
     }
     return true;

@@ -13,6 +13,7 @@
 #define G10_COMMON_JSON_WRITER_H
 
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -24,8 +25,12 @@ namespace g10 {
 /**
  * Streaming JSON emitter. Call begin/end/key/value in document order;
  * commas, indentation, and string escaping are handled internally.
- * Each call writes its text, separator included, to the stream with
- * one write before it returns.
+ * The text collects in a buffer that goes to the stream in one write
+ * when the top-level value closes, and in 64 KiB pieces before that
+ * while a large document is being written. So the whole document is
+ * in the stream once its last end call returns, and a caller may
+ * write raw text to the stream only between documents, never inside
+ * one.
  * Nesting errors (a value without a pending key inside an object, or
  * unbalanced begin/end) are programming errors and panic().
  *
@@ -61,7 +66,8 @@ class JsonWriter
      * Emit @p token verbatim as a number value. The caller guarantees
      * it is a valid JSON number literal; used where value(double)'s
      * %.12g would lose precision (exact decimal microsecond
-     * timestamps in the chrome-trace writer).
+     * timestamps in the chrome-trace writer). @p token is copied
+     * before the call returns, so it may live in a stack buffer.
      */
     JsonWriter& rawNumber(std::string_view token);
 
@@ -75,7 +81,19 @@ class JsonWriter
     }
 
   private:
-    enum class Ctx { Top, Object, Array };
+    /** Buffered text past which a call hands it to the stream. */
+    static constexpr std::size_t kFlushBytes = 64 * 1024;
+
+    /** Buffer reserved up front: one allocation holds a small
+     *  document, such as one streamed trace record. */
+    static constexpr std::size_t kInitialBytes = 512;
+
+    /** One open container. */
+    struct Level
+    {
+        bool isObject;
+        bool hasItems;  ///< emitted anything yet?
+    };
 
     /** Comma/newline/indent bookkeeping before any value or key. */
     void prefix(bool isKey);
@@ -87,19 +105,26 @@ class JsonWriter
      *  that needs no escape is copied whole. */
     void appendQuoted(std::string_view s);
 
-    /** Close a value (the top-level one ends the document); flush(). */
+    /** Open a container after its bracket was appended. */
+    void open(bool isObject);
+
+    /** Close the innermost container of the given kind with @p bracket,
+     *  or panic with @p what when it does not match. */
+    void close(bool isObject, char bracket, const char* what);
+
+    /** Close a value (the top-level one ends the document). */
     void endValue();
 
-    /** Write this call's text to the stream in one piece. */
-    void flush();
+    /** End of a public call: hand the buffer to the stream when the
+     *  document is complete or the buffer passed kFlushBytes. */
+    void settle();
 
     std::ostream& os_;
     int indent_;
-    std::vector<Ctx> stack_;
-    std::vector<bool> hasItems_;  ///< per level: emitted anything yet?
+    std::vector<Level> stack_;
     bool keyPending_ = false;
     bool done_ = false;  ///< one top-level value already written
-    std::string frag_;   ///< the current call's text (capacity reused)
+    std::string buf_;    ///< text not yet written to os_
 };
 
 /** Kind of the value a JsonCursor is positioned on. */
@@ -134,7 +159,7 @@ class JsonCursor
 
     /**
      * Advance to the open object's next member: reads its key into
-     * @p key (valid until the next call) and leaves the cursor on the
+     * @p key (as string() reads a value) and leaves the cursor on the
      * member's value. False once the object has closed.
      */
     bool nextMember(std::string_view* key);
@@ -142,11 +167,23 @@ class JsonCursor
     /** Advance to the open array's next item; false once it closed. */
     bool nextItem();
 
-    /** Read a string value, escapes decoded; @p out is valid until
-     *  the next call. */
+    /** Read a string value, escapes decoded. @p out views the text
+     *  itself when the literal has no escape (see viewsText()), else
+     *  a decoded copy that is valid until the next call. */
     bool string(std::string_view* out);
 
-    /** Read a number value, converted by strtod. */
+    /** True when @p s (from string() or nextMember()) lies in the
+     *  text, so it stays valid as long as the text does. */
+    bool viewsText(std::string_view s) const
+    {
+        return std::less_equal<const char*>()(text_.data(), s.data()) &&
+               std::less_equal<const char*>()(s.data(),
+                                              text_.data() + text_.size());
+    }
+
+    /** Read a number value, correctly rounded (std::from_chars; a
+     *  literal out of double range reads as strtod reads it: ±inf, or
+     *  0 on underflow). */
     bool number(double* out);
 
     /** Consume the true, false or null the cursor is on. */

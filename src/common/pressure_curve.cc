@@ -65,6 +65,43 @@ PressureCurve::rescan(std::size_t c)
     }
 }
 
+PressureCurve
+PressureCurve::build(const std::vector<Interval>& intervals)
+{
+    // Every interval add() would apply puts a breakpoint at both ends;
+    // in time order, the running sum of the edges' deltas is the value
+    // from each breakpoint on (0 after the last).
+    std::vector<std::pair<TimeNs, std::int64_t>> edges;
+    edges.reserve(2 * intervals.size());
+    for (const Interval& iv : intervals) {
+        if (iv.t1 <= iv.t0 || iv.delta == 0)
+            continue;  // add() ignores these
+        edges.emplace_back(iv.t0, iv.delta);
+        edges.emplace_back(iv.t1, -iv.delta);
+    }
+    std::sort(edges.begin(), edges.end());
+
+    PressureCurve f;
+    std::int64_t value = 0;
+    for (std::size_t i = 0; i < edges.size();) {
+        const TimeNs t = edges[i].first;
+        for (; i < edges.size() && edges[i].first == t; ++i)
+            value += edges[i].second;
+        if (f.chunks_.empty() || f.chunks_.back().times.size() == kChunk) {
+            Chunk& ch = f.chunks_.emplace_back();
+            ch.times.reserve(2 * kChunk + 1);
+            ch.vals.reserve(2 * kChunk + 1);
+        }
+        f.chunks_.back().times.push_back(t);
+        f.chunks_.back().vals.push_back(value);
+    }
+    for (std::size_t c = 0; c < f.chunks_.size(); ++c) {
+        f.rescan(c);
+        f.peak_ = std::max(f.peak_, f.chunks_[c].hi);
+    }
+    return f;
+}
+
 void
 PressureCurve::ensureBreakpoint(TimeNs t)
 {

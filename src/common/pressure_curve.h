@@ -19,6 +19,8 @@
  * segment of the very last breakpoint is counted with duration 0 (the
  * curve is 0 from there on, as it is before the first breakpoint).
  *
+ *   - build() fills chunks of kChunk breakpoints from a sorted sweep
+ *     and scans each once.
  *   - add() updates every fully covered chunk in O(1) (lazy, min, max
  *     and Σ value × duration shift by the delta) and rescans only the
  *     two edge chunks.
@@ -53,6 +55,21 @@ class PressureCurve
   public:
     /** Exact area in value units × nanoseconds. */
     using Area = __int128;
+
+    /** One range add of build(): @p delta over [t0, t1). */
+    struct Interval
+    {
+        TimeNs t0;
+        TimeNs t1;
+        std::int64_t delta;
+    };
+
+    /**
+     * The curve that add() of every interval in @p intervals builds,
+     * made in one sorted sweep over their ±delta edges instead of one
+     * add() each.
+     */
+    static PressureCurve build(const std::vector<Interval>& intervals);
 
     /** Add @p delta over the half-open interval [t0, t1). */
     void add(TimeNs t0, TimeNs t1, std::int64_t delta);

@@ -79,21 +79,22 @@ VitalityAnalysis::kernelEnd(KernelId k) const
 PressureCurve
 VitalityAnalysis::memoryPressure() const
 {
-    PressureCurve f;
+    std::vector<PressureCurve::Interval> live;
+    live.reserve(liveness_.size());
     const TimeNs iter_end = iterationLengthNs();
     for (const auto& lv : liveness_) {
         if (lv.uses.empty() && !lv.isGlobal)
             continue;
-        const Tensor& t = trace_->tensor(lv.tensor);
-        if (lv.isGlobal) {
-            f.add(0, iter_end, static_cast<std::int64_t>(t.bytes));
-        } else {
-            TimeNs born = kernelStart_[static_cast<std::size_t>(lv.birth)];
-            TimeNs dead = kernelEnd(lv.death);
-            f.add(born, dead, static_cast<std::int64_t>(t.bytes));
-        }
+        const auto bytes =
+            static_cast<std::int64_t>(trace_->tensor(lv.tensor).bytes);
+        if (lv.isGlobal)
+            live.push_back({0, iter_end, bytes});
+        else
+            live.push_back(
+                {kernelStart_[static_cast<std::size_t>(lv.birth)],
+                 kernelEnd(lv.death), bytes});
     }
-    return f;
+    return PressureCurve::build(live);
 }
 
 Bytes

@@ -7,7 +7,6 @@
 #include "policies/registry.h"
 #include "serve/plan_cache.h"
 #include "serve/probe_scheduler.h"
-#include "sim/runtime/sim_runtime.h"
 
 namespace g10 {
 
@@ -90,6 +89,8 @@ FleetSim::computeBaselines(ExperimentEngine& engine) const
     const std::size_t nc = classes_.size();
     std::vector<std::vector<ServeClassBaseline>> baselines(
         nn, std::vector<ServeClassBaseline>(nc));
+    // G10-family plans go through the fleet's plan cache under the key
+    // of each node cell's first admission compile.
     engine.parallelFor(nn * nc, [&](std::size_t i) {
         const std::size_t n = i / nc;
         const std::size_t c = i % nc;
@@ -97,17 +98,10 @@ FleetSim::computeBaselines(ExperimentEngine& engine) const
         const SystemConfig nodeScaled = ns.sys.scaledDown(ns.scaleDown);
         const SystemConfig slotSys = partitionShare(
             nodeScaled, 1.0 / static_cast<double>(ns.slots));
-        DesignInstance di = PolicyRegistry::instance().make(
-            spec_.design, traces_[c], slotSys);
-        RunConfig rc;
-        rc.sys = slotSys;
-        rc.iterations = classes_[c].iterations;
-        rc.uvmExtension = di.uvmExtension;
-        rc.seed = ns.seed;
-        SimRuntime rt(traces_[c], *di.policy, rc);
-        ExecStats st = rt.run();
-        baselines[n][c].unloadedNs = rt.now();
-        baselines[n][c].failed = st.failed;
+        baselines[n][c] =
+            unloadedBaseline(spec_.design, traces_[c], classes_[c],
+                             ns.scaleDown, slotSys, ns.seed,
+                             planCache_.get());
     });
     return baselines;
 }
@@ -252,16 +246,20 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
     };
 
     if (obs.sink != nullptr) {
-        // Traced runs stream the first placement's nodes sequentially
-        // (sinks are not thread-safe) with per-node pid offsets; the
-        // remaining placements still fan out across the pool.
-        for (std::size_t n = 0; n < nn; ++n) {
-            PidOffsetSink offset(obs.sink,
-                                 static_cast<int>(n) * kFleetPidStride);
-            runCell(0, n, &offset);
-        }
-        engine.parallelFor((np - 1) * nn, [&](std::size_t i) {
-            runCell(1 + i / nn, i % nn, nullptr);
+        // Traced runs stream the first placement's nodes in node order
+        // from one task (sinks are not thread-safe) with per-node pid
+        // offsets; that chain is task 0, so the pool runs the other
+        // placements' cells beside it.
+        engine.parallelFor(1 + (np - 1) * nn, [&](std::size_t i) {
+            if (i > 0) {
+                runCell(1 + (i - 1) / nn, (i - 1) % nn, nullptr);
+                return;
+            }
+            for (std::size_t n = 0; n < nn; ++n) {
+                PidOffsetSink offset(
+                    obs.sink, static_cast<int>(n) * kFleetPidStride);
+                runCell(0, n, &offset);
+            }
         });
     } else {
         engine.parallelFor(np * nn, [&](std::size_t i) {

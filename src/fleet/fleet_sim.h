@@ -156,9 +156,10 @@ struct FleetObsRequest
      * Event sink for the *first* placement's cells. Nodes stream into
      * it with per-node pid offsets (node i's request pids start at
      * i * kFleetPidStride), so one Chrome trace renders the whole
-     * fleet with one process group per node. Traced cells run
-     * sequentially (sinks are not thread-safe); results are
-     * bit-identical either way.
+     * fleet with one process group per node. The traced cells run
+     * in node order inside one pool task (sinks are not thread-safe),
+     * beside the other placements' cells; results are bit-identical
+     * either way.
      */
     TraceSink* sink = nullptr;
 

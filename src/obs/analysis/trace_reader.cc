@@ -14,11 +14,18 @@ namespace g10 {
 
 namespace {
 
-/** Exact nanoseconds from a parsed microsecond value. */
-TimeNs
-nanosecondsOf(double us)
+/** Exact nanoseconds from a parsed microsecond value; false when
+ *  they fall outside TimeNs range. */
+bool
+nanosecondsOf(double us, TimeNs* out)
 {
-    return static_cast<TimeNs>(std::llround(us * 1e3));
+    // 2^63 is an exact double, and every double below it rounds to a
+    // TimeNs; ±inf and the rest fail the comparisons.
+    const double ns = us * 1e3;
+    if (!(ns >= -0x1p63 && ns < 0x1p63))
+        return false;
+    *out = static_cast<TimeNs>(std::llround(ns));
+    return true;
 }
 
 bool
@@ -43,6 +50,44 @@ integerOf(double v, T* out)
     return true;
 }
 
+/**
+ * A string the cursor read, kept until the next record: a view into
+ * the document when the literal had no escape, else a decoded copy.
+ * The copy is selected by a flag rather than viewed, so a Text may
+ * move (the args vector grows) without dangling.
+ */
+class Text
+{
+  public:
+    void
+    keep(const JsonCursor& cur, std::string_view s)
+    {
+        decoded_ = !cur.viewsText(s);
+        if (decoded_)
+            copy_.assign(s);
+        else
+            view_ = s;
+    }
+
+    void
+    clear()
+    {
+        view_ = {};
+        decoded_ = false;
+    }
+
+    std::string_view
+    get() const
+    {
+        return decoded_ ? std::string_view(copy_) : view_;
+    }
+
+  private:
+    std::string_view view_;
+    std::string copy_;
+    bool decoded_ = false;
+};
+
 /** One member value as a JsonValue would hold it: the number for a
  *  number, the text for a string, an empty text for anything else. */
 struct Field
@@ -50,8 +95,9 @@ struct Field
     bool present = false;
     JsonToken kind = JsonToken::Null;
     double number = 0.0;
-    std::string str;
+    Text text;
 
+    std::string_view str() const { return text.get(); }
     bool isString() const { return present && kind == JsonToken::String; }
     bool isNumber() const { return present && kind == JsonToken::Number; }
 };
@@ -59,7 +105,7 @@ struct Field
 /** One member of a record's "args", in document order. */
 struct ArgField
 {
-    std::string key;
+    Text key;
     Field value;
 };
 
@@ -67,7 +113,7 @@ struct ArgField
  * The members of one traceEvents record the reader looks at. A key
  * that repeats keeps its first value, as JsonValue::find does; every
  * member of the first "args" object is kept, in order. Reused across
- * records so its strings keep their capacity.
+ * records so its args entries and decoded strings keep their capacity.
  */
 struct Record
 {
@@ -88,16 +134,16 @@ readField(JsonCursor& cur, Field* f)
     }
     f->present = true;
     f->kind = kind;
-    f->str.clear();
     std::string_view text;
-    if (kind == JsonToken::String) {
-        if (cur.string(&text))
-            f->str.assign(text);
-    } else if (kind == JsonToken::Number) {
-        cur.number(&f->number);
-    } else {
-        cur.skipValue();
+    if (kind == JsonToken::String && cur.string(&text)) {
+        f->text.keep(cur, text);
+        return;
     }
+    f->text.clear();
+    if (kind == JsonToken::Number)
+        cur.number(&f->number);
+    else if (kind != JsonToken::String)
+        cur.skipValue();
 }
 
 /** Read the args value under @p cur into @p rec (objects only: any
@@ -116,7 +162,7 @@ readArgs(JsonCursor& cur, Record* rec)
         if (rec->numArgs == rec->args.size())
             rec->args.emplace_back();
         ArgField& arg = rec->args[rec->numArgs++];
-        arg.key.assign(key);
+        arg.key.keep(cur, key);
         arg.value.present = false;
         readField(cur, &arg.value);
     }
@@ -157,15 +203,18 @@ readRecord(JsonCursor& cur, Record* rec)
 /** parseTraceName() that reports an unknown @p what in @p why. */
 template <typename E>
 bool
-parseNameOf(const std::string& name, const char* what, E* out,
+parseNameOf(std::string_view name, const char* what, E* out,
             std::string* why)
 {
     if (parseTraceName(name, out))
         return true;
-    return fail(why, std::string("unknown ") + what + " '" + name + "'");
+    return fail(why, std::string("unknown ") + what + " '" +
+                         std::string(name) + "'");
 }
 
 using Lanes = std::map<std::pair<int, int>, TraceTrack>;  // (pid,tid)
+
+constexpr const char* kTimeRange = "ts/dur is outside the TimeNs range";
 
 /**
  * Fold one record into @p doc: "M" records name processes and lanes,
@@ -178,12 +227,12 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
 {
     if (!rec.ph.isString())
         return fail(why, "missing 'ph'");
-    const std::string& ph = rec.ph.str;
+    const std::string_view ph = rec.ph.str();
 
     if (ph == "M") {
         const Field* name = nullptr;
         for (std::size_t i = 0; i < rec.numArgs && !name; ++i)
-            if (rec.args[i].key == "name")
+            if (rec.args[i].key.get() == "name")
                 name = &rec.args[i].value;
         if (!rec.name.present || !name || !name->isString() ||
             !rec.pid.isNumber() || !rec.tid.isNumber())
@@ -193,25 +242,27 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
         if (!integerOf(rec.pid.number, &pid) ||
             !integerOf(rec.tid.number, &tid))
             return fail(why, "pid/tid is not a 32-bit integer");
-        if (rec.name.str == "process_name") {
-            doc->processNames[pid] = name->str;
+        if (rec.name.str() == "process_name") {
+            doc->processNames[pid] = name->str();
             return true;
         }
-        if (rec.name.str != "thread_name")
-            return fail(why, "unknown metadata '" + rec.name.str + "'");
-        return parseNameOf(name->str, "track", &(*tracks)[{pid, tid}], why);
+        if (rec.name.str() != "thread_name")
+            return fail(why, "unknown metadata '" +
+                                 std::string(rec.name.str()) + "'");
+        return parseNameOf(name->str(), "track", &(*tracks)[{pid, tid}],
+                           why);
     }
     if (ph != "X" && ph != "i")
-        return fail(why, "unsupported phase '" + ph + "'");
+        return fail(why, "unsupported phase '" + std::string(ph) + "'");
 
     TraceEvent ev;
     ev.kind = ph == "X" ? TraceEventKind::Span : TraceEventKind::Instant;
     if (!rec.name.isString() || !rec.cat.isString() || !rec.ts.isNumber())
         return fail(why, "missing name/cat/ts");
-    ev.name = rec.name.str;
-    if (!parseNameOf(rec.cat.str, "category", &ev.category, why))
+    if (!parseNameOf(rec.cat.str(), "category", &ev.category, why))
         return false;
-    ev.ts = nanosecondsOf(rec.ts.number);
+    if (!nanosecondsOf(rec.ts.number, &ev.ts))
+        return fail(why, kTimeRange);
     if (!rec.pid.isNumber() || !rec.tid.isNumber())
         return fail(why, "missing pid/tid");
     int tid = 0;
@@ -221,7 +272,8 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
     if (ev.kind == TraceEventKind::Span) {
         if (!rec.dur.isNumber())
             return fail(why, "span without 'dur'");
-        ev.dur = nanosecondsOf(rec.dur.number);
+        if (!nanosecondsOf(rec.dur.number, &ev.dur))
+            return fail(why, kTimeRange);
     }
     const auto lane = tracks->find({ev.pid, tid});
     if (lane == tracks->end())
@@ -230,18 +282,21 @@ applyRecord(const Record& rec, Lanes* tracks, TraceDocument* doc,
     ev.args.reserve(rec.numArgs);
     for (std::size_t i = 0; i < rec.numArgs; ++i) {
         const ArgField& a = rec.args[i];
-        if (a.key == "detail") {
-            ev.detail = a.value.str;
+        const std::string_view key = a.key.get();
+        if (key == "detail") {
+            ev.detail = a.value.str();
             continue;
         }
         if (!a.value.isNumber())
-            return fail(why, "non-numeric arg '" + a.key + "'");
+            return fail(why, "non-numeric arg '" + std::string(key) + "'");
         TraceArg& arg = ev.args.emplace_back();
-        if (!parseNameOf(a.key, "arg key", &arg.key, why))
+        if (!parseNameOf(key, "arg key", &arg.key, why))
             return false;
         if (!integerOf(a.value.number, &arg.value))
-            return fail(why, "arg '" + a.key + "' is not a 64-bit integer");
+            return fail(why, "arg '" + std::string(key) +
+                                 "' is not a 64-bit integer");
     }
+    ev.name = rec.name.str();
     doc->events.push_back(std::move(ev));
     return true;
 }
@@ -257,6 +312,9 @@ readChromeTrace(const std::string& text, TraceDocument* out,
     // outranks it, as when the whole document was parsed first.
     JsonCursor cur(text);
     TraceDocument result;
+    // The writers' event records average ~150 bytes, so one event per
+    // 128 bytes of text holds a whole trace without a regrowth copy.
+    result.events.reserve(text.size() / 128);
     Lanes tracks;
     Record rec;
     std::string recordErr;

@@ -44,9 +44,10 @@ struct TraceDocument
  * file order (the writer emits them in emission order). Unknown
  * record types ("C", "B"/"E", ...) and category, track or arg-key
  * names outside trace_event.h's tables fail, and so do a pid or tid
- * that is not a whole number in int range and an arg value that is
- * not one in int64 range — the reader only accepts what the in-repo
- * writers produce.
+ * that is not a whole number in int range, an arg value that is not
+ * one in int64 range, and a ts or dur whose nanoseconds fall outside
+ * TimeNs range — the reader only accepts what the in-repo writers
+ * produce.
  *
  * @param err when non-null, receives a description of the first
  *        error: "not valid JSON: <cursor message>" for a syntax error,

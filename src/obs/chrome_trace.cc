@@ -1,6 +1,10 @@
 #include "obs/chrome_trace.h"
 
+#include <charconv>
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -25,21 +29,32 @@ assignTids(const std::vector<TraceEvent>& events)
 
 /**
  * Integer nanoseconds as an exact decimal microsecond literal
- * ("1234.567"). value(double)'s %.12g would drop nanosecond digits
- * once a run passes ~16 minutes of simulated time; an exact token
- * keeps re-ingestion (readChromeTrace) lossless at any timestamp.
+ * ("1234.567", "-0.500"), written into @p buf. value(double)'s %.12g
+ * would drop nanosecond digits once a run passes ~16 minutes of
+ * simulated time; an exact token keeps re-ingestion (readChromeTrace)
+ * lossless at any timestamp. The fraction keeps its three digits
+ * ("1.500"); a whole number of microseconds has none.
  */
-std::string
-microsecondsToken(TimeNs ns)
+std::string_view
+microsecondsToken(TimeNs ns, char (&buf)[32])
 {
-    char buf[40];
-    const long long us = static_cast<long long>(ns) / 1000;
-    const long long frac = static_cast<long long>(ns) % 1000;
-    if (frac == 0)
-        std::snprintf(buf, sizeof buf, "%lld", us);
-    else
-        std::snprintf(buf, sizeof buf, "%lld.%03lld", us, frac);
-    return buf;
+    char* p = buf;
+    // The magnitude as unsigned, so that the most negative TimeNs
+    // negates without overflow.
+    std::uint64_t mag = static_cast<std::uint64_t>(ns);
+    if (ns < 0) {
+        *p++ = '-';
+        mag = 0 - mag;
+    }
+    p = std::to_chars(p, std::end(buf), mag / 1000).ptr;
+    if (const auto frac = static_cast<unsigned>(mag % 1000); frac != 0) {
+        p[0] = '.';
+        p[1] = static_cast<char>('0' + frac / 100);
+        p[2] = static_cast<char>('0' + frac / 10 % 10);
+        p[3] = static_cast<char>('0' + frac % 10);
+        p += 4;
+    }
+    return {buf, static_cast<std::size_t>(p - buf)};
 }
 
 void
@@ -59,7 +74,7 @@ writeArgs(JsonWriter& w, const TraceEvent& ev)
 
 void
 writeChromeMetaJson(JsonWriter& w, const char* meta_name, int pid,
-                    int tid, const std::string& name)
+                    int tid, std::string_view name)
 {
     w.beginObject();
     w.field("ph", "M").field("name", meta_name);
@@ -77,9 +92,10 @@ writeChromeEventJson(JsonWriter& w, const TraceEvent& ev, int tid)
     w.field("cat", traceName(ev.category));
     w.field("ph", ev.kind == TraceEventKind::Span ? "X" : "i");
     // Trace-event timestamps are microseconds; keep sub-us detail.
-    w.key("ts").rawNumber(microsecondsToken(ev.ts));
+    char buf[32];
+    w.key("ts").rawNumber(microsecondsToken(ev.ts, buf));
     if (ev.kind == TraceEventKind::Span)
-        w.key("dur").rawNumber(microsecondsToken(ev.dur));
+        w.key("dur").rawNumber(microsecondsToken(ev.dur, buf));
     else
         w.field("s", "t");  // instant scope: thread
     w.field("pid", static_cast<std::int64_t>(ev.pid));

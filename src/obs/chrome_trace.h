@@ -17,6 +17,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace_event.h"
@@ -41,7 +42,7 @@ void writeChromeTrace(std::ostream& os,
  *  "thread_name") onto a writer positioned inside the traceEvents
  *  array. */
 void writeChromeMetaJson(JsonWriter& w, const char* meta_name, int pid,
-                         int tid, const std::string& name);
+                         int tid, std::string_view name);
 
 /** Emit one event record ("X" span / "i" instant) onto a writer
  *  positioned inside the traceEvents array. */

@@ -68,7 +68,7 @@ FileTraceSink::lanesFor(const TraceEvent& ev)
 }
 
 void
-FileTraceSink::onEvent(const TraceEvent& ev)
+FileTraceSink::onEvent(TraceEvent ev)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (finished_) {

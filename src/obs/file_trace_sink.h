@@ -54,7 +54,7 @@ class FileTraceSink : public TraceSink
      */
     void setProcessName(int pid, const std::string& name);
 
-    void onEvent(const TraceEvent& ev) override;
+    void onEvent(TraceEvent ev) override;
 
     /**
      * Write the document tail and close the file (idempotent; the

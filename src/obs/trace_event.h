@@ -68,21 +68,21 @@ struct TraceNames;
 template <>
 struct TraceNames<TraceCategory>
 {
-    static constexpr const char* kNames[] = {
+    static constexpr std::string_view kNames[] = {
         "kernel", "stall", "xfer", "evict", "ssd", "serve", "partition"};
 };
 
 template <>
 struct TraceNames<TraceTrack>
 {
-    static constexpr const char* kNames[] = {
+    static constexpr std::string_view kNames[] = {
         "kernel", "memory", "pcie.in", "pcie.out", "serve", "stall"};
 };
 
 template <>
 struct TraceNames<TraceArgKey>
 {
-    static constexpr const char* kNames[] = {
+    static constexpr std::string_view kNames[] = {
         "k", "measured", "ideal_ns", "actual_ns", "cause", "bytes",
         "tensor", "runs", "erases", "from_bytes", "to_bytes",
         "evicted_bytes", "arrival_ns", "gpu_bytes", "warm_plan",
@@ -98,7 +98,7 @@ static_assert(std::size(TraceNames<TraceArgKey>::kNames) ==
 
 /** Exported name of a category, track or arg key. */
 template <typename E>
-constexpr const char*
+constexpr std::string_view
 traceName(E value)
 {
     return TraceNames<E>::kNames[static_cast<std::size_t>(value)];

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -28,21 +29,23 @@
 namespace g10 {
 
 /** Receives events as they are emitted. Implementations must not
- *  assume any ordering beyond per-producer emission order. */
+ *  assume any ordering beyond per-producer emission order. Events come
+ *  by value: the Tracer moves each one in, and a sink that keeps or
+ *  forwards it moves it on, so no event is copied on its way. */
 class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
-    virtual void onEvent(const TraceEvent& ev) = 0;
+    virtual void onEvent(TraceEvent ev) = 0;
 };
 
 /** A sink that buffers every event in memory, for export or analysis. */
 class MemoryTraceSink : public TraceSink
 {
   public:
-    void onEvent(const TraceEvent& ev) override
+    void onEvent(TraceEvent ev) override
     {
-        events_.push_back(ev);
+        events_.push_back(std::move(ev));
     }
 
     const std::vector<TraceEvent>& events() const { return events_; }
@@ -65,11 +68,10 @@ class PidOffsetSink : public TraceSink
     {
     }
 
-    void onEvent(const TraceEvent& ev) override
+    void onEvent(TraceEvent ev) override
     {
-        TraceEvent shifted = ev;
-        shifted.pid += offset_;
-        inner_->onEvent(shifted);
+        ev.pid += offset_;
+        inner_->onEvent(std::move(ev));
     }
 
   private:
@@ -90,12 +92,14 @@ class TeeTraceSink : public TraceSink
     {
     }
 
-    void onEvent(const TraceEvent& ev) override
+    void onEvent(TraceEvent ev) override
     {
-        if (first_)
-            first_->onEvent(ev);
+        if (first_ && second_)
+            first_->onEvent(ev);  // the one copy: both sinks get it
+        else if (first_)
+            first_->onEvent(std::move(ev));
         if (second_)
-            second_->onEvent(ev);
+            second_->onEvent(std::move(ev));
     }
 
   private:
@@ -191,7 +195,7 @@ class Tracer
     void emit(TraceEvent&& ev)
     {
         if (sink_)
-            sink_->onEvent(ev);
+            sink_->onEvent(std::move(ev));
     }
 
     TraceSink* sink_;

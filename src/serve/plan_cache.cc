@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "policies/g10_policy.h"
+
 namespace g10 {
 
 namespace {
@@ -100,6 +102,28 @@ SweepPlanCache::getOrCompile(const PlanKey& key,
     auto [it, inserted] = plans_.emplace(key, plan);
     ++misses_;
     return inserted ? plan : it->second;
+}
+
+std::shared_ptr<const CompiledPlan>
+compilePlan(int tag, const KernelTrace& trace, const ServeJobClass& cls,
+            unsigned scaleDown, const SystemConfig& sys,
+            const std::shared_ptr<const CompiledPlan>& seed,
+            SweepPlanCache* cache)
+{
+    const EvictionSchedule* warm =
+        seed != nullptr ? &seed->schedule : nullptr;
+    if (cache == nullptr)
+        return compileFamilyPlan(tag, trace, sys, warm);
+    PlanKey key;
+    key.options = planCompileOptionsKey(tag);
+    key.model = static_cast<int>(cls.model);
+    key.batch = cls.batchSize;
+    key.scaleDown = scaleDown;
+    key.sysFp = fingerprintSystemConfig(sys);
+    key.seedFp = warm != nullptr ? fingerprintSchedule(*warm) : 0;
+    return cache->getOrCompile(key, [&] {
+        return compileFamilyPlan(tag, trace, sys, warm);
+    });
 }
 
 std::uint64_t

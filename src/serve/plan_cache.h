@@ -41,6 +41,7 @@
 
 #include "common/system_config.h"
 #include "core/g10_compiler.h"
+#include "serve/serve_spec.h"
 
 namespace g10 {
 
@@ -114,6 +115,22 @@ class SweepPlanCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+/**
+ * Compile one G10-family plan (@p tag is a DesignPoint value) for
+ * @p cls's trace at @p scaleDown, warm-started by @p seed when it is
+ * non-null, through @p cache (null = compile directly). The one place
+ * a PlanKey is built: it captures every compile input — options, trace
+ * identity (model, batch, scale), system fingerprint, seed fingerprint
+ * — so a hit is bit-identical to the compile it replaces, and callers
+ * that compile the same inputs (serve cells, sweep and fleet
+ * baselines) share entries.
+ */
+std::shared_ptr<const CompiledPlan>
+compilePlan(int tag, const KernelTrace& trace, const ServeJobClass& cls,
+            unsigned scaleDown, const SystemConfig& sys,
+            const std::shared_ptr<const CompiledPlan>& seed,
+            SweepPlanCache* cache);
 
 }  // namespace g10
 

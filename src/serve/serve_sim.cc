@@ -83,34 +83,14 @@ designTag(const std::string& design)
     return PolicyRegistry::instance().resolve(design).builtinTag;
 }
 
-/**
- * Compile one G10-family plan, optionally warm-started by @p seed and
- * memoized in @p sweepCache (null = compile directly). The cache key
- * captures every compile input — options, trace identity (model,
- * batch, scale), system fingerprint, seed fingerprint — so a hit is
- * bit-identical to the compile it replaces.
- */
-std::shared_ptr<const CompiledPlan>
-compilePlan(int tag, const KernelTrace& trace,
-            const ServeJobClass& cls, unsigned scaleDown,
-            const SystemConfig& sys,
-            const std::shared_ptr<const CompiledPlan>& seed,
-            SweepPlanCache* sweepCache)
+/** Family member @p tag's policy around an already compiled plan. */
+DesignInstance
+familyInstance(int tag, std::shared_ptr<const CompiledPlan> plan)
 {
-    const EvictionSchedule* warm =
-        seed != nullptr ? &seed->schedule : nullptr;
-    if (sweepCache == nullptr)
-        return compileFamilyPlan(tag, trace, sys, warm);
-    PlanKey key;
-    key.options = planCompileOptionsKey(tag);
-    key.model = static_cast<int>(cls.model);
-    key.batch = cls.batchSize;
-    key.scaleDown = scaleDown;
-    key.sysFp = fingerprintSystemConfig(sys);
-    key.seedFp = warm != nullptr ? fingerprintSchedule(*warm) : 0;
-    return sweepCache->getOrCompile(key, [&] {
-        return compileFamilyPlan(tag, trace, sys, warm);
-    });
+    DesignInstance out;
+    out.uvmExtension = tag == static_cast<int>(DesignPoint::G10);
+    out.policy = makeFamilyPolicy(tag, std::move(plan));
+    return out;
 }
 
 /** What an admission-time compile did (feeds the cell metrics). */
@@ -154,11 +134,8 @@ makeServeInstance(const std::string& design, const KernelTrace& trace,
         tag, trace, cls, scaleDown, sys, seed, sweepCache);
     oc->replayed = plan->schedule.warmReplayed;
     oc->dropped = plan->schedule.warmDropped;
-    DesignInstance out;
-    out.uvmExtension = tag == static_cast<int>(DesignPoint::G10);
     (*cache)[model_key] = plan;
-    out.policy = makeFamilyPolicy(tag, std::move(plan));
-    return out;
+    return familyInstance(tag, std::move(plan));
 }
 
 /** Percentile of a Distribution as integer nanoseconds. */
@@ -169,6 +146,31 @@ pctNs(const Distribution& d, double p)
 }
 
 }  // namespace
+
+ServeClassBaseline
+unloadedBaseline(const std::string& design, const KernelTrace& trace,
+                 const ServeJobClass& cls, unsigned scaleDown,
+                 const SystemConfig& slotSys, std::uint64_t seed,
+                 SweepPlanCache* cache)
+{
+    const int tag = designTag(design);
+    const DesignInstance di =
+        isG10Family(tag)
+            ? familyInstance(tag, compilePlan(tag, trace, cls, scaleDown,
+                                              slotSys, nullptr, cache))
+            : PolicyRegistry::instance().make(design, trace, slotSys);
+    RunConfig rc;
+    rc.sys = slotSys;
+    rc.iterations = cls.iterations;
+    rc.uvmExtension = di.uvmExtension;
+    rc.seed = seed;
+    SimRuntime rt(trace, *di.policy, rc);
+    const ExecStats st = rt.run();
+    ServeClassBaseline out;
+    out.unloadedNs = rt.now();
+    out.failed = st.failed;
+    return out;
+}
 
 // ---------------------------------------------------------------------
 // ServeSim: one (design, rate) cell
@@ -867,43 +869,22 @@ ServeSweep::computeBaselines(ExperimentEngine& engine) const
     const SystemConfig slotSys = partitionShare(
         scaled, 1.0 / static_cast<double>(spec_.slots));
 
+    // G10-family designs compile through the sweep cache (when on):
+    // the slot-capacity plans built here share keys with every cell's
+    // first (cold, slot-sized) admission compile, so the knee probes
+    // start warm. One pool task per (class, design) pair: compile and
+    // sim fuse, and sims are independent either way.
     const std::size_t nd = spec_.designs.size();
     const std::size_t nc = classes_.size();
     std::vector<std::vector<ServeClassBaseline>> baselines(
         nd, std::vector<ServeClassBaseline>(nc));
-    for (std::size_t c = 0; c < nc; ++c) {
-        // G10-family designs compile through the sweep cache (when
-        // on): the slot-capacity plans built here share keys with
-        // every cell's first (cold, slot-sized) admission compile, so
-        // the knee probes start warm. Compile + sim fuse into one
-        // parallel task per design; sims are independent either way.
-        std::vector<DesignInstance> designs(nd);
-        engine.parallelFor(nd, [&](std::size_t d) {
-            const int tag = designTag(spec_.designs[d]);
-            if (isG10Family(tag)) {
-                std::shared_ptr<const CompiledPlan> plan =
-                    compilePlan(tag, traces_[c], classes_[c],
-                                spec_.scaleDown, slotSys, nullptr,
-                                planCache_.get());
-                designs[d].uvmExtension =
-                    tag == static_cast<int>(DesignPoint::G10);
-                designs[d].policy =
-                    makeFamilyPolicy(tag, std::move(plan));
-            } else {
-                designs[d] = PolicyRegistry::instance().make(
-                    spec_.designs[d], traces_[c], slotSys);
-            }
-            RunConfig rc;
-            rc.sys = slotSys;
-            rc.iterations = classes_[c].iterations;
-            rc.uvmExtension = designs[d].uvmExtension;
-            rc.seed = spec_.seed;
-            SimRuntime rt(traces_[c], *designs[d].policy, rc);
-            ExecStats st = rt.run();
-            baselines[d][c].unloadedNs = rt.now();
-            baselines[d][c].failed = st.failed;
-        });
-    }
+    engine.parallelFor(nc * nd, [&](std::size_t i) {
+        const std::size_t c = i / nd;
+        const std::size_t d = i % nd;
+        baselines[d][c] = unloadedBaseline(
+            spec_.designs[d], traces_[c], classes_[c], spec_.scaleDown,
+            slotSys, spec_.seed, planCache_.get());
+    });
     return baselines;
 }
 

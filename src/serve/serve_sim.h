@@ -216,6 +216,21 @@ struct ServeClassBaseline
     bool failed = false;
 };
 
+/**
+ * @p cls alone under @p design on one idle partition slot @p slotSys,
+ * replayed with RNG @p seed: the SLO reference of serve sweeps and
+ * fleet nodes. G10-family designs compile through @p cache (null =
+ * directly) under the key of a cell's first, slot-sized, cold
+ * admission compile, so the cells that follow start from a hit.
+ */
+ServeClassBaseline unloadedBaseline(const std::string& design,
+                                    const KernelTrace& trace,
+                                    const ServeJobClass& cls,
+                                    unsigned scaleDown,
+                                    const SystemConfig& slotSys,
+                                    std::uint64_t seed,
+                                    SweepPlanCache* cache);
+
 /** Whole-sweep outcome (what g10serve reports). */
 struct ServeSweepResult
 {

@@ -94,6 +94,42 @@ TEST(JsonWriter, PrettyPrintingIsValidJson)
     EXPECT_EQ(v.at("ys").items[1].str, "b");
 }
 
+TEST(JsonWriter, LargeDocumentIsInTheStreamWhenItCloses)
+{
+    // Well past the 64 KiB flush size: the text reaches the stream in
+    // pieces while the document is open, all of it by the time the
+    // top-level value closes, and byte for byte as the items written
+    // one document at a time.
+    auto item = [](JsonWriter& w, int i) {
+        w.beginObject();
+        w.field("i", static_cast<std::int64_t>(i));
+        w.field("name", "item \"" + std::to_string(i) + "\"\n");
+        w.key("xs").beginArray().value(0.5).null().endArray();
+        w.endObject();
+    };
+    std::string expected = "{\"items\":[";
+    for (int i = 0; i < 4000; ++i) {
+        if (i > 0)
+            expected += ',';
+        expected += write([&](JsonWriter& w) { item(w, i); });
+    }
+    expected += "]}";
+    ASSERT_GT(expected.size(), 3u * 64 * 1024);
+
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject().key("items").beginArray();
+    item(w, 0);
+    EXPECT_TRUE(os.str().empty());  // small: still buffered
+    for (int i = 1; i < 4000; ++i)
+        item(w, i);
+    const std::string partial = os.str();
+    EXPECT_GE(partial.size(), 64u * 1024);
+    EXPECT_EQ(expected.compare(0, partial.size(), partial), 0);
+    w.endArray().endObject();
+    EXPECT_EQ(os.str(), expected);
+}
+
 TEST(JsonParser, ParsesScalarsAndStructures)
 {
     JsonValue v;

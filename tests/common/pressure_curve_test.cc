@@ -423,5 +423,72 @@ TEST(PressureCurveDifferential, ThousandsOfMixedOpsMatchNaive)
     expectSameCurve(f, ref, -T, 2 * T);
 }
 
+TEST(PressureCurveDifferential, BuildMatchesOneAddPerInterval)
+{
+    // build() against add() per interval, on interval sets with
+    // zero-length, inverted and zero-delta intervals and, on a short
+    // time domain, many coincident endpoints.
+    Rng rng(20261020);
+    for (int round = 0; round < 60; ++round) {
+        const TimeNs T = round % 3 == 0 ? 40 : 200'000;
+        auto time = [&] {
+            return static_cast<TimeNs>(rng.uniformInt(-T / 4, T));
+        };
+        std::vector<PressureCurve::Interval> intervals;
+        const int n = static_cast<int>(rng.uniformInt(0, 300));
+        for (int i = 0; i < n; ++i) {
+            const TimeNs t0 = time();
+            TimeNs t1 = t0 + rng.uniformInt(1, T / 4);
+            switch (rng.uniformInt(0, 5)) {
+              case 0: t1 = t0; break;      // zero length
+              case 1: t1 = time(); break;  // maybe inverted
+              default: break;
+            }
+            const std::int64_t d = rng.uniformInt(0, 6) == 0
+                                       ? 0
+                                       : rng.uniformInt(-(1 << 20), 1 << 30);
+            intervals.push_back({t0, t1, d});
+        }
+        PressureCurve added;
+        for (const PressureCurve::Interval& iv : intervals)
+            added.add(iv.t0, iv.t1, iv.delta);
+        PressureCurve built = PressureCurve::build(intervals);
+
+        // A few adds after the build, so built chunks also split and
+        // take lazy adds before the queries.
+        for (int pass = 0; pass < 2; ++pass) {
+            ASSERT_EQ(built.breakpoints(), added.breakpoints()) << round;
+            ASSERT_EQ(built.maxValue(), added.maxValue()) << round;
+            for (int q = 0; q < 100; ++q) {
+                const TimeNs t0 = time();
+                const TimeNs t1 = q % 2 ? t0 + rng.uniformInt(0, T / 8)
+                                        : time();
+                ASSERT_EQ(built.maxOver(t0, t1), added.maxOver(t0, t1));
+                const std::int64_t thr = added.valueAt(time()) +
+                                         rng.uniformInt(-(1 << 22), 1 << 22);
+                const std::int64_t cap =
+                    std::int64_t{1} << rng.uniformInt(0, 40);
+                ASSERT_EQ(built.integralAbove(t0, t1, thr, cap),
+                          added.integralAbove(t0, t1, thr, cap));
+                const TimeNs lo = std::min(t0, t1);
+                const TimeNs hi = std::max(t0, t1);
+                const std::int64_t d = rng.uniformInt(0, 1 << 22);
+                const double limit =
+                    static_cast<double>(added.maxOver(lo, hi + 1)) +
+                    static_cast<double>(rng.uniformInt(-(1 << 23), 1 << 23));
+                ASSERT_EQ(built.earliestFit(lo, hi, hi + 8, d, limit),
+                          added.earliestFit(lo, hi, hi + 8, d, limit));
+            }
+            for (int i = 0; i < 40; ++i) {
+                const TimeNs t0 = time();
+                const TimeNs t1 = t0 + rng.uniformInt(0, T / 2);
+                const std::int64_t d = rng.uniformInt(-(1 << 20), 1 << 20);
+                built.add(t0, t1, d);
+                added.add(t0, t1, d);
+            }
+        }
+    }
+}
+
 }  // namespace
 }  // namespace g10

@@ -1,6 +1,7 @@
-/** @file Fleet-simulator tests: bit-identity across pool sizes, the
- *  single-node golden against a directly-constructed ServeSim cell,
- *  the affinity warm-hit win over JSQ, and fleet metric invariants. */
+/** @file Fleet-simulator tests: bit-identity across pool sizes (traced
+ *  runs included), the single-node golden against a
+ *  directly-constructed ServeSim cell, the affinity warm-hit win over
+ *  JSQ, and fleet metric invariants. */
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include "engine/partition.h"
 #include "fleet/fleet_sim.h"
 #include "graph/trace.h"
+#include "obs/chrome_trace.h"
+#include "obs/tracer.h"
 
 namespace g10 {
 namespace {
@@ -207,6 +210,41 @@ TEST(FleetSim, CountersMergeWorkerCountIndependently)
     writeMetricsJson(jb, b.counters);
     EXPECT_FALSE(ja.str().empty());
     EXPECT_EQ(ja.str(), jb.str());
+}
+
+TEST(FleetSim, TracedRunIsIdenticalAcrossPoolSizesAndToUntraced)
+{
+    // The traced placement streams its nodes from one pool task beside
+    // the other placements' cells. Its Chrome trace, the result
+    // document and the counters must not depend on the pool size, and
+    // tracing must not change the result.
+    const FleetSpec spec = demoFleetSpec(64);
+    ASSERT_GT(spec.placements.size(), 1u);
+    struct Traced
+    {
+        std::string trace, doc, metrics;
+    };
+    auto traced = [&](unsigned workers) {
+        MemoryTraceSink sink;
+        FleetObsRequest obs;
+        obs.collectCounters = true;
+        obs.sink = &sink;
+        ExperimentEngine engine(workers);
+        const FleetResult r = FleetSim(spec).run(engine, obs);
+        std::ostringstream trace, metrics;
+        writeChromeTrace(trace, sink.events());
+        writeMetricsJson(metrics, r.counters);
+        return Traced{trace.str(), toJson(r), metrics.str()};
+    };
+    const Traced a = traced(1);
+    const Traced b = traced(3);
+    EXPECT_GT(a.trace.size(), 10000u);
+    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_EQ(a.doc, b.doc);
+    EXPECT_EQ(a.metrics, b.metrics);
+
+    ExperimentEngine engine(3);
+    EXPECT_EQ(toJson(FleetSim(spec).run(engine)), a.doc);
 }
 
 TEST(FleetSimDeath, RejectsEmptyFleet)

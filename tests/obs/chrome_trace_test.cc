@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/g10.h"
 #include "common/json_writer.h"
@@ -84,6 +87,41 @@ TEST(ChromeTrace, GoldenHandBuiltDocument)
     EXPECT_EQ(i.at("ph").str, "i");
     EXPECT_EQ(i.at("s").str, "t");
     EXPECT_EQ(i.at("args").at("detail").str, "t3");
+}
+
+TEST(ChromeTrace, TimesAreExactDecimalMicroseconds)
+{
+    // Three fraction digits unless the time is a whole microsecond, a
+    // sign before the whole part, and exact at both ends of TimeNs.
+    const std::vector<std::pair<TimeNs, std::string>> cases = {
+        {0, "0"},
+        {1, "0.001"},
+        {999, "0.999"},
+        {1000, "1"},
+        {1500, "1.500"},
+        {-1, "-0.001"},
+        {-500, "-0.500"},
+        {-1000, "-1"},
+        {-1500, "-1.500"},
+        {std::numeric_limits<TimeNs>::max(), "9223372036854775.807"},
+        {std::numeric_limits<TimeNs>::min(), "-9223372036854775.808"},
+    };
+    for (const auto& [ns, token] : cases) {
+        TraceEvent span;
+        span.kind = TraceEventKind::Span;
+        span.ts = ns;
+        span.dur = ns;
+        std::ostringstream os;
+        writeChromeTrace(os, {span});
+        EXPECT_NE(os.str().find("\"ts\":" + token + ",\"dur\":" + token +
+                                ","),
+                  std::string::npos)
+            << ns << "\n"
+            << os.str();
+        JsonValue doc;
+        std::string err;
+        EXPECT_TRUE(parseJson(os.str(), &doc, &err)) << ns << ": " << err;
+    }
 }
 
 TEST(ChromeTrace, EmptyStreamStillParses)

@@ -197,17 +197,26 @@ isInteger(const JsonValue* v, double limit)
            v->number < limit && std::trunc(v->number) == v->number;
 }
 
+/** @p v is a microsecond time whose nanoseconds fall outside TimeNs. */
+bool
+isOutsideTimeNs(const JsonValue* v)
+{
+    return v && v->isNumber() &&
+           !(v->number * 1e3 >= -0x1p63 && v->number * 1e3 < 0x1p63);
+}
+
 /**
  * The one place the reader departs from the reference on purpose: it
- * rejects a pid or tid that is not an int and an arg that is not an
- * int64, which the reference casts and rounds unchecked. True when
- * @p err is such a rejection of record N, the reference accepted or
- * rejected record N or a later one, and record N of @p tree (the
- * document's first traceEvents) really holds such a number.
+ * rejects a pid or tid that is not an int, an arg that is not an
+ * int64 and a ts or dur outside TimeNs range, which the reference
+ * casts and rounds unchecked. True when @p err is such a rejection of
+ * record N, the reference accepted or rejected record N or a later
+ * one, and record N of @p tree (the document's first traceEvents)
+ * really holds such a number.
  */
 bool
-rejectsNonInteger(const JsonValue& tree, const std::string& err, bool refOk,
-                  const std::string& refErr)
+rejectsOnPurpose(const JsonValue& tree, const std::string& err, bool refOk,
+                 const std::string& refErr)
 {
     std::size_t n = 0;
     int used = 0;
@@ -226,6 +235,9 @@ rejectsNonInteger(const JsonValue& tree, const std::string& err, bool refOk,
     if (why == "pid/tid is not a 32-bit integer")
         return !isInteger(rec.find("pid"), 0x1p31) ||
                !isInteger(rec.find("tid"), 0x1p31);
+    if (why == "ts/dur is outside the TimeNs range")
+        return isOutsideTimeNs(rec.find("ts")) ||
+               isOutsideTimeNs(rec.find("dur"));
     const std::string prefix = "arg '";
     const std::string suffix = "' is not a 64-bit integer";
     if (why.size() <= prefix.size() + suffix.size() ||
@@ -262,7 +274,7 @@ agree(const std::string& text, Verdicts* tally)
     std::string err, refErr;
     const bool ok = readChromeTrace(text, &doc, &err);
     const bool refOk = test::referenceReadChromeTrace(text, &refDoc, &refErr);
-    if (!ok && rejectsNonInteger(tree, err, refOk, refErr)) {
+    if (!ok && rejectsOnPurpose(tree, err, refOk, refErr)) {
         ++tally->record;
         return ::testing::AssertionSuccess();
     }
@@ -418,6 +430,9 @@ fuzz(const std::string& seed, int count, std::uint64_t rngSeed)
     return tally;
 }
 
+/** A 40-digit mantissa, more digits than a double can hold. */
+const std::string kLongMantissa = "1234567890123456789012345678901234567890";
+
 /** Both acceptance and each kind of rejection were reached. */
 void
 expectCoverage(const Verdicts& v)
@@ -491,12 +506,38 @@ TEST(TraceReaderMutation, HandWrittenCornersAgree)
         doc("\"\\ud83d\\ude00\\u00\""),
         doc("\"a\x01b\""),
         doc("-"), doc("1."), doc("1e+"), doc("01"), doc("tru"), doc("nul"),
+        // Number corners: past double range both ways, subnormal, -0
+        // and a mantissa longer than any double holds.
+        doc("1e400, -1e400, 1e-400, 4.9e-324, -0, -0.0e5, " + kLongMantissa),
+        doc(lane + ",{\"name\":\"k\",\"cat\":\"kernel\",\"ph\":\"X\","
+                   "\"ts\":1e-400,\"dur\":4.9e-324,\"pid\":-0,\"tid\":1,"
+                   "\"args\":{\"k\":-0}}"),
+        doc(lane + ",{\"name\":\"k\",\"cat\":\"kernel\",\"ph\":\"i\","
+                   "\"ts\":0." + kLongMantissa + ",\"pid\":0,\"tid\":1}"),
     };
     Verdicts tally;
     for (const std::string& text : corners)
         EXPECT_TRUE(agree(text, &tally)) << text;
     expectCoverage(tally);
     EXPECT_GT(tally.other, 0);
+
+    // The cursor reads numbers with from_chars and falls back to
+    // strtod only where from_chars rejects a literal (out of range):
+    // every corner reads bit for bit as strtod reads it.
+    for (const std::string& literal :
+         {std::string("1e400"), std::string("-1e400"), std::string("1e-400"),
+          std::string("-1e-400"), std::string("4.9e-324"),
+          std::string("2.4e-324"), std::string("-0"), std::string("0"),
+          std::string("1.7976931348623157e308"), std::string("1.8e308"),
+          kLongMantissa, "-" + kLongMantissa + "e-20",
+          "0." + kLongMantissa, std::string("2.5E+3")}) {
+        JsonCursor cur(literal);
+        double got = 0.0;
+        ASSERT_TRUE(cur.number(&got) && cur.finish()) << literal;
+        const double want = std::strtod(literal.c_str(), nullptr);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << literal << ": " << got << " vs " << want;
+    }
 
     // Numbers the reference casts to int or rounds to int64 unchecked:
     // the reader rejects them where the reference accepts. A pid out of
@@ -509,6 +550,7 @@ TEST(TraceReaderMutation, HandWrittenCornersAgree)
         bool referenceDefined;
     };
     const std::string pidTid = "pid/tid is not a 32-bit integer";
+    const std::string timeRange = "ts/dur is outside the TimeNs range";
     const std::vector<Rejected> rejected = {
         {doc("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":2.7,"
              "\"tid\":0,\"args\":{\"name\":\"p\"}}"),
@@ -525,6 +567,15 @@ TEST(TraceReaderMutation, HandWrittenCornersAgree)
          "record 1: arg 'k' is not a 64-bit integer", true},
         {doc(lane + "," + event + ",\"args\":{\"k\":0.5}}"),
          "record 1: arg 'k' is not a 64-bit integer", true},
+        {doc(lane + ",{\"name\":\"k\",\"cat\":\"kernel\",\"ph\":\"X\","
+                    "\"ts\":1e400,\"dur\":1e300,\"pid\":0,\"tid\":1}"),
+         "record 1: " + timeRange, true},
+        {doc(lane + ",{\"name\":\"k\",\"cat\":\"kernel\",\"ph\":\"X\","
+                    "\"ts\":1,\"dur\":-1e16,\"pid\":0,\"tid\":1}"),
+         "record 1: " + timeRange, true},
+        {doc(lane + ",{\"name\":\"k\",\"cat\":\"kernel\",\"ph\":\"i\","
+                    "\"ts\":9223372036854775.808,\"pid\":0,\"tid\":1}"),
+         "record 1: " + timeRange, true},
     };
     for (const Rejected& r : rejected) {
         JsonValue tree, refTree;

@@ -133,7 +133,8 @@ expectNameTable(bool sorted)
         E parsed{};
         ASSERT_TRUE(parseTraceName(traceName(value), &parsed));
         EXPECT_EQ(parsed, value);
-        EXPECT_TRUE(seen.insert(names[i]).second) << "duplicate name";
+        EXPECT_TRUE(seen.insert(std::string(names[i])).second)
+            << "duplicate name";
         if (sorted && i > 0)
             EXPECT_LT(std::string(names[i - 1]), names[i]);
     }
