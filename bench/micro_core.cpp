@@ -49,7 +49,7 @@ BM_PressureCurveIntegralAbove(benchmark::State& state)
     // mid-range, so chunks straddle it and are scanned segment by
     // segment. Arg 1: a saturated window, every value at least the cap
     // above the threshold (the eviction scheduler's common case), so
-    // each whole chunk is settled from its aggregates.
+    // each chunk is settled from its minimum.
     PressureCurve f;
     std::mt19937_64 rng(7);
     for (std::int64_t i = 0; i < 4096; ++i)

@@ -4,9 +4,7 @@
  * (pretty-printed, RFC 8259 escaping) used by the report layer and the
  * trace exporters, and JsonCursor, the library's one JSON tokenizer —
  * a pull cursor the Chrome-trace reader walks in one pass with no
- * document tree. parseJson() builds a JsonValue tree over the same
- * cursor; it is a test seam, used by tests and smoke checks to
- * validate what the writer emitted.
+ * document tree.
  */
 
 #ifndef G10_COMMON_JSON_WRITER_H
@@ -223,47 +221,6 @@ class JsonCursor
     std::string scratch_;  ///< decoded escaped strings, number text
     std::string error_;
 };
-
-/**
- * Parsed JSON document node. A deliberately small tree representation:
- * numbers are doubles (adequate for every field the report layer
- * writes), object member order is preserved.
- */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> items;  ///< Kind::Array
-    std::vector<std::pair<std::string, JsonValue>> members;  ///< Object
-
-    /** Member lookup; nullptr when absent or not an object. */
-    const JsonValue* find(const std::string& k) const;
-
-    /** find() that fails loudly (panic) — convenient in tests. */
-    const JsonValue& at(const std::string& k) const;
-
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-};
-
-/**
- * Test seam: parse one complete JSON document (trailing whitespace
- * allowed, trailing garbage rejected) into a JsonValue tree built
- * over JsonCursor. The library itself reads documents with the
- * cursor and builds no tree.
- *
- * @param err when non-null, receives a message with the byte offset of
- *        the first error
- * @return false on malformed input
- */
-bool parseJson(const std::string& text, JsonValue* out,
-               std::string* err = nullptr);
 
 }  // namespace g10
 

@@ -1,7 +1,6 @@
 #include "pressure_curve.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace g10 {
 
@@ -36,33 +35,18 @@ PressureCurve::valueBefore(Pos p) const
     return 0;
 }
 
-TimeNs
-PressureCurve::segmentEnd(std::size_t c, std::size_t i) const
+PressureCurve::Chunk::Chunk()
 {
-    const Chunk& ch = chunks_[c];
-    if (i + 1 < ch.times.size())
-        return ch.times[i + 1];
-    if (c + 1 < chunks_.size())
-        return chunks_[c + 1].times.front();
-    return ch.times[i];
+    times.reserve(2 * kChunk + 1);
+    vals.reserve(2 * kChunk + 1);
 }
 
 void
-PressureCurve::rescan(std::size_t c)
+PressureCurve::Chunk::rescan()
 {
-    Chunk& ch = chunks_[c];
-    ch.lo = std::numeric_limits<std::int64_t>::max();
-    ch.hi = std::numeric_limits<std::int64_t>::min();
-    ch.dur = 0;
-    ch.area = 0;
-    for (std::size_t i = 0; i < ch.times.size(); ++i) {
-        const std::int64_t v = ch.vals[i] + ch.lazy;
-        const TimeNs d = segmentEnd(c, i) - ch.times[i];
-        ch.lo = std::min(ch.lo, v);
-        ch.hi = std::max(ch.hi, v);
-        ch.dur += d;
-        ch.area += static_cast<Area>(v) * d;
-    }
+    const auto [min, max] = std::minmax_element(vals.begin(), vals.end());
+    lo = *min + lazy;
+    hi = *max + lazy;
 }
 
 PressureCurve
@@ -87,18 +71,13 @@ PressureCurve::build(const std::vector<Interval>& intervals)
         const TimeNs t = edges[i].first;
         for (; i < edges.size() && edges[i].first == t; ++i)
             value += edges[i].second;
-        if (f.chunks_.empty() || f.chunks_.back().times.size() == kChunk) {
-            Chunk& ch = f.chunks_.emplace_back();
-            ch.times.reserve(2 * kChunk + 1);
-            ch.vals.reserve(2 * kChunk + 1);
-        }
+        if (f.chunks_.empty() || f.chunks_.back().times.size() == kChunk)
+            f.chunks_.emplace_back();
         f.chunks_.back().times.push_back(t);
         f.chunks_.back().vals.push_back(value);
     }
-    for (std::size_t c = 0; c < f.chunks_.size(); ++c) {
-        f.rescan(c);
-        f.peak_ = std::max(f.peak_, f.chunks_[c].hi);
-    }
+    for (Chunk& ch : f.chunks_)
+        ch.rescan();
     return f;
 }
 
@@ -106,69 +85,41 @@ void
 PressureCurve::ensureBreakpoint(TimeNs t)
 {
     if (chunks_.empty()) {
-        Chunk ch;
-        ch.times.reserve(2 * kChunk + 1);
-        ch.vals.reserve(2 * kChunk + 1);
+        Chunk& ch = chunks_.emplace_back();  // lo = hi = 0
         ch.times.push_back(t);
         ch.vals.push_back(0);
-        chunks_.push_back(std::move(ch));
         return;
     }
     const Pos p = lowerBound(t);
     if (p.c < chunks_.size() && chunks_[p.c].times[p.i] == t)
         return;
 
-    std::size_t c = 0;
-    if (p.c == 0 && p.i == 0) {
-        // Before the first breakpoint: the curve is 0 on [t, first).
-        Chunk& ch = chunks_[0];
-        ch.dur += ch.times.front() - t;
-        ch.lo = std::min<std::int64_t>(ch.lo, 0);
-        ch.hi = std::max<std::int64_t>(ch.hi, 0);
-        ch.times.insert(ch.times.begin(), t);
-        ch.vals.insert(ch.vals.begin(), -ch.lazy);
-    } else {
-        // Split the segment of the breakpoint just before p inside that
-        // breakpoint's chunk: both halves keep its value, so the
-        // chunk's aggregates stand — unless it was the last breakpoint,
-        // whose zero-length segment (value 0) now runs to t.
-        c = (p.i > 0) ? p.c : p.c - 1;
-        Chunk& ch = chunks_[c];
-        const std::size_t i = (p.i > 0) ? p.i : ch.times.size();
-        if (c + 1 == chunks_.size() && i == ch.times.size())
-            ch.dur += t - ch.times.back();
-        const std::int64_t v = ch.vals[i - 1];
-        ch.times.insert(ch.times.begin() + static_cast<std::ptrdiff_t>(i),
-                        t);
-        ch.vals.insert(ch.vals.begin() + static_cast<std::ptrdiff_t>(i), v);
-    }
-
-    if (chunks_[c].times.size() <= 2 * kChunk)
+    // The breakpoint goes into the chunk of the one before it (chunk 0
+    // when it becomes the first) and carries the value in force at t:
+    // that segment's value, or the 0 before the first breakpoint.
+    const std::size_t c = (p.i > 0 || p.c == 0) ? p.c : p.c - 1;
+    Chunk& ch = chunks_[c];
+    const std::size_t i = (c == p.c) ? p.i : ch.times.size();
+    const std::int64_t v = valueBefore(p);
+    ch.lo = std::min(ch.lo, v);
+    ch.hi = std::max(ch.hi, v);
+    ch.times.insert(ch.times.begin() + static_cast<std::ptrdiff_t>(i), t);
+    ch.vals.insert(ch.vals.begin() + static_cast<std::ptrdiff_t>(i),
+                   v - ch.lazy);
+    if (ch.times.size() <= 2 * kChunk)
         return;
+
     // Split an over-full chunk in two; both halves keep the lazy add.
     Chunk tail;
-    Chunk& head = chunks_[c];
-    tail.times.reserve(2 * kChunk + 1);
-    tail.vals.reserve(2 * kChunk + 1);
-    tail.times.assign(head.times.begin() + kChunk, head.times.end());
-    tail.vals.assign(head.vals.begin() + kChunk, head.vals.end());
-    tail.lazy = head.lazy;
-    head.times.resize(kChunk);
-    head.vals.resize(kChunk);
+    tail.times.assign(ch.times.begin() + kChunk, ch.times.end());
+    tail.vals.assign(ch.vals.begin() + kChunk, ch.vals.end());
+    tail.lazy = ch.lazy;
+    tail.rescan();
+    ch.times.resize(kChunk);
+    ch.vals.resize(kChunk);
+    ch.rescan();
     chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(c + 1),
                    std::move(tail));
-    rescan(c);
-    rescan(c + 1);
-}
-
-void
-PressureCurve::addPartial(std::size_t c, std::size_t i0, std::size_t i1,
-                          std::int64_t delta)
-{
-    Chunk& ch = chunks_[c];
-    for (std::size_t i = i0; i < i1; ++i)
-        ch.vals[i] += delta;
-    rescan(c);
 }
 
 void
@@ -184,29 +135,19 @@ PressureCurve::add(TimeNs t0, TimeNs t1, std::int64_t delta)
     // Chunks a.c .. last hold the covered breakpoints; the ones covered
     // whole take the delta lazily, the (at most two) edges are rescanned.
     const std::size_t last = (b.i > 0) ? b.c : b.c - 1;
-    std::int64_t before = std::numeric_limits<std::int64_t>::min();
-    std::int64_t after = before;
     for (std::size_t c = a.c; c <= last; ++c) {
         Chunk& ch = chunks_[c];
-        before = std::max(before, ch.hi);
         const std::size_t i0 = (c == a.c) ? a.i : 0;
         const std::size_t i1 = (c == b.c) ? b.i : ch.times.size();
         if (i0 == 0 && i1 == ch.times.size()) {
             ch.lazy += delta;
             ch.lo += delta;
             ch.hi += delta;
-            ch.area += static_cast<Area>(delta) * ch.dur;
-        } else {
-            addPartial(c, i0, i1, delta);
+            continue;
         }
-        after = std::max(after, ch.hi);
-    }
-
-    if (!peakDirty_) {
-        if (delta > 0)
-            peak_ = std::max(peak_, after);  // only the touched chunks grew
-        else if (before >= peak_)
-            peakDirty_ = true;  // the peak may have lived in the lowered span
+        for (std::size_t i = i0; i < i1; ++i)
+            ch.vals[i] += delta;
+        ch.rescan();
     }
 }
 
@@ -241,34 +182,10 @@ PressureCurve::maxOver(TimeNs t0, TimeNs t1) const
 std::int64_t
 PressureCurve::maxValue() const
 {
-    if (peakDirty_) {
-        peak_ = 0;
-        for (const Chunk& ch : chunks_)
-            peak_ = std::max(peak_, ch.hi);
-        peakDirty_ = false;
-    }
-    return peak_;
-}
-
-PressureCurve::Area
-PressureCurve::scanArea(std::size_t c, std::size_t i0, std::size_t i1,
-                        TimeNs t1, std::int64_t threshold,
-                        std::int64_t cap) const
-{
-    const Chunk& ch = chunks_[c];
-    Area area = 0;
-    for (std::size_t i = i0; i < i1; ++i) {
-        const std::int64_t excess = ch.vals[i] + ch.lazy - threshold;
-        if (excess <= 0)
-            continue;
-        // The last breakpoint's segment (value 0) runs to the window end.
-        const TimeNs end = (i + 1 < ch.times.size() || c + 1 < chunks_.size())
-            ? std::min(segmentEnd(c, i), t1)
-            : t1;
-        area += static_cast<Area>(std::min(excess, cap)) *
-            (end - ch.times[i]);
-    }
-    return area;
+    std::int64_t peak = 0;
+    for (const Chunk& ch : chunks_)
+        peak = std::max(peak, ch.hi);
+    return peak;
 }
 
 PressureCurve::Area
@@ -292,7 +209,7 @@ PressureCurve::integralAbove(TimeNs t0, TimeNs t1, std::int64_t threshold,
     // Body: breakpoints inside the window, chunk by chunk. A chunk's min
     // and max bound every segment it covers, so a chunk below the
     // threshold or saturated is settled in O(1) even where the window
-    // cuts it; Σ value × duration settles only a chunk covered whole.
+    // cuts it; the rest are scanned segment by segment.
     for (std::size_t c = p.c; c < e.c || (c == e.c && e.i > 0); ++c) {
         const Chunk& ch = chunks_[c];
         if (ch.hi <= threshold)
@@ -310,13 +227,12 @@ PressureCurve::integralAbove(TimeNs t0, TimeNs t1, std::int64_t threshold,
             area += static_cast<Area>(cap) * (end - ch.times[i0]);
             continue;  // saturated
         }
-        const bool whole =
-            i0 == 0 && next && chunks_[c + 1].times.front() <= t1;
-        if (whole && ch.lo >= threshold && ch.hi - threshold <= cap) {
-            area += ch.area - static_cast<Area>(threshold) * ch.dur;
-            continue;
+        for (std::size_t i = i0; i < i1; ++i) {
+            const std::int64_t excess = ch.vals[i] + ch.lazy - threshold;
+            if (excess > 0)
+                area += static_cast<Area>(std::min(excess, cap)) *
+                    ((i + 1 < i1 ? ch.times[i + 1] : end) - ch.times[i]);
         }
-        area += scanArea(c, i0, i1, t1, threshold, cap);
     }
     return area;
 }

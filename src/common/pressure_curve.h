@@ -5,33 +5,25 @@
  *
  * Every value is a sum of whole tensor sizes, so the curve is integer
  * valued (int64_t bytes) and the benefit area of Algorithm 1 is exact
- * (__int128 byte-nanoseconds). Exact sums are independent of grouping,
- * which is what lets a whole chunk of breakpoints be summed from its
- * aggregates instead of segment by segment.
+ * (__int128 byte-nanoseconds).
  *
  * Representation: the sorted breakpoints live in a list of small
  * chunks (kChunk = 32 breakpoints each, split in two above
- * 2 * kChunk). Each chunk keeps aggregates over its segments — the
- * minimum and maximum value, Σ duration and Σ value × duration — plus
- * a lazy add that applies to all of its stored values. A segment
+ * 2 * kChunk). Each chunk keeps the minimum and maximum of its values
+ * plus a lazy add that applies to all of its stored values. A segment
  * belongs to the chunk of the breakpoint that starts it, so the last
- * segment of a chunk ends at the next chunk's first breakpoint; the
- * segment of the very last breakpoint is counted with duration 0 (the
- * curve is 0 from there on, as it is before the first breakpoint).
+ * segment of a chunk ends at the next chunk's first breakpoint.
  *
- *   - build() fills chunks of kChunk breakpoints from a sorted sweep
- *     and scans each once.
- *   - add() updates every fully covered chunk in O(1) (lazy, min, max
- *     and Σ value × duration shift by the delta) and rescans only the
- *     two edge chunks.
+ *   - build() fills chunks of kChunk breakpoints from a sorted sweep.
+ *   - add() shifts every fully covered chunk in O(1) (lazy, min and
+ *     max move by the delta) and rescans only the two edge chunks.
  *   - A breakpoint insert goes into the chunk that holds the segment it
- *     splits, which leaves that chunk's aggregates unchanged.
+ *     splits (chunk 0 before the first breakpoint) and widens that
+ *     chunk's min and max to the value it carries.
  *   - integralAbove() settles a chunk from its min and max: nothing
  *     above the threshold adds 0 and a saturated chunk adds cap × the
- *     span it covers, even where the window cuts it; a chunk covered
- *     whole with every value inside [thr, thr + cap] adds
- *     Σ value × duration − thr × Σ duration. Only the rest are scanned
- *     segment by segment.
+ *     span it covers, even where the window cuts it. The rest are
+ *     scanned segment by segment.
  */
 
 #ifndef G10_COMMON_PRESSURE_CURVE_H
@@ -81,9 +73,8 @@ class PressureCurve
     std::int64_t maxOver(TimeNs t0, TimeNs t1) const;
 
     /**
-     * Global maximum (never below 0, the value outside the support).
-     * O(1) while the cached peak holds; an add that lowers the chunks
-     * the peak may live in marks it for one rescan of the chunk maxima.
+     * Global maximum (never below 0, the value outside the support):
+     * one pass over the chunk maxima.
      */
     std::int64_t maxValue() const;
 
@@ -121,13 +112,16 @@ class PressureCurve
 
     struct Chunk
     {
+        Chunk();
+
+        /** Recompute lo and hi from the stored values. */
+        void rescan();
+
         std::vector<TimeNs> times;
         std::vector<std::int64_t> vals;  ///< stored without `lazy`
         std::int64_t lazy = 0;   ///< added to every stored value
         std::int64_t lo = 0;     ///< min value (lazy included)
         std::int64_t hi = 0;     ///< max value (lazy included)
-        TimeNs dur = 0;          ///< Σ segment durations
-        Area area = 0;           ///< Σ value × duration
     };
 
     /** A breakpoint position; {chunks_.size(), 0} is the end. */
@@ -145,31 +139,10 @@ class PressureCurve
     /** Value in force just before position @p p. */
     std::int64_t valueBefore(Pos p) const;
 
-    /** End of breakpoint i's segment in chunk c; its own time when it
-     *  is the last breakpoint. */
-    TimeNs segmentEnd(std::size_t c, std::size_t i) const;
-
     /** Insert a breakpoint at @p t carrying the value in force there. */
     void ensureBreakpoint(TimeNs t);
 
-    /** Recompute chunk @p c's aggregates from its breakpoints. */
-    void rescan(std::size_t c);
-
-    /** Add @p delta to chunk @p c's breakpoints [i0, i1) and rescan. */
-    void addPartial(std::size_t c, std::size_t i0, std::size_t i1,
-                    std::int64_t delta);
-
-    /** integralAbove's contribution of chunk @p c's breakpoints
-     *  [i0, i1), segment by segment, clipped at @p t1. */
-    Area scanArea(std::size_t c, std::size_t i0, std::size_t i1,
-                  TimeNs t1, std::int64_t threshold,
-                  std::int64_t cap) const;
-
     std::vector<Chunk> chunks_;
-
-    // Cached global peak (floored at 0). Exact while !peakDirty_.
-    mutable std::int64_t peak_ = 0;
-    mutable bool peakDirty_ = false;
 };
 
 }  // namespace g10

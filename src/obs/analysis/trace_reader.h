@@ -15,8 +15,9 @@
  *
  * The document is read in one streaming pass: a JsonCursor walks the
  * text straight into TraceEvents, one record at a time, and no JSON
- * tree is built. Records keep JsonValue::find's semantics — unknown
- * keys are skipped and a repeated key keeps its first value — and a
+ * tree is built. Records keep the member lookup of the tests' JSON
+ * tree (JsonValue::find in tests/json_value.h) — unknown keys are
+ * skipped and a repeated key keeps its first value — and a
  * JSON syntax error anywhere outranks a malformed record, as if the
  * whole document had been parsed first.
  */

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "api/report.h"
+#include "tests/json_value.h"
 #include "tests/test_util.h"
 
 namespace g10 {

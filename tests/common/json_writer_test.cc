@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/json_writer.h"
+#include "tests/json_value.h"
 
 namespace g10 {
 namespace {

@@ -286,12 +286,12 @@ TEST(PressureCurve, BreakpointCountGrowsAtMostTwoPerAdd)
 
 TEST(PressureCurve, ChunkAggregatesSurviveEveryMaintenancePath)
 {
-    // Drive each maintenance path of the chunk aggregates in sequence —
-    // appends that split chunks, a lazy add over every chunk, partial
-    // adds inside one chunk and across a chunk boundary, a prepend
-    // before the first breakpoint, an append past the last — and
-    // cross-check everything against the naive curve after every step.
-    // 4096 one-tick steps make ~100 chunks.
+    // Drive each path that maintains the chunks' min and max in
+    // sequence — appends that split chunks, a lazy add over every
+    // chunk, partial adds inside one chunk and across a chunk boundary,
+    // a prepend before the first breakpoint, an append past the last —
+    // and cross-check everything against the naive curve after every
+    // step. 4096 one-tick steps make ~100 chunks.
     PressureCurve f;
     NaiveCurve ref;
     auto both = [&](TimeNs t0, TimeNs t1, std::int64_t d) {
@@ -319,10 +319,36 @@ TEST(PressureCurve, ChunkAggregatesSurviveEveryMaintenancePath)
     expectSameCurve(f, ref, -400, 6000);
 }
 
+TEST(PressureCurve, PrependWidensChunkBoundsBeforeALazyAdd)
+{
+    // A prepend carries the 0 in force before the first breakpoint into
+    // chunk 0. An add that covers chunk 0 whole shifts its min and max
+    // lazily, so they must already include that 0: first with chunk 0
+    // holding only positive values, then only negative ones.
+    for (std::int64_t sign : {1, -1}) {
+        PressureCurve f;
+        NaiveCurve ref;
+        for (TimeNs t = 0; t < 100; ++t) {  // chunk 0 holds 0 .. 31
+            f.add(t, t + 1, sign * (50 + t));
+            ref.add(t, t + 1, sign * (50 + t));
+        }
+        f.add(-100, 35, sign * 10);  // chunk 0 whole, ends inside chunk 1
+        ref.add(-100, 35, sign * 10);
+        ASSERT_EQ(f.breakpoints(), ref.breakpoints());
+        ASSERT_EQ(f.maxOver(-200, 120), ref.maxOver(-200, 120));
+        for (std::int64_t thr : {-70, -20, -5, 0, 5, 20, 70})
+            for (std::int64_t cap : {5, 20, 1000})
+                ASSERT_EQ(f.integralAbove(-200, 120, thr, cap),
+                          ref.integralAbove(-200, 120, thr, cap))
+                    << sign << ": thr " << thr << " cap " << cap;
+    }
+}
+
 TEST(PressureCurve, IntegralAboveSettlesEveryChunkClass)
 {
     // 2048 one-tick steps with values in [100, 200]; each query puts
-    // every whole chunk in one class of the O(1) rule (or in none).
+    // every chunk in one class: below the threshold and saturated are
+    // settled from the chunk's max and min, the rest are scanned.
     PressureCurve f;
     NaiveCurve ref;
     for (TimeNs t = 0; t < 2048; ++t) {
@@ -333,11 +359,11 @@ TEST(PressureCurve, IntegralAboveSettlesEveryChunkClass)
     {
         std::int64_t thr, cap;
     };
-    for (Query q : {Query{300, 50},    // every chunk at or below thr
+    for (Query q : {Query{300, 50},    // below: every max <= thr
                     Query{40, 50},     // saturated: min - thr >= cap
-                    Query{50, 1000},   // inside [thr, thr + cap]
-                    Query{150, 20},    // straddling: scanned
-                    Query{199, 50}})   // only the maxima are above thr
+                    Query{50, 1000},   // scanned: inside [thr, thr + cap]
+                    Query{150, 20},    // scanned: straddling thr
+                    Query{199, 50}})   // scanned: only the maxima > thr
         for (auto [t0, t1] : {std::pair<TimeNs, TimeNs>{0, 2048},
                               {13, 1999},       // partial edge chunks
                               {500, 501},       // inside one segment

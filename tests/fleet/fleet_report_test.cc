@@ -8,8 +8,8 @@
 #include <string>
 
 #include "api/report.h"
-#include "common/json_writer.h"
 #include "fleet/fleet_sim.h"
+#include "tests/json_value.h"
 
 namespace g10 {
 namespace {

@@ -12,6 +12,7 @@
 #include "api/report.h"
 #include "obs/analysis/critical_path.h"
 #include "obs/tracer.h"
+#include "tests/json_value.h"
 #include "tests/test_util.h"
 
 namespace g10 {

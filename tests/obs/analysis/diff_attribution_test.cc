@@ -13,6 +13,7 @@
 #include "api/report.h"
 #include "obs/analysis/diff_attribution.h"
 #include "obs/tracer.h"
+#include "tests/json_value.h"
 #include "tests/test_util.h"
 
 namespace g10 {

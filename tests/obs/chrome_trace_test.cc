@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "api/g10.h"
-#include "common/json_writer.h"
 #include "obs/chrome_trace.h"
 #include "obs/tracer.h"
+#include "tests/json_value.h"
 
 namespace g10 {
 namespace {

@@ -14,9 +14,9 @@
 #include <sstream>
 #include <string>
 
-#include "common/json_writer.h"
 #include "fleet/fleet_sim.h"
 #include "obs/file_trace_sink.h"
+#include "tests/json_value.h"
 
 namespace g10 {
 namespace {

@@ -36,6 +36,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/file_trace_sink.h"
 #include "obs/tracer.h"
+#include "tests/json_value.h"  // JsonValue for the verbatim reference parser
 #include "tests/common/json_parser_reference.h"
 #include "tests/obs/trace_reader_reference.h"
 

@@ -17,8 +17,8 @@
 #include <string>
 #include <utility>
 
-#include "common/json_writer.h"
 #include "obs/analysis/trace_reader.h"
+#include "tests/json_value.h"
 
 namespace g10 {
 namespace test {

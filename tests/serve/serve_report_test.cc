@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "api/report.h"
-#include "common/json_writer.h"
 #include "serve/serve_sim.h"
+#include "tests/json_value.h"
 
 namespace g10 {
 namespace {
