@@ -17,6 +17,8 @@ set with each:
   - g10serve examples/elastic.serve and g10fleet examples/fleet.serve
     at --workers 1 and 4, and both tools' --demo 64;
   - each tool's --trace file (with the run's own output);
+  - g10sim --attribution on the traced g10 config, and its
+    --attribution-diff baseuvm in table and json form;
   - g10trace critical|flame on the g10sim trace, forensics on the
     g10fleet trace and diff of a baseuvm against a g10 trace, each in
     table and json form.
@@ -142,6 +144,13 @@ def documents():
         first += [(f"{tool}/{name}.traced.out", tool,
                    args + ["--trace", trace], None),
                   (trace, tool, args + ["--trace", trace], trace)]
+
+    first.append(("g10sim/trace.g10.attribution.table", "g10sim",
+                  ["cfg/trace.g10.cfg", "--attribution"], None))
+    for fmt in ("table", "json"):
+        first.append((f"g10sim/trace.g10.attribution-diff.{fmt}",
+                      "g10sim", ["cfg/trace.g10.cfg", "--format", fmt,
+                                 "--attribution-diff", "baseuvm"], None))
 
     second = []
     for fmt in ("table", "json"):

@@ -86,6 +86,6 @@ main()
     table.print(std::cout);
 
     std::cout << "\n";
-    printMixReport(std::cout, results.back());
+    printMixResult(std::cout, results.back(), ReportFormat::Table);
     return 0;
 }

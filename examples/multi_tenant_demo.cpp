@@ -47,7 +47,7 @@ main(int argc, char** argv)
 
     MultiTenantSim sim(mix);
     MixResult res = sim.run();
-    printMixReport(std::cout, res);
+    printMixResult(std::cout, res, ReportFormat::Table);
 
     std::cout << "\nReading the numbers: 'slowdown' compares each "
                  "job's steady-state iteration against running alone "

@@ -829,12 +829,6 @@ printMixResult(std::ostream& os, const MixResult& result,
     return result.allSucceeded() ? 0 : 2;
 }
 
-void
-printMixReport(std::ostream& os, const MixResult& result)
-{
-    printMixResult(os, result, ReportFormat::Table);
-}
-
 // ---- Fleet reporting ------------------------------------------------
 
 namespace {

@@ -121,12 +121,6 @@ int printFleetResult(std::ostream& os, const FleetResult& result,
                      ReportFormat format);
 
 /**
- * Legacy table-only mix report (used by the consolidation bench and
- * multi-tenant examples); printMixResult with ReportFormat::Table.
- */
-void printMixReport(std::ostream& os, const MixResult& result);
-
-/**
  * Print the PolicyRegistry contents (name, aliases, description) —
  * the `--list-designs` surface.
  */

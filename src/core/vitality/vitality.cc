@@ -12,16 +12,17 @@ VitalityAnalysis::VitalityAnalysis(const KernelTrace& trace,
 {
     kernelStart_ = trace.idealStartTimes(launch_overhead);
 
-    auto uses = trace.buildUseLists();
+    const std::vector<std::vector<KernelId>>& uses =
+        trace.useIndex().uses;
     liveness_.resize(trace.numTensors());
 
     for (std::size_t ti = 0; ti < trace.numTensors(); ++ti) {
         const Tensor& t = trace.tensor(static_cast<TensorId>(ti));
+        const std::vector<KernelId>& use = uses[ti];
         TensorLiveness& lv = liveness_[ti];
         lv.tensor = t.id;
         lv.isGlobal = t.isGlobal();
-        lv.uses = std::move(uses[ti]);
-        if (lv.uses.empty()) {
+        if (use.empty()) {
             // Unused tensor: no periods; weights may legitimately be
             // untouched (frozen), intermediates should not happen.
             if (!lv.isGlobal)
@@ -29,14 +30,14 @@ VitalityAnalysis::VitalityAnalysis(const KernelTrace& trace,
                      t.name.c_str());
             continue;
         }
-        lv.birth = lv.isGlobal ? kInvalidKernel : lv.uses.front();
-        lv.death = lv.uses.back();
+        lv.birth = lv.isGlobal ? kInvalidKernel : use.front();
+        lv.death = use.back();
 
         // Periods between consecutive uses.
-        for (std::size_t u = 0; u + 1 < lv.uses.size(); ++u) {
-            KernelId a = lv.uses[u];
-            KernelId b = lv.uses[u + 1];
-            if (b == a || b == a + 1)
+        for (std::size_t u = 0; u + 1 < use.size(); ++u) {
+            KernelId a = use[u];
+            KernelId b = use[u + 1];
+            if (b == a + 1)
                 continue;  // no gap
             InactivePeriod p;
             p.tensor = t.id;
@@ -53,12 +54,12 @@ VitalityAnalysis::VitalityAnalysis(const KernelTrace& trace,
         if (lv.isGlobal) {
             InactivePeriod p;
             p.tensor = t.id;
-            p.lastUse = lv.uses.back();
-            p.nextUse = lv.uses.front();
-            p.startNs = kernelEnd(lv.uses.back());
+            p.lastUse = use.back();
+            p.nextUse = use.front();
+            p.startNs = kernelEnd(use.back());
             p.endNs = iterationLengthNs() +
                       kernelStart_[static_cast<std::size_t>(
-                          lv.uses.front())];
+                          use.front())];
             if (p.lengthNs() > 0) {
                 p.wrapsIteration = true;
                 periods_.push_back(p);
@@ -83,7 +84,7 @@ VitalityAnalysis::memoryPressure() const
     live.reserve(liveness_.size());
     const TimeNs iter_end = iterationLengthNs();
     for (const auto& lv : liveness_) {
-        if (lv.uses.empty() && !lv.isGlobal)
+        if (lv.death == kInvalidKernel && !lv.isGlobal)
             continue;
         const auto bytes =
             static_cast<std::int64_t>(trace_->tensor(lv.tensor).bytes);
@@ -131,7 +132,7 @@ VitalityAnalysis::liveBytesPerKernel() const
             global_bytes += t.bytes;
             continue;
         }
-        if (lv.uses.empty())
+        if (lv.death == kInvalidKernel)
             continue;
         delta[static_cast<std::size_t>(lv.birth)] +=
             static_cast<std::int64_t>(t.bytes);

@@ -64,11 +64,9 @@ struct TensorLiveness
      *  which are live from program start). */
     KernelId birth = kInvalidKernel;
 
-    /** Last kernel that uses the tensor. Intermediates die after it. */
+    /** Last kernel that uses the tensor (kInvalidKernel if none; the
+     *  trace's useIndex() holds every use). Intermediates die after it. */
     KernelId death = kInvalidKernel;
-
-    /** All kernels using the tensor, ascending. */
-    std::vector<KernelId> uses;
 
     bool isGlobal = false;
 };

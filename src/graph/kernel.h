@@ -61,9 +61,6 @@ struct Kernel
     std::vector<TensorId> inputs;
     std::vector<TensorId> outputs;
     std::vector<TensorId> workspace;
-
-    /** All tensors this kernel touches (inputs + outputs + workspace). */
-    std::vector<TensorId> allTensors() const;
 };
 
 }  // namespace g10

@@ -28,19 +28,6 @@ opKindName(OpKind kind)
     return "?";
 }
 
-std::vector<TensorId>
-Kernel::allTensors() const
-{
-    std::vector<TensorId> all;
-    all.reserve(inputs.size() + outputs.size() + workspace.size());
-    all.insert(all.end(), inputs.begin(), inputs.end());
-    all.insert(all.end(), outputs.begin(), outputs.end());
-    all.insert(all.end(), workspace.begin(), workspace.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    return all;
-}
-
 TensorId
 KernelTrace::addTensor(std::string name, Bytes bytes, TensorKind kind)
 {
@@ -71,16 +58,25 @@ KernelTrace::useIndex() const
     if (idx != nullptr)
         return *idx;
 
+    // One pass: kernel k's slice is its inputs + outputs + workspace,
+    // sorted and deduplicated; k then joins each of those tensors' use
+    // lists, which therefore come out ascending.
     auto built = std::make_shared<TraceUseIndex>();
-    built->uses = buildUseLists();
+    std::vector<TensorId>& all = built->kernelTensors;
+    built->uses.resize(tensors_.size());
     built->kernelTensorsOff.reserve(kernels_.size() + 1);
     built->kernelTensorsOff.push_back(0);
     for (const Kernel& k : kernels_) {
-        std::vector<TensorId> all = k.allTensors();
-        built->kernelTensors.insert(built->kernelTensors.end(),
-                                    all.begin(), all.end());
+        auto first = static_cast<std::ptrdiff_t>(all.size());
+        all.insert(all.end(), k.inputs.begin(), k.inputs.end());
+        all.insert(all.end(), k.outputs.begin(), k.outputs.end());
+        all.insert(all.end(), k.workspace.begin(), k.workspace.end());
+        std::sort(all.begin() + first, all.end());
+        all.erase(std::unique(all.begin() + first, all.end()), all.end());
+        for (auto it = all.begin() + first; it != all.end(); ++it)
+            built->uses[static_cast<std::size_t>(*it)].push_back(k.id);
         built->kernelTensorsOff.push_back(
-            static_cast<std::uint32_t>(built->kernelTensors.size()));
+            static_cast<std::uint32_t>(all.size()));
     }
 
     // First publisher wins; a losing racer built an identical index
@@ -151,17 +147,6 @@ KernelTrace::idealStartTimes(TimeNs launch_overhead) const
     return starts;
 }
 
-std::vector<std::vector<KernelId>>
-KernelTrace::buildUseLists() const
-{
-    std::vector<std::vector<KernelId>> uses(tensors_.size());
-    for (const auto& k : kernels_) {
-        for (TensorId t : k.allTensors())
-            uses[static_cast<std::size_t>(t)].push_back(k.id);
-    }
-    return uses;
-}
-
 Bytes
 KernelTrace::totalTensorBytes() const
 {
@@ -174,11 +159,14 @@ KernelTrace::totalTensorBytes() const
 Bytes
 KernelTrace::peakKernelWorkingSet(Bytes page) const
 {
+    const TraceUseIndex& idx = useIndex();
     Bytes peak = 0;
-    for (const auto& k : kernels_) {
+    for (std::size_t k = 0; k < kernels_.size(); ++k) {
         Bytes ws = 0;
-        for (TensorId t : k.allTensors())
-            ws += (tensor(t).bytes + page - 1) / page * page;
+        for (std::uint32_t i = idx.kernelTensorsOff[k];
+             i < idx.kernelTensorsOff[k + 1]; ++i)
+            ws += (tensor(idx.kernelTensors[i]).bytes + page - 1) / page *
+                  page;
         peak = std::max(peak, ws);
     }
     return peak;
@@ -191,10 +179,10 @@ KernelTrace::validate() const
     for (const auto& k : kernels_) {
         if (k.durationNs < 0)
             panic("kernel %d has negative duration", k.id);
-        for (TensorId t : k.allTensors()) {
-            if (t < 0 || static_cast<std::size_t>(t) >= tensors_.size())
-                panic("kernel %d references bad tensor %d", k.id, t);
-        }
+        for (const auto* ids : {&k.inputs, &k.outputs, &k.workspace})
+            for (TensorId t : *ids)
+                if (t < 0 || static_cast<std::size_t>(t) >= tensors_.size())
+                    panic("kernel %d references bad tensor %d", k.id, t);
         for (TensorId t : k.inputs) {
             const auto& ten = tensors_[static_cast<std::size_t>(t)];
             if (!written[static_cast<std::size_t>(t)] && !ten.isGlobal())

@@ -23,20 +23,21 @@
 namespace g10 {
 
 /**
- * Derived read-only indexes over a trace's kernel list, built once and
- * shared by every runtime replaying the trace (a sweep can replay the
- * same trace hundreds of times; rebuilding these per replay dominated
- * runtime setup).
+ * Derived read-only indexes over a trace's kernel list: the only place
+ * kernel <-> tensor relations are derived. Built once per trace and
+ * shared by vitality analysis and every runtime replaying the trace (a
+ * sweep can compile and replay the same trace hundreds of times).
  */
 struct TraceUseIndex
 {
-    /** Kernel ids using each tensor, ascending (workspace counts). */
+    /** Kernel ids using each tensor, strictly ascending (workspace
+     *  counts; a kernel naming a tensor twice is listed once). */
     std::vector<std::vector<KernelId>> uses;
 
     /**
-     * Kernel::allTensors() for every kernel (sorted, deduplicated),
-     * flattened in CSR layout: kernel k's tensors live at
-     * [kernelTensorsOff[k], kernelTensorsOff[k + 1]).
+     * Every tensor each kernel touches (inputs + outputs + workspace,
+     * sorted, deduplicated), flattened in CSR layout: kernel k's
+     * tensors live at [kernelTensorsOff[k], kernelTensorsOff[k + 1]).
      */
     std::vector<TensorId> kernelTensors;
     std::vector<std::uint32_t> kernelTensorsOff;
@@ -86,12 +87,6 @@ class KernelTrace
      * time of the final kernel.
      */
     std::vector<TimeNs> idealStartTimes(TimeNs launch_overhead) const;
-
-    /**
-     * Kernel indices that use each tensor, ascending. Workspace uses
-     * count as uses.
-     */
-    std::vector<std::vector<KernelId>> buildUseLists() const;
 
     /**
      * The cached use-list / kernel-tensor index, built lazily on first

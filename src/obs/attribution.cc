@@ -14,72 +14,52 @@ toMs(TimeNs ns)
     return static_cast<double>(ns) / 1e6;
 }
 
-/** Shared accumulation over pre-sized rows (names already set). */
-void
-accumulateStallEvents(const std::vector<TraceEvent>& events, int pid,
-                      StallAttribution* out)
-{
-    for (const TraceEvent& ev : events) {
-        if (ev.pid != pid || traceArgOf(ev, TraceArgKey::Measured) == 0)
-            continue;
-        auto k =
-            static_cast<std::size_t>(traceArgOf(ev, TraceArgKey::K, -1));
-        if (k >= out->rows.size())
-            continue;
-        if (ev.category == TraceCategory::Kernel) {
-            out->rows[k].idealNs += traceArgOf(ev, TraceArgKey::IdealNs);
-            out->rows[k].actualNs += traceArgOf(ev, TraceArgKey::ActualNs);
-            if (out->rows[k].name.empty())
-                out->rows[k].name = ev.name;
-        } else if (ev.category == TraceCategory::Stall) {
-            auto cause = traceArgOf(ev, TraceArgKey::Cause, -1);
-            if (cause >= 0 && cause < kNumStallCauses)
-                out->rows[k].causeNs[cause] += ev.dur;
-        }
-    }
-    for (const StallAttributionRow& r : out->rows) {
-        out->idealNs += r.idealNs;
-        out->measuredNs += r.actualNs;
-        for (int c = 0; c < kNumStallCauses; ++c)
-            out->causeNs[c] += r.causeNs[c];
-        out->noiseNs += r.noiseNs();
-    }
-}
-
 }  // namespace
 
 StallAttribution
-buildStallAttribution(const std::vector<TraceEvent>& events,
-                      const KernelTrace& trace, int pid)
+buildStallAttribution(const std::vector<TraceEvent>& events, int pid)
 {
-    StallAttribution out;
-    out.rows.resize(trace.numKernels());
-    for (std::size_t k = 0; k < trace.numKernels(); ++k) {
-        out.rows[k].kernel = static_cast<KernelId>(k);
-        out.rows[k].name = trace.kernel(static_cast<KernelId>(k)).name;
-    }
-
-    accumulateStallEvents(events, pid, &out);
-    return out;
-}
-
-StallAttribution
-buildStallAttributionFromEvents(const std::vector<TraceEvent>& events,
-                                int pid)
-{
+    auto counted = [pid](const TraceEvent& ev) {
+        return ev.pid == pid &&
+               traceArgOf(ev, TraceArgKey::Measured) != 0 &&
+               (ev.category == TraceCategory::Kernel ||
+                ev.category == TraceCategory::Stall);
+    };
     StallAttribution out;
     std::int64_t maxK = -1;
-    for (const TraceEvent& ev : events) {
-        if (ev.pid != pid || traceArgOf(ev, TraceArgKey::Measured) == 0)
-            continue;
-        if (ev.category == TraceCategory::Kernel ||
-            ev.category == TraceCategory::Stall)
+    for (const TraceEvent& ev : events)
+        if (counted(ev))
             maxK = std::max(maxK, traceArgOf(ev, TraceArgKey::K, -1));
-    }
     out.rows.resize(static_cast<std::size_t>(maxK + 1));
     for (std::size_t k = 0; k < out.rows.size(); ++k)
         out.rows[k].kernel = static_cast<KernelId>(k);
-    accumulateStallEvents(events, pid, &out);
+
+    for (const TraceEvent& ev : events) {
+        if (!counted(ev))
+            continue;
+        auto k =
+            static_cast<std::size_t>(traceArgOf(ev, TraceArgKey::K, -1));
+        if (k >= out.rows.size())
+            continue;
+        StallAttributionRow& row = out.rows[k];
+        if (ev.category == TraceCategory::Kernel) {
+            row.idealNs += traceArgOf(ev, TraceArgKey::IdealNs);
+            row.actualNs += traceArgOf(ev, TraceArgKey::ActualNs);
+            if (row.name.empty())
+                row.name = ev.name;
+        } else {
+            auto cause = traceArgOf(ev, TraceArgKey::Cause, -1);
+            if (cause >= 0 && cause < kNumStallCauses)
+                row.causeNs[cause] += ev.dur;
+        }
+    }
+    for (const StallAttributionRow& r : out.rows) {
+        out.idealNs += r.idealNs;
+        out.measuredNs += r.actualNs;
+        for (int c = 0; c < kNumStallCauses; ++c)
+            out.causeNs[c] += r.causeNs[c];
+        out.noiseNs += r.noiseNs();
+    }
     return out;
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "graph/trace.h"
 #include "obs/trace_event.h"
 
 namespace g10 {
@@ -71,21 +70,13 @@ struct StallAttribution
 
 /**
  * Aggregate the measured-iteration kernel/stall spans of @p events
- * into a per-kernel table. @p trace supplies kernel display names.
+ * into a per-kernel table. Kernel display names come from the kernel
+ * spans themselves and the table is sized by the largest kernel id
+ * seen, so a re-ingested --trace file needs no model/config context.
  * Only events with pid == @p pid contribute (multi-job traces carry
  * several jobs' spans).
  */
 StallAttribution buildStallAttribution(
-    const std::vector<TraceEvent>& events, const KernelTrace& trace,
-    int pid = 0);
-
-/**
- * buildStallAttribution without a KernelTrace: kernel display names
- * come from the kernel spans themselves, and the table is sized by
- * the largest kernel id seen. This is what lets g10trace attribute a
- * re-ingested --trace file with no model/config context.
- */
-StallAttribution buildStallAttributionFromEvents(
     const std::vector<TraceEvent>& events, int pid = 0);
 
 /**

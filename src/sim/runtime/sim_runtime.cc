@@ -50,12 +50,7 @@ SimRuntime::prepare()
     const std::size_t nt = trace_->numTensors();
 
     useIndex_ = &trace_->useIndex();
-    const std::vector<std::vector<KernelId>>& uses = useIndex_->uses;
     tensors_.assign(nt, TensorRt{});
-    bornAt_.clear();
-    bornAt_.resize(nk);
-    diesAfter_.clear();
-    diesAfter_.resize(nk);
     perturbedDur_.assign(nk, 0);
 
     // Empty LRU ring: the sentinel (node nt) points at itself.
@@ -65,18 +60,8 @@ SimRuntime::prepare()
     lruPrev_[nt] = lruSentinel_;
     lruNext_[nt] = lruSentinel_;
 
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-        const Tensor& t = trace_->tensor(static_cast<TensorId>(ti));
-        tensors_[ti].footprint = footprintOf(t.bytes);
-        if (uses[ti].empty())
-            continue;
-        if (!t.isGlobal()) {
-            bornAt_[static_cast<std::size_t>(uses[ti].front())]
-                .push_back(t.id);
-            diesAfter_[static_cast<std::size_t>(uses[ti].back())]
-                .push_back(t.id);
-        }
-    }
+    for (std::size_t ti = 0; ti < nt; ++ti)
+        tensors_[ti].footprint = footprintOf(trace_->tensors()[ti].bytes);
 
     TimeNs ideal = 0;
     for (std::size_t k = 0; k < nk; ++k) {
@@ -466,7 +451,10 @@ SimRuntime::runKernel(KernelId k)
     TimeNs data_ready = t0;
     TimeNs fault_done = t0;
 
-    // 1. Materialize tensors born at this kernel (outputs, workspace).
+    // 1. Materialize tensors first used at this kernel (outputs,
+    // workspace). Globals were placed at start and are never freed, so
+    // materialize() skips them.
+    const std::vector<std::vector<KernelId>>& uses = useIndex_->uses;
     auto materialize = [&](TensorId t) {
         TensorRt& tr = tensors_[static_cast<std::size_t>(t)];
         if (tr.allocated)
@@ -480,7 +468,9 @@ SimRuntime::runKernel(KernelId k)
         gpuUsedBytes_ += tr.footprint;
         touch(t);
     };
-    for (TensorId t : bornAt_[static_cast<std::size_t>(k)]) {
+    for (TensorId t : all) {
+        if (uses[static_cast<std::size_t>(t)].front() != k)
+            continue;
         materialize(t);
         if (stats_.failed)
             return;
@@ -565,9 +555,13 @@ SimRuntime::runKernel(KernelId k)
         stats_.totalStallNs += ks.stallNs;
     }
 
-    // 3. Free tensors that die here.
-    for (TensorId t : diesAfter_[static_cast<std::size_t>(k)])
-        freeTensor(t);
+    // 3. Free the intermediates last used here; globals stay allocated
+    // across iterations.
+    for (TensorId t : all) {
+        const auto ti = static_cast<std::size_t>(t);
+        if (uses[ti].back() == k && !trace_->tensors()[ti].isGlobal())
+            freeTensor(t);
+    }
 
     policy_->afterKernel(*this, k);
 }

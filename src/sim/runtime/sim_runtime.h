@@ -42,7 +42,7 @@ struct TensorRt
     Bytes awayHostBytes = 0;  ///< bytes staged in host DRAM
     Bytes awaySsdBytes = 0;   ///< bytes staged on the SSD
     TimeNs arrival = -1;      ///< in-flight fetch completion (-1 = none)
-    bool allocated = false;   ///< materialized at least once
+    bool allocated = false;   ///< materialized and not yet freed
     std::uint64_t ssdLogical = UINT64_MAX;  ///< FTL logical page base
     std::int64_t pinnedUntil = -1;  ///< global kernel idx pin horizon
 };
@@ -180,12 +180,6 @@ class SimRuntime
     /** Current GPU stream time. */
     TimeNs now() const { return streamTime_; }
 
-    /** Kernel ids using each tensor, ascending (shared index). */
-    const std::vector<std::vector<KernelId>>& useLists() const
-    {
-        return trace_->useIndex().uses;
-    }
-
     /** Residency record (read-only for policies). */
     const TensorRt& tensorState(TensorId t) const
     {
@@ -313,13 +307,11 @@ class SimRuntime
     Rng rng_;
 
     std::vector<TensorRt> tensors_;
-    std::vector<std::vector<TensorId>> bornAt_;
-    std::vector<std::vector<TensorId>> diesAfter_;
     std::vector<TimeNs> perturbedDur_;
 
     // The trace's shared use-list / kernel-tensor index (set in
-    // prepare()): runKernel() walks precomputed slices instead of
-    // re-sorting a fresh Kernel::allTensors() vector per execution.
+    // prepare()): runKernel() walks kernel k's slice to pin, fetch,
+    // materialize and free.
     const TraceUseIndex* useIndex_ = nullptr;
 
     Bytes gpuUsedBytes_ = 0;

@@ -59,8 +59,10 @@ TEST(Vitality, GlobalTensorGetsWrapAroundPeriod)
             has_wrap = true;
             // end exceeds the iteration; next use is the first fwd.
             EXPECT_GE(p.endNs, v.iterationLengthNs());
-            EXPECT_EQ(p.nextUse, lv.uses.front());
-            EXPECT_EQ(p.lastUse, lv.uses.back());
+            const auto& uses =
+                t.useIndex().uses[static_cast<std::size_t>(lv.tensor)];
+            EXPECT_EQ(p.nextUse, uses.front());
+            EXPECT_EQ(p.lastUse, uses.back());
         }
     }
     EXPECT_TRUE(has_wrap);

@@ -32,11 +32,58 @@ TEST(KernelTrace, IdealStartTimesIncludeLaunchOverhead)
 TEST(KernelTrace, UseListsAreSortedPerTensor)
 {
     KernelTrace t = test::makeFwdBwdTrace(4, 1 * MiB, 1 * MSEC);
-    auto uses = t.buildUseLists();
-    for (const auto& u : uses) {
+    for (const auto& u : t.useIndex().uses) {
         for (std::size_t i = 1; i < u.size(); ++i)
             EXPECT_LT(u[i - 1], u[i]);
     }
+}
+
+TEST(KernelTrace, UseIndexCountsEachTensorOncePerKernel)
+{
+    // k1 updates `a` in place (input and output); k2 reads `a` and
+    // names scratch `ws` twice as workspace.
+    KernelTrace t;
+    TensorId a = t.addTensor("a", 1 * MiB, TensorKind::Activation);
+    TensorId ws = t.addTensor("ws", 2 * MiB, TensorKind::Workspace);
+    TensorId out = t.addTensor("out", 1 * MiB, TensorKind::Activation);
+    Kernel k0;
+    k0.name = "k0";
+    k0.durationNs = 1;
+    k0.outputs = {a};
+    t.addKernel(std::move(k0));
+    Kernel k1;
+    k1.name = "k1";
+    k1.durationNs = 1;
+    k1.inputs = {a};
+    k1.outputs = {a};
+    t.addKernel(std::move(k1));
+    Kernel k2;
+    k2.name = "k2";
+    k2.durationNs = 1;
+    k2.inputs = {a, a};
+    k2.outputs = {out};
+    k2.workspace = {ws, ws};
+    t.addKernel(std::move(k2));
+    t.validate();
+
+    const TraceUseIndex& idx = t.useIndex();
+    auto slice = [&](std::size_t k) {
+        return std::vector<TensorId>(
+            idx.kernelTensors.begin() + idx.kernelTensorsOff[k],
+            idx.kernelTensors.begin() + idx.kernelTensorsOff[k + 1]);
+    };
+    ASSERT_EQ(idx.kernelTensorsOff.size(), 4u);
+    EXPECT_EQ(slice(0), std::vector<TensorId>({a}));
+    EXPECT_EQ(slice(1), std::vector<TensorId>({a}));
+    EXPECT_EQ(slice(2), std::vector<TensorId>({a, ws, out}));
+    EXPECT_EQ(idx.uses[static_cast<std::size_t>(a)],
+              std::vector<KernelId>({0, 1, 2}));
+    EXPECT_EQ(idx.uses[static_cast<std::size_t>(ws)],
+              std::vector<KernelId>({2}));
+    EXPECT_EQ(idx.uses[static_cast<std::size_t>(out)],
+              std::vector<KernelId>({2}));
+    // The working set counts `a` and `ws` once each.
+    EXPECT_EQ(t.peakKernelWorkingSet(1), 4 * MiB);
 }
 
 TEST(KernelTrace, ScaleDurations)
@@ -69,6 +116,22 @@ TEST(KernelTraceDeath, ValidateCatchesReadBeforeWrite)
     k.outputs = {out};
     t.addKernel(std::move(k));
     EXPECT_DEATH(t.validate(), "before any");
+}
+
+TEST(KernelTraceDeath, ValidateCatchesOutOfRangeTensor)
+{
+    for (int slot = 0; slot < 3; ++slot) {
+        KernelTrace t = test::makeChainTrace(2, 1 * MiB, 1 * MSEC);
+        Kernel k;
+        k.name = "bad";
+        k.durationNs = 1;
+        k.outputs = {0};
+        std::vector<TensorId>* lists[] = {&k.inputs, &k.outputs,
+                                          &k.workspace};
+        lists[slot]->push_back(7);
+        t.addKernel(std::move(k));
+        EXPECT_DEATH(t.validate(), "references bad tensor 7") << slot;
+    }
 }
 
 TEST(KernelTraceDeath, BadTensorIdPanics)
@@ -211,7 +274,7 @@ TEST(TraceBuilder, SavedSideOutputLivesUntilBackward)
         if (ten.name == "drop_saved")
             mask = ten.id;
     ASSERT_NE(mask, kInvalidTensor);
-    auto uses = t.buildUseLists();
+    const auto& uses = t.useIndex().uses;
     EXPECT_EQ(uses[static_cast<std::size_t>(mask)].size(), 2u);
 }
 
@@ -235,7 +298,7 @@ TEST(TraceBuilder, WorkspaceLivesOnlyInItsKernel)
         if (ten.kind == TensorKind::Workspace && ten.name == "conv_ws")
             ws = ten.id;
     ASSERT_NE(ws, kInvalidTensor);
-    auto uses = t.buildUseLists();
+    const auto& uses = t.useIndex().uses;
     EXPECT_EQ(uses[static_cast<std::size_t>(ws)].size(), 1u);
 }
 

@@ -46,7 +46,7 @@ TEST_P(ModelZooTest, HasForwardBackwardAndOptimizer)
 
 TEST_P(ModelZooTest, EveryWeightIsUsedAndUpdated)
 {
-    auto uses = trace_.buildUseLists();
+    const auto& uses = trace_.useIndex().uses;
     for (const auto& t : trace_.tensors()) {
         if (!t.isGlobal())
             continue;

@@ -129,28 +129,23 @@ runTraced(TracedRun* out, const std::string& design)
     ASSERT_FALSE(out->stats.failed) << design;
 }
 
-TEST(DiffAttribution, TraceOnlyBuilderMatchesTheTraceAwareOne)
+TEST(DiffAttribution, BuilderNamesEveryKernelFromItsSpans)
 {
     TracedRun run;
     runTraced(&run, "g10");
 
-    StallAttribution withTrace =
-        buildStallAttribution(run.sink.events(), run.trace);
-    StallAttribution fromEvents =
-        buildStallAttributionFromEvents(run.sink.events());
-
-    // g10trace has no KernelTrace; both paths must agree exactly.
-    EXPECT_EQ(fromEvents.measuredNs, withTrace.measuredNs);
-    EXPECT_EQ(fromEvents.idealNs, withTrace.idealNs);
-    EXPECT_EQ(fromEvents.noiseNs, withTrace.noiseNs);
-    for (int c = 0; c < kNumStallCauses; ++c)
-        EXPECT_EQ(fromEvents.causeNs[c], withTrace.causeNs[c]) << c;
-    ASSERT_EQ(fromEvents.rows.size(), withTrace.rows.size());
-    for (std::size_t i = 0; i < withTrace.rows.size(); ++i) {
-        EXPECT_EQ(fromEvents.rows[i].actualNs,
-                  withTrace.rows[i].actualNs)
+    // The builder sees only events (g10trace has no KernelTrace), yet
+    // its rows are the trace's kernels, in order, by name.
+    StallAttribution a = buildStallAttribution(run.sink.events());
+    EXPECT_EQ(a.measuredNs, run.stats.measuredIterationNs);
+    EXPECT_EQ(a.idealNs, run.stats.idealIterationNs);
+    ASSERT_EQ(a.rows.size(), run.trace.numKernels());
+    for (std::size_t i = 0; i < a.rows.size(); ++i) {
+        EXPECT_EQ(a.rows[i].kernel, static_cast<KernelId>(i));
+        EXPECT_EQ(a.rows[i].name,
+                  run.trace.kernel(static_cast<KernelId>(i)).name)
             << i;
-        EXPECT_EQ(fromEvents.rows[i].name, withTrace.rows[i].name)
+        EXPECT_EQ(a.rows[i].actualNs, run.stats.kernels[i].actualNs)
             << i;
     }
 }
@@ -162,8 +157,8 @@ TEST(DiffAttribution, RealBaseuvmVsG10DecomposesExactly)
     runTraced(&test, "g10");
 
     DiffAttribution d = diffStallAttribution(
-        buildStallAttribution(base.sink.events(), base.trace),
-        buildStallAttribution(test.sink.events(), test.trace),
+        buildStallAttribution(base.sink.events()),
+        buildStallAttribution(test.sink.events()),
         "baseuvm", "g10");
 
     EXPECT_TRUE(d.exact());

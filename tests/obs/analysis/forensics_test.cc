@@ -186,7 +186,7 @@ analyzeAll(const std::vector<TraceEvent>& events)
     writeCriticalPathJson(os, extractCriticalPath(events, kernelPid));
     writeFlameJson(os, aggregateFlame(events, kernelPid));
     StallAttribution a =
-        buildStallAttributionFromEvents(events, kernelPid);
+        buildStallAttribution(events, kernelPid);
     writeDiffAttributionJson(os,
                              diffStallAttribution(a, a, "a", "b"));
     return os.str();

@@ -46,7 +46,7 @@ TEST(Attribution, RowsDecomposeExactly)
     TracedRun run;
     runTraced(&run);
     StallAttribution a =
-        buildStallAttribution(run.sink.events(), run.trace);
+        buildStallAttribution(run.sink.events());
 
     ASSERT_FALSE(a.rows.empty());
     for (const StallAttributionRow& row : a.rows) {
@@ -66,7 +66,7 @@ TEST(Attribution, TotalsMatchExecStats)
     TracedRun run;
     runTraced(&run);
     StallAttribution a =
-        buildStallAttribution(run.sink.events(), run.trace);
+        buildStallAttribution(run.sink.events());
 
     EXPECT_EQ(a.rows.size(), run.stats.kernels.size());
     EXPECT_EQ(a.measuredNs, run.stats.measuredIterationNs);
@@ -83,7 +83,7 @@ TEST(Attribution, TimingNoiseLandsInNoiseColumn)
     TracedRun run;
     runTraced(&run, 0.2);
     StallAttribution a =
-        buildStallAttribution(run.sink.events(), run.trace);
+        buildStallAttribution(run.sink.events());
 
     // The decomposition still sums exactly; the perturbed-duration
     // residual is carried by the noise column, not smeared into the
@@ -97,7 +97,7 @@ TEST(Attribution, PrintedTableCarriesInvariantCheck)
     TracedRun run;
     runTraced(&run);
     StallAttribution a =
-        buildStallAttribution(run.sink.events(), run.trace);
+        buildStallAttribution(run.sink.events());
 
     std::ostringstream os;
     printStallAttribution(os, a);

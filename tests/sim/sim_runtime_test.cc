@@ -163,6 +163,28 @@ TEST(SimRuntime, TimingErrorPerturbsReplayOnly)
     EXPECT_EQ(noisy.measuredIterationNs, again.measuredIterationNs);
 }
 
+TEST(SimRuntime, IntermediatesLiveFromFirstToLastUseGlobalsAlways)
+{
+    KernelTrace t = test::makeFwdBwdTrace(6, 1 * MiB, 1 * MSEC,
+                                          /*weight=*/2 * MiB);
+    BaseUvmPolicy pol;
+    SimRuntime rt(t, pol, runcfg());
+    rt.start();
+    const auto& uses = t.useIndex().uses;
+    const auto nk = static_cast<KernelId>(t.numKernels());
+    for (KernelId step = 0; rt.stepKernel(); ++step) {
+        const KernelId k = step % nk;
+        for (const Tensor& ten : t.tensors()) {
+            const auto& u = uses[static_cast<std::size_t>(ten.id)];
+            const bool live = ten.isGlobal() ||
+                              (u.front() <= k && k < u.back());
+            EXPECT_EQ(rt.tensorState(ten.id).allocated, live)
+                << ten.name << " after kernel " << k;
+        }
+    }
+    EXPECT_FALSE(rt.finalize().failed);
+}
+
 TEST(SimRuntime, TrafficConservationEvictedComesBack)
 {
     KernelTrace t = test::makeFwdBwdTrace(32, 8 * MiB, 500 * USEC);

@@ -12,6 +12,8 @@
  * grammar, choices and diagnostics, and its --help line is the key's
  * help text. kServeOverrides and kFleetOverrides below are the only
  * place a flag is tied to its key.
+ *
+ * runMixCli is the one mix run behind `g10sim --mix` and `g10multi`.
  */
 
 #ifndef G10_TOOLS_CLI_UTIL_H
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -30,6 +33,7 @@
 #include "common/logging.h"
 #include "common/parse_util.h"
 #include "common/spec_reader.h"
+#include "engine/multi_tenant.h"
 #include "obs/chrome_trace.h"
 #include "obs/tracer.h"
 
@@ -265,6 +269,38 @@ writeTraceFile(const std::string& path, const MemoryTraceSink& sink,
         fatal("error writing trace output '%s'", path.c_str());
     inform("wrote %zu trace events to %s", sink.events().size(),
            path.c_str());
+}
+
+/**
+ * Run @p mix and print it in args.format, with --trace (one track
+ * group per job) and --metrics; @p tool heads the table report.
+ * Returns the printMixResult exit code.
+ */
+inline int
+runMixCli(const WorkloadMix& mix, const CliArgs& args, const char* tool)
+{
+    if (args.format == ReportFormat::Table)
+        std::cout << "# " << tool << ": " << mix.jobs.size()
+                  << " jobs on one GPU+SSD, scale 1/" << mix.scaleDown
+                  << ", sched " << mixSchedName(mix.sched) << "\n\n";
+    MultiTenantSim sim(mix);
+
+    CliObservers obs;
+    obs.wantEvents = !args.tracePath.empty();
+    obs.wantCounters = args.metrics;
+    sim.setTracer(obs.tracerOrNull());
+
+    MixResult res = sim.run();
+    int code = printMixResult(std::cout, res, args.format);
+    if (!args.tracePath.empty()) {
+        std::map<int, std::string> names;
+        for (std::size_t i = 0; i < res.jobs.size(); ++i)
+            names[static_cast<int>(i)] = res.jobs[i].name;
+        writeTraceFile(args.tracePath, obs.sink, names);
+    }
+    if (args.metrics)
+        writeMetricsJson(std::cout, obs.counters);
+    return code;
 }
 
 }  // namespace g10::tools

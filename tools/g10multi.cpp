@@ -91,7 +91,6 @@ main(int argc, char** argv)
         return 0;
     }
 
-    ReportFormat format = args.format;
     WorkloadMix mix;
     if (args.has("--demo")) {
         mix = demoMix(args.demoScale > 0 ? args.demoScale : 16);
@@ -100,28 +99,5 @@ main(int argc, char** argv)
             return usage(std::cerr, 1);
         mix = parseMixFile(args.positional[0]);
     }
-
-    if (format == ReportFormat::Table)
-        std::cout << "# g10multi: " << mix.jobs.size()
-                  << " jobs on one GPU+SSD, scale 1/" << mix.scaleDown
-                  << ", sched " << mixSchedName(mix.sched) << "\n\n";
-
-    MultiTenantSim sim(mix);
-
-    tools::CliObservers obs;
-    obs.wantEvents = !args.tracePath.empty();
-    obs.wantCounters = args.metrics;
-    sim.setTracer(obs.tracerOrNull());
-
-    MixResult res = sim.run();
-    int code = printMixResult(std::cout, res, format);
-    if (!args.tracePath.empty()) {
-        std::map<int, std::string> names;
-        for (std::size_t i = 0; i < res.jobs.size(); ++i)
-            names[static_cast<int>(i)] = res.jobs[i].name;
-        tools::writeTraceFile(args.tracePath, obs.sink, names);
-    }
-    if (args.metrics)
-        writeMetricsJson(std::cout, obs.counters);
-    return code;
+    return tools::runMixCli(mix, args, "g10multi");
 }

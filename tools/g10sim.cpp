@@ -89,35 +89,6 @@ dumpTrace(const std::vector<std::string>& args)
 }
 
 int
-runMix(const std::string& path, const tools::CliArgs& args)
-{
-    const ReportFormat format = args.format;
-    WorkloadMix mix = parseMixFile(path);
-    if (format == ReportFormat::Table)
-        std::cout << "# g10sim --mix: " << mix.jobs.size()
-                  << " jobs on one GPU+SSD, scale 1/" << mix.scaleDown
-                  << ", sched " << mixSchedName(mix.sched) << "\n\n";
-    MultiTenantSim sim(mix);
-
-    tools::CliObservers obs;
-    obs.wantEvents = !args.tracePath.empty();
-    obs.wantCounters = args.metrics;
-    sim.setTracer(obs.tracerOrNull());
-
-    MixResult res = sim.run();
-    int code = printMixResult(std::cout, res, format);
-    if (!args.tracePath.empty()) {
-        std::map<int, std::string> names;
-        for (std::size_t i = 0; i < res.jobs.size(); ++i)
-            names[static_cast<int>(i)] = res.jobs[i].name;
-        tools::writeTraceFile(args.tracePath, obs.sink, names);
-    }
-    if (args.metrics)
-        writeMetricsJson(std::cout, obs.counters);
-    return code;
-}
-
-int
 runConfig(const std::string& path, const tools::CliArgs& args)
 {
     const ReportFormat format = args.format;
@@ -147,7 +118,7 @@ runConfig(const std::string& path, const tools::CliArgs& args)
     cfg.model = model;
     cfg.batchSize = batch;
     cfg.sys = sys;
-    cfg.scaleDown = 1;
+    cfg.scaleDown = file.scaleDown;
     cfg.design = file.design;
     const PolicyInfo& design =
         PolicyRegistry::instance().resolve(cfg.design);
@@ -179,7 +150,7 @@ runConfig(const std::string& path, const tools::CliArgs& args)
     int code = printRunResult(std::cout, result, format);
     if (args.has("--attribution")) {
         StallAttribution attr =
-            buildStallAttribution(obs.sink.events(), trace);
+            buildStallAttribution(obs.sink.events());
         std::cout << "\n";
         printStallAttribution(std::cout, attr);
     }
@@ -194,8 +165,8 @@ runConfig(const std::string& path, const tools::CliArgs& args)
         runExperimentResultOnTrace(trace, baseCfg,
                                    baseObs.tracerOrNull());
         DiffAttribution diff = diffStallAttribution(
-            buildStallAttribution(baseObs.sink.events(), trace),
-            buildStallAttribution(obs.sink.events(), trace),
+            buildStallAttribution(baseObs.sink.events()),
+            buildStallAttribution(obs.sink.events()),
             baseCfg.design, cfg.design);
         if (format == ReportFormat::Json) {
             writeDiffAttributionJson(std::cout, diff);
@@ -245,7 +216,8 @@ main(int argc, char** argv)
             args.has("--attribution") ||
             !args.valueOf("--attribution-diff").empty())
             return usage(std::cerr, 1);
-        return runMix(args.positional[0], args);
+        return tools::runMixCli(parseMixFile(args.positional[0]), args,
+                                "g10sim --mix");
     }
     if (args.positional.size() != 1)
         return usage(std::cerr, 1);

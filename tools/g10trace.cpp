@@ -114,8 +114,8 @@ runDiff(const std::string& base_path, const std::string& test_path,
     const TraceDocument base = readTraceOrDie(base_path);
     const TraceDocument test = readTraceOrDie(test_path);
     const DiffAttribution diff = diffStallAttribution(
-        buildStallAttributionFromEvents(base.events, pid),
-        buildStallAttributionFromEvents(test.events, pid), base_path,
+        buildStallAttribution(base.events, pid),
+        buildStallAttribution(test.events, pid), base_path,
         test_path);
     if (args.format == ReportFormat::Json)
         writeDiffAttributionJson(std::cout, diff);
