@@ -13,6 +13,8 @@ set with each:
   - g10sim --format json on 5 models x 7 designs at scales 1 and 16;
   - g10sim --format json, design g10gds, iterations 24 at scale 8
     (ResNet152 and SENet154: the flash log fills and GC runs);
+  - g10sim's `listing = 400` output for g10gds, g10host and g10 (BERT
+    at scale 16: the instrumented plan, then the run);
   - g10sim --mix examples/demo.mix and g10multi --demo 64;
   - g10serve examples/elastic.serve and g10fleet examples/fleet.serve
     at --workers 1 and 4, and both tools' --demo 64;
@@ -83,10 +85,12 @@ def build(side, tree, out):
             fail(f"{side}: {' '.join(cmd[:2])} failed")
 
 
-def config(model, design, scale, iterations=None):
+def config(model, design, scale, iterations=None, listing=None):
     text = f"model = {model}\nscale = {scale}\ndesign = {design}\n"
     if iterations:
         text += f"iterations = {iterations}\n"
+    if listing:
+        text += f"listing = {listing}\n"
     return text
 
 
@@ -108,6 +112,11 @@ def documents():
         configs[cfg] = config(model, "g10gds", 8, iterations=24)
         first.append((f"g10sim/{model}.g10gds.iter24.json", "g10sim",
                       ["--format", "json", cfg], None))
+    for design in ("g10gds", "g10host", "g10"):
+        cfg = f"cfg/BERT.{design}.listing400.cfg"
+        configs[cfg] = config("BERT", design, 16, listing=400)
+        first.append((f"g10sim/BERT.{design}.listing400.out", "g10sim",
+                      [cfg], None))
     first += [
         ("g10sim/demo.mix.json", "g10sim",
          ["--mix", "examples/demo.mix", "--format", "json"], None),

@@ -6,22 +6,27 @@ namespace g10 {
 
 ExecStats
 runExperimentOnTrace(const KernelTrace& trace,
-                     const ExperimentConfig& config, Tracer* tracer)
+                     const ExperimentConfig& config, Tracer* tracer,
+                     DesignInstance* design)
 {
-    DesignInstance design = PolicyRegistry::instance().make(
-        config.design, trace, config.sys);
+    DesignInstance made;
+    if (design == nullptr) {
+        made = PolicyRegistry::instance().make(config.design, trace,
+                                               config.sys);
+        design = &made;
+    }
 
     RunConfig rc;
     rc.sys = config.sys;
     rc.iterations = config.iterations;
     rc.uvmExtension = config.uvmExtension < 0
-                          ? design.uvmExtension
+                          ? design->uvmExtension
                           : (config.uvmExtension != 0);
     rc.timingErrorPct = config.timingErrorPct;
     rc.seed = config.seed;
     rc.weightWatermark = config.weightWatermark;
 
-    SimRuntime rt(trace, *design.policy, rc);
+    SimRuntime rt(trace, *design->policy, rc);
     if (tracer)
         rt.setTracer(tracer);
     return rt.run();
@@ -51,13 +56,13 @@ runExperimentResult(const ExperimentConfig& config)
 RunResult
 runExperimentResultOnTrace(const KernelTrace& trace,
                            const ExperimentConfig& config,
-                           Tracer* tracer)
+                           Tracer* tracer, DesignInstance* design)
 {
     RunResult out;
     out.config = config;
     out.designName =
         PolicyRegistry::instance().resolve(config.design).name;
-    out.stats = runExperimentOnTrace(trace, config, tracer);
+    out.stats = runExperimentOnTrace(trace, config, tracer, design);
     return out;
 }
 

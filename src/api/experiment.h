@@ -98,10 +98,14 @@ ExecStats runExperiment(const ExperimentConfig& config);
  * @param tracer optional observability hookup (see obs/tracer.h);
  *        nullptr runs untraced. A traced run returns bit-identical
  *        statistics — the tracer only observes.
+ * @param design optional instance of @p config.design built by the
+ *        caller (g10sim builds one to print the plan it replays);
+ *        nullptr makes one through the registry.
  */
 ExecStats runExperimentOnTrace(const KernelTrace& trace,
                                const ExperimentConfig& config,
-                               Tracer* tracer = nullptr);
+                               Tracer* tracer = nullptr,
+                               DesignInstance* design = nullptr);
 
 /** runExperiment() bundled with its config echo. */
 RunResult runExperimentResult(const ExperimentConfig& config);
@@ -109,7 +113,8 @@ RunResult runExperimentResult(const ExperimentConfig& config);
 /** runExperimentOnTrace() bundled with its config echo. */
 RunResult runExperimentResultOnTrace(const KernelTrace& trace,
                                      const ExperimentConfig& config,
-                                     Tracer* tracer = nullptr);
+                                     Tracer* tracer = nullptr,
+                                     DesignInstance* design = nullptr);
 
 /**
  * Fluent construction of an ExperimentConfig for the common case —

@@ -1114,7 +1114,7 @@ printDesignList(std::ostream& os, ReportFormat format)
                 w.value(a);
             w.endArray();
             w.field("description", d->description);
-            w.field("builtin", d->builtinTag >= 0);
+            w.field("builtin", d->builtin);
             w.endObject();
         }
         w.endArray();

@@ -42,7 +42,8 @@ simConfigFormat()
                       "override the design's unified page table"},
                      &C::uvmExtension),
             fieldKey({"listing", T::Int, within(0, 1 << 20), "10",
-                      "print the first N instrumented kernels"},
+                      "print the first N kernels of the plan the "
+                      "design replays"},
                      &C::listing),
         };
         for (SpecKey<C>& k : platformKeys(&C::sys))

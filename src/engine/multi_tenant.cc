@@ -148,13 +148,12 @@ MultiTenantSim::run()
 
     // Partition GPU and host memory by the jobs' memory weights; the
     // SSD and PCIe fabric stay fully shared (that is the experiment).
-    // Every tenant holds its weighted lease for the whole run (this
-    // engine has no churn; the serving engine leases/reclaims).
+    // Every tenant keeps its share for the whole run (this engine has
+    // no churn or resizing, so there are no leases to manage; the
+    // serving engine leases/reclaims).
     double wsum = 0.0;
     for (const JobSpec& s : mix_.jobs)
         wsum += (s.memWeight > 0.0 ? s.memWeight : 1.0);
-    PartitionManager partitions(scaledSys_, static_cast<int>(n));
-    std::vector<PartitionManager::Lease> leases(n);
 
     SsdDevice sharedSsd(scaledSys_);
     FabricChannels channels;
@@ -171,8 +170,7 @@ MultiTenantSim::run()
     for (std::size_t i = 0; i < n; ++i) {
         const JobSpec& spec = mix_.jobs[i];
         double w = (spec.memWeight > 0.0 ? spec.memWeight : 1.0) / wsum;
-        leases[i] = partitions.acquireWeighted(w);
-        const SystemConfig& jobSys = leases[i].sys;
+        const SystemConfig jobSys = partitionShare(scaledSys_, w);
 
         designs.push_back(PolicyRegistry::instance().make(
             spec.design, traces_[i], jobSys));
@@ -229,10 +227,6 @@ MultiTenantSim::run()
         out.gpuUtilization = static_cast<double>(out.gpuBusyNs) /
                              static_cast<double>(out.makespanNs);
     out.ssd = sharedSsd.stats();
-
-    // All tenants have departed; return the partitions.
-    for (PartitionManager::Lease& l : leases)
-        partitions.release(&l);
 
     // Per-job isolated baselines: the same job alone on the whole
     // machine (full memory, private fabric/SSD, exclusive GPU).

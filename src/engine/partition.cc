@@ -38,7 +38,12 @@ PartitionManager::PartitionManager(const SystemConfig& whole, int slots)
 PartitionManager::Lease
 PartitionManager::acquire()
 {
-    return acquireWeighted(1.0 / static_cast<double>(slots()));
+    if (!hasFree())
+        panic("PartitionManager: no free partition slot "
+              "(%d leased); admission control must gate acquire()",
+              slots());
+    return bookLease(slotSys_, slotSys_.gpuMemBytes,
+                     slotSys_.hostMemBytes);
 }
 
 PartitionManager::Lease
@@ -63,17 +68,6 @@ PartitionManager::bookLease(const SystemConfig& sys, Bytes gpu,
     l.id = table_[i].leaseId;
     l.sys = sys;
     return l;
-}
-
-PartitionManager::Lease
-PartitionManager::acquireWeighted(double fraction)
-{
-    if (!hasFree())
-        panic("PartitionManager: no free partition slot "
-              "(%d leased); admission control must gate acquire()",
-              slots());
-    SystemConfig sys = partitionShare(whole_, fraction);
-    return bookLease(sys, sys.gpuMemBytes, sys.hostMemBytes);
 }
 
 PartitionManager::Lease

@@ -6,7 +6,7 @@
  * and tracks which of them are out on lease. Capacity is a *dynamic*
  * quantity: every lease is byte-accounted against the machine, and
  * live leases can be resized or split while the free pool
- * conserves every byte. Three sizing modes:
+ * conserves every byte. Two sizing modes:
  *
  *  - slot leases (acquire()): the machine is divided into `slots`
  *    equal partitions. The serving engine's static policy leases a
@@ -14,9 +14,6 @@
  *    node with churn keeps handing the same partition geometry to
  *    successive jobs (which is what makes compiled plans reusable
  *    across arrivals).
- *  - weighted leases (acquireWeighted()): each lease takes an explicit
- *    fraction of the machine. The multi-tenant engine uses this for
- *    its memWeight-proportional split.
  *  - byte leases (acquireBytes()): each lease takes an explicit byte
  *    capacity from the free pool. The serving engine's *elastic*
  *    partition policies use this together with resize()/split()
@@ -78,7 +75,7 @@ class PartitionManager
     PartitionManager(const SystemConfig& whole, int slots);
 
     /** Number of equal partitions the slot mode divides the machine
-     *  into (the concurrency cap of acquire()/acquireWeighted()). */
+     *  into (the concurrency cap of acquire()). */
     int slots() const { return slotCap_; }
 
     /** Slot-mode leases still available. */
@@ -99,17 +96,9 @@ class PartitionManager
     Lease acquire();
 
     /**
-     * Lease @p fraction of the machine (weighted mode). Occupies one
-     * slot; the caller is responsible for fractions summing to <= 1
-     * (weighted mode does not gate on the byte pool, for backward
-     * compatibility with memWeight splits that round independently).
-     */
-    Lease acquireWeighted(double fraction);
-
-    /**
      * Lease an explicit byte capacity from the free pool (elastic
-     * mode). Unlike the weighted mode this *does* gate on the pool:
-     * asking for more than freeGpuBytes()/freeHostBytes() panics.
+     * mode). Gates on the pool: asking for more than
+     * freeGpuBytes()/freeHostBytes() panics.
      * Byte leases are not bounded by slots(); the slot table grows.
      */
     Lease acquireBytes(Bytes gpu, Bytes host);
@@ -142,8 +131,7 @@ class PartitionManager
     Bytes leasedGpuBytes() const { return leasedGpu_; }
     Bytes leasedHostBytes() const { return leasedHost_; }
 
-    /** total - leased, saturating at zero (weighted mode may round
-     *  independently and transiently oversubscribe by design). */
+    /** total - leased, saturating at zero. */
     Bytes freeGpuBytes() const
     {
         return whole_.gpuMemBytes > leasedGpu_

@@ -20,7 +20,8 @@ FleetResult::allSucceeded() const
     return true;
 }
 
-FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
+FleetSim::FleetSim(const FleetSpec& spec)
+    : spec_(spec), design_(PolicyRegistry::instance().resolve(spec.design))
 {
     checkFleetSpec(spec_);
 
@@ -73,7 +74,7 @@ FleetSim::idleCell(double rate) const
 {
     ServeCellResult cell;
     cell.design = spec_.design;
-    cell.designName = PolicyRegistry::instance().resolve(spec_.design).name;
+    cell.designName = design_.name;
     cell.rate = rate;
     return cell;
 }
@@ -99,7 +100,7 @@ FleetSim::computeBaselines(ExperimentEngine& engine) const
         const SystemConfig slotSys = partitionShare(
             nodeScaled, 1.0 / static_cast<double>(ns.slots));
         baselines[n][c] =
-            unloadedBaseline(spec_.design, traces_[c], classes_[c],
+            unloadedBaseline(design_, traces_[c], classes_[c],
                              ns.scaleDown, slotSys, ns.seed,
                              planCache_.get());
     });

@@ -209,6 +209,7 @@ class FleetSim
 
   private:
     FleetSpec spec_;
+    const PolicyInfo& design_;            ///< spec_.design resolved
     std::vector<ServeJobClass> classes_;  ///< resolved classes
     std::vector<KernelTrace> traces_;     ///< per-class, scaled
     std::vector<Bytes> floors_;           ///< per-class capacity floors

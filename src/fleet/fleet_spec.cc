@@ -155,7 +155,6 @@ checkFleetSpec(const FleetSpec& spec, const SpecLoc& at)
         at.fail("fleet needs rate > 0");
     if (spec.arrival.kind == ArrivalKind::Trace)
         at.fail("fleet arrivals must be poisson or bursty");
-    PolicyRegistry::instance().resolve(spec.design);  // fatal on unknown
     checkScenarioSpec(spec, at);
 
     std::set<std::string> names;

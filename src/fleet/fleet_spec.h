@@ -135,10 +135,11 @@ std::uint64_t fleetNodeSeed(std::uint64_t fleetSeed, std::size_t node);
 
 /**
  * Every cross-key check of a fleet scenario (nodes, placements,
- * classes, rate, arrival kind, design, the rate bracket, node slots,
- * unique node names, and each family pinned to at most one node): an
+ * classes, rate, arrival kind, the rate bracket, node slots, unique
+ * node names, and each family pinned to at most one node): an
  * inconsistent spec fails at @p at and exits 1. parseFleetFile and
- * the FleetSim constructor both call it.
+ * the FleetSim constructor both call it. The design name is resolved
+ * by the `design` key in a file and by FleetSim, once, in code.
  */
 void checkFleetSpec(const FleetSpec& spec, const SpecLoc& at = {});
 

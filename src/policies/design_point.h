@@ -1,9 +1,9 @@
 /**
  * @file
- * The named design points of the paper's evaluation and the
- * DesignInstance bundle a design's factory produces. Designs are
- * looked up by name through the PolicyRegistry (policies/registry.h);
- * the enum is only the built-in tag a registry entry carries.
+ * What a design's factory produces (DesignInstance) and what sets the
+ * three G10 designs apart (G10Variant). Designs are looked up by name
+ * through the PolicyRegistry (policies/registry.h); a registry entry
+ * that declares a G10Variant is a G10 family member.
  */
 
 #ifndef G10_POLICIES_DESIGN_POINT_H
@@ -15,22 +15,27 @@
 
 namespace g10 {
 
-/** Every design point evaluated in §7 (PolicyInfo::builtinTag). */
-enum class DesignPoint
-{
-    Ideal,
-    BaseUvm,
-    DeepUmPlus,
-    FlashNeuron,
-    G10Gds,
-    G10Host,
-    G10,
-};
-
 /** A policy plus the runtime flags it requires. */
 struct DesignInstance
 {
     std::unique_ptr<Policy> policy;
+    bool uvmExtension = false;
+};
+
+/**
+ * One G10 design of Fig. 11. All three run the same compiler and
+ * replay its plan; they differ only in these two facts.
+ */
+struct G10Variant
+{
+    /**
+     * The compiler may evict to host memory as well as to the SSD
+     * (false: G10-GDS). The only compile option that varies across
+     * the family, so variants with equal values share compiled plans.
+     */
+    bool allowHost = true;
+
+    /** The runtime has the unified page table (§4.5, full G10). */
     bool uvmExtension = false;
 };
 

@@ -38,7 +38,7 @@ PolicyRegistry::PolicyRegistry()
          [](const KernelTrace&, const SystemConfig&) {
              return instanceOf(std::make_unique<IdealPolicy>());
          },
-         static_cast<int>(DesignPoint::Ideal)});
+         true, std::nullopt});
 
     add({"Base UVM", "baseuvm", {"uvm"},
          "Stock UVM: on-demand page faults, LRU eviction to host, "
@@ -46,7 +46,7 @@ PolicyRegistry::PolicyRegistry()
          [](const KernelTrace&, const SystemConfig&) {
              return instanceOf(std::make_unique<BaseUvmPolicy>());
          },
-         static_cast<int>(DesignPoint::BaseUvm)});
+         true, std::nullopt});
 
     add({"DeepUM+", "deepum", {"deepum+"},
          "UVM plus a correlation prefetcher over the next kernels' "
@@ -54,7 +54,7 @@ PolicyRegistry::PolicyRegistry()
          [](const KernelTrace&, const SystemConfig&) {
              return instanceOf(std::make_unique<DeepUmPolicy>());
          },
-         static_cast<int>(DesignPoint::DeepUmPlus)});
+         true, std::nullopt});
 
     add({"FlashNeuron", "flashneuron", {},
          "Direct GPU-SSD activation offloading; no host staging, no "
@@ -63,32 +63,46 @@ PolicyRegistry::PolicyRegistry()
              return instanceOf(
                  std::make_unique<FlashNeuronPolicy>(trace, config));
          },
-         static_cast<int>(DesignPoint::FlashNeuron)});
+         true, std::nullopt});
 
+    // The G10 family: one compiler, three variants (Fig. 11).
     add({"G10-GDS", "g10gds", {},
          "Smart tensor migrations between GPU and SSD only "
          "(GPUDirect-Storage-style ablation).",
-         [](const KernelTrace& trace, const SystemConfig& config) {
-             return instanceOf(makeG10Gds(trace, config));
-         },
-         static_cast<int>(DesignPoint::G10Gds)});
+         {}, true,
+         G10Variant{/*allowHost=*/false, /*uvmExtension=*/false}});
 
     add({"G10-Host", "g10host", {},
          "Smart GPU/host/SSD migrations without the unified page "
          "table (pays the host software path).",
-         [](const KernelTrace& trace, const SystemConfig& config) {
-             return instanceOf(makeG10Host(trace, config));
-         },
-         static_cast<int>(DesignPoint::G10Host)});
+         {}, true,
+         G10Variant{/*allowHost=*/true, /*uvmExtension=*/false}});
 
     add({"G10", "g10", {},
          "Full G10: smart migrations plus the unified page table "
          "extension (paper §4.5).",
-         [](const KernelTrace& trace, const SystemConfig& config) {
-             // §4.5 unified page table
-             return instanceOf(makeG10(trace, config), true);
-         },
-         static_cast<int>(DesignPoint::G10)});
+         {}, true,
+         G10Variant{/*allowHost=*/true, /*uvmExtension=*/true}});
+}
+
+DesignInstance
+PolicyInfo::make(const KernelTrace& trace,
+                 const SystemConfig& config) const
+{
+    DesignInstance out = factory(trace, config);
+    if (!out.policy)
+        fatal("design '%s': factory returned a null policy",
+              name.c_str());
+    return out;
+}
+
+DesignInstance
+PolicyInfo::instance(std::shared_ptr<const CompiledPlan> plan) const
+{
+    if (!g10)
+        panic("design '%s' is not a G10 family member", name.c_str());
+    return instanceOf(std::make_unique<G10Policy>(name, std::move(plan)),
+                      g10->uvmExtension);
 }
 
 std::string
@@ -111,13 +125,20 @@ PolicyRegistry::add(PolicyInfo info)
     if (info.key.empty())
         fatal("PolicyRegistry: design '%s' has an empty key",
               info.name.c_str());
-    if (!info.factory)
-        fatal("PolicyRegistry: design '%s' has no factory",
+    if (!info.factory == !info.g10)
+        fatal("PolicyRegistry: design '%s' needs a factory or a "
+              "G10Variant (not both)",
               info.name.c_str());
 
     std::lock_guard<std::mutex> lock(mutex_);
     auto owned = std::make_unique<PolicyInfo>(std::move(info));
     const PolicyInfo* entry = owned.get();
+    if (entry->g10)
+        owned->factory = [entry](const KernelTrace& trace,
+                                 const SystemConfig& config) {
+            return entry->instance(
+                compileFamilyPlan(*entry->g10, trace, config));
+        };
 
     std::vector<std::string> keys;
     keys.push_back(normalizeKey(entry->key));
@@ -168,12 +189,7 @@ DesignInstance
 PolicyRegistry::make(const std::string& name, const KernelTrace& trace,
                      const SystemConfig& config) const
 {
-    const PolicyInfo& info = resolve(name);
-    DesignInstance out = info.factory(trace, config);
-    if (!out.policy)
-        fatal("design '%s': factory returned a null policy",
-              info.name.c_str());
-    return out;
+    return resolve(name).make(trace, config);
 }
 
 std::vector<const PolicyInfo*>

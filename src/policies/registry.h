@@ -5,8 +5,8 @@
  * Every design — the paper's seven built-ins and any downstream custom
  * policy — is a named factory `(trace, config) -> DesignInstance`.
  * Lookup is case-insensitive and ignores spaces/dashes/underscores, so
- * the paper legend spelling ("G10-GDS"), the CLI spelling ("g10gds"),
- * and aliases ("uvm" for "baseuvm") all resolve to the same entry.
+ * the paper legend spelling ("Base UVM"), the CLI spelling ("baseuvm"),
+ * and aliases ("uvm") all resolve to the same entry.
  *
  * Custom policies register at startup (or from a test) without touching
  * this library:
@@ -23,6 +23,11 @@
  * After that, "mypolicy" works everywhere a design name is accepted:
  * the ExperimentBuilder, ExperimentConfig, mix files, and the g10sim /
  * g10multi CLIs.
+ *
+ * A G10-family entry gives no factory; it declares its G10Variant
+ * after the description instead (`..., "description", {}, false,
+ * G10Variant{...}}`), and every path that compiles or wraps a G10
+ * plan reads that variant.
  */
 
 #ifndef G10_POLICIES_REGISTRY_H
@@ -32,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +48,8 @@
 
 namespace g10 {
 
+struct CompiledPlan;
+
 /** Factory instantiating one design for a trace/platform pair. */
 using PolicyFactory = std::function<DesignInstance(
     const KernelTrace&, const SystemConfig&)>;
@@ -49,10 +57,11 @@ using PolicyFactory = std::function<DesignInstance(
 /** One registered design. */
 struct PolicyInfo
 {
-    /** Display name matching the paper's legends, e.g. "G10-GDS". */
+    /** Display name matching the paper's legends, e.g. "Base UVM";
+     *  the only display name the design has. */
     std::string name;
 
-    /** Canonical CLI spelling, e.g. "g10gds". */
+    /** Canonical CLI spelling, e.g. "baseuvm". */
     std::string key;
 
     /** Additional accepted spellings. */
@@ -61,13 +70,31 @@ struct PolicyInfo
     /** One-line description for `--list-designs`. */
     std::string description;
 
+    /** Instantiates the design. G10-family entries leave it empty
+     *  and add() derives it from their variant. */
     PolicyFactory factory;
 
+    /** One of the paper's seven designs (`--list-designs`). */
+    bool builtin = false;
+
     /**
-     * static_cast<int>(DesignPoint) for the seven built-ins (see
-     * isG10Family()); -1 for custom policies.
+     * Set on G10-family entries: the variant's compile options and
+     * page-table flag, stated once. The factory, the serve path, the
+     * plan cache and g10sim's listing all read it.
      */
-    int builtinTag = -1;
+    std::optional<G10Variant> g10;
+
+    /** factory(trace, config); fatal() when it yields no policy. */
+    DesignInstance make(const KernelTrace& trace,
+                        const SystemConfig& config) const;
+
+    /**
+     * This family entry's instance around an already compiled (cached
+     * or shared) plan: its display name and page-table flag. panic()
+     * on an entry without a G10Variant.
+     */
+    DesignInstance instance(
+        std::shared_ptr<const CompiledPlan> plan) const;
 };
 
 /**
@@ -83,7 +110,8 @@ class PolicyRegistry
 
     /**
      * Register a design. fatal() when any of its lookup keys collides
-     * with an already-registered design.
+     * with an already-registered design, or when it has neither a
+     * factory nor a G10Variant (or both).
      */
     void add(PolicyInfo info);
 
@@ -112,7 +140,7 @@ class PolicyRegistry
 
     /**
      * Lookup normalization: lower-case, spaces/dashes/underscores
-     * removed ("G10-GDS" -> "g10gds").
+     * removed ("Base UVM" -> "baseuvm").
      */
     static std::string normalizeKey(const std::string& name);
 

@@ -86,43 +86,44 @@ std::shared_ptr<const CompiledPlan>
 SweepPlanCache::getOrCompile(const PlanKey& key,
                              const CompileFn& compile)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = plans_.find(key);
-        if (it != plans_.end()) {
-            ++hits_;
-            return it->second;
-        }
+    std::unique_lock<std::mutex> lock(mu_);
+    auto [it, first] = plans_.try_emplace(key);
+    if (!first) {
+        ++hits_;
+        compiled_.wait(lock, [&] { return it->second != nullptr; });
+        return it->second;
     }
-    // Compile outside the lock: compiles take ~10-100 ms and must not
-    // serialize unrelated keys. A lost race recompiles an identical
-    // plan; first insert wins so every caller shares one object.
-    std::shared_ptr<const CompiledPlan> plan = compile();
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = plans_.emplace(key, plan);
     ++misses_;
-    return inserted ? plan : it->second;
+    // Compile outside the lock: compiles take ~10-100 ms and must not
+    // serialize unrelated keys. Later callers of this key wait above.
+    lock.unlock();
+    std::shared_ptr<const CompiledPlan> plan = compile();
+    lock.lock();
+    it->second = plan;
+    compiled_.notify_all();
+    return plan;
 }
 
 std::shared_ptr<const CompiledPlan>
-compilePlan(int tag, const KernelTrace& trace, const ServeJobClass& cls,
-            unsigned scaleDown, const SystemConfig& sys,
+compilePlan(const G10Variant& variant, const KernelTrace& trace,
+            const ServeJobClass& cls, unsigned scaleDown,
+            const SystemConfig& sys,
             const std::shared_ptr<const CompiledPlan>& seed,
             SweepPlanCache* cache)
 {
     const EvictionSchedule* warm =
         seed != nullptr ? &seed->schedule : nullptr;
     if (cache == nullptr)
-        return compileFamilyPlan(tag, trace, sys, warm);
+        return compileFamilyPlan(variant, trace, sys, warm);
     PlanKey key;
-    key.options = planCompileOptionsKey(tag);
+    key.allowHost = variant.allowHost;
     key.model = static_cast<int>(cls.model);
     key.batch = cls.batchSize;
     key.scaleDown = scaleDown;
     key.sysFp = fingerprintSystemConfig(sys);
     key.seedFp = warm != nullptr ? fingerprintSchedule(*warm) : 0;
     return cache->getOrCompile(key, [&] {
-        return compileFamilyPlan(tag, trace, sys, warm);
+        return compileFamilyPlan(variant, trace, sys, warm);
     });
 }
 

@@ -22,16 +22,17 @@
  *
  * Thread safety: getOrCompile() may be called from concurrent pool
  * workers (grid cells, fleet nodes). Lookups and inserts take a mutex;
- * the compile itself runs outside the lock, so two workers racing on
- * one key may both compile — they produce identical plans and the
- * loser's result is simply dropped. Hit/miss totals are therefore
- * deterministic only when probes run sequentially per design (the
- * auto-knee path); results always are.
+ * the compile itself runs outside the lock, so unrelated keys compile
+ * in parallel. The first lookup of a key inserts an in-flight marker
+ * and compiles; a lookup that finds the marker waits for that compile
+ * and counts as a hit. Each key is therefore compiled exactly once,
+ * and misses() == entries() however the workers interleave.
  */
 
 #ifndef G10_SERVE_PLAN_CACHE_H
 #define G10_SERVE_PLAN_CACHE_H
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,6 +46,8 @@
 
 namespace g10 {
 
+struct G10Variant;
+
 /**
  * Identity of one G10-family compile. Two compiles with equal keys
  * consume bit-identical inputs and therefore produce bit-identical
@@ -52,10 +55,11 @@ namespace g10 {
  */
 struct PlanKey
 {
-    /** Compile-options class (see planCompileOptionsKey()): G10 and
-     *  G10-Host compile identical plans and share entries; G10-GDS
-     *  (SSD-only) is a separate class. */
-    int options = 0;
+    /** G10Variant::allowHost, the one compile option the family
+     *  varies: G10 and G10-Host share entries, G10-GDS (SSD only)
+     *  has its own. The page-table flag is a runtime fact, not a
+     *  compile input, so it stays out of the key. */
+    bool allowHost = true;
     int model = 0;        ///< ModelKind of the trace
     int batch = 0;        ///< batch size the trace was built at
     unsigned scaleDown = 1;  ///< trace/system scale divisor
@@ -64,8 +68,8 @@ struct PlanKey
 
     bool operator<(const PlanKey& o) const
     {
-        return std::tie(options, model, batch, scaleDown, sysFp,
-                        seedFp) < std::tie(o.options, o.model, o.batch,
+        return std::tie(allowHost, model, batch, scaleDown, sysFp,
+                        seedFp) < std::tie(o.allowHost, o.model, o.batch,
                                            o.scaleDown, o.sysFp,
                                            o.seedFp);
     }
@@ -94,8 +98,9 @@ class SweepPlanCache
         std::function<std::shared_ptr<const CompiledPlan>()>;
 
     /**
-     * Return the cached plan for @p key, or run @p compile (outside
-     * the lock), insert its result, and return it.
+     * Return the cached plan for @p key; wait for it when another
+     * caller is compiling it; otherwise run @p compile (outside the
+     * lock), store its result, and return it.
      */
     std::shared_ptr<const CompiledPlan>
     getOrCompile(const PlanKey& key, const CompileFn& compile);
@@ -106,29 +111,32 @@ class SweepPlanCache
     /** Lookups that had to compile. */
     std::uint64_t misses() const;
 
-    /** Distinct plans currently held. */
+    /** Distinct plans held or being compiled. */
     std::uint64_t entries() const;
 
   private:
     mutable std::mutex mu_;
+    std::condition_variable compiled_;  ///< signalled per stored plan
+    /** Null while the key's first caller compiles it. */
     std::map<PlanKey, std::shared_ptr<const CompiledPlan>> plans_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
 
 /**
- * Compile one G10-family plan (@p tag is a DesignPoint value) for
- * @p cls's trace at @p scaleDown, warm-started by @p seed when it is
- * non-null, through @p cache (null = compile directly). The one place
- * a PlanKey is built: it captures every compile input — options, trace
+ * Compile @p variant's plan for @p cls's trace at @p scaleDown,
+ * warm-started by @p seed when it is non-null, through @p cache
+ * (null = compile directly). The one place a PlanKey is built: it
+ * captures every compile input — the variant's options, trace
  * identity (model, batch, scale), system fingerprint, seed fingerprint
  * — so a hit is bit-identical to the compile it replaces, and callers
  * that compile the same inputs (serve cells, sweep and fleet
  * baselines) share entries.
  */
 std::shared_ptr<const CompiledPlan>
-compilePlan(int tag, const KernelTrace& trace, const ServeJobClass& cls,
-            unsigned scaleDown, const SystemConfig& sys,
+compilePlan(const G10Variant& variant, const KernelTrace& trace,
+            const ServeJobClass& cls, unsigned scaleDown,
+            const SystemConfig& sys,
             const std::shared_ptr<const CompiledPlan>& seed,
             SweepPlanCache* cache);
 

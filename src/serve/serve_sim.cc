@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "engine/partition.h"
-#include "policies/design_point.h"
 #include "obs/tracer.h"
 #include "policies/g10_policy.h"
 #include "policies/registry.h"
@@ -76,23 +75,6 @@ namespace {
 using PlanCache =
     std::map<int, std::shared_ptr<const CompiledPlan>>;
 
-/** The registry's built-in tag for @p design (-1 for custom). */
-int
-designTag(const std::string& design)
-{
-    return PolicyRegistry::instance().resolve(design).builtinTag;
-}
-
-/** Family member @p tag's policy around an already compiled plan. */
-DesignInstance
-familyInstance(int tag, std::shared_ptr<const CompiledPlan> plan)
-{
-    DesignInstance out;
-    out.uvmExtension = tag == static_cast<int>(DesignPoint::G10);
-    out.policy = makeFamilyPolicy(tag, std::move(plan));
-    return out;
-}
-
 /** What an admission-time compile did (feeds the cell metrics). */
 struct CompileOutcome
 {
@@ -110,15 +92,14 @@ struct CompileOutcome
  * only the batch size or the partition capacity changed).
  */
 DesignInstance
-makeServeInstance(const std::string& design, const KernelTrace& trace,
+makeServeInstance(const PolicyInfo& design, const KernelTrace& trace,
                   const ServeJobClass& cls, unsigned scaleDown,
                   const SystemConfig& sys, PlanCache* cache,
                   SweepPlanCache* sweepCache, CompileOutcome* oc)
 {
-    const int tag = designTag(design);
     *oc = CompileOutcome{};
-    if (!isG10Family(tag))
-        return PolicyRegistry::instance().make(design, trace, sys);
+    if (!design.g10)
+        return design.make(trace, sys);
 
     const int model_key = static_cast<int>(cls.model);
     std::shared_ptr<const CompiledPlan> seed;
@@ -131,11 +112,11 @@ makeServeInstance(const std::string& design, const KernelTrace& trace,
     }
 
     std::shared_ptr<const CompiledPlan> plan = compilePlan(
-        tag, trace, cls, scaleDown, sys, seed, sweepCache);
+        *design.g10, trace, cls, scaleDown, sys, seed, sweepCache);
     oc->replayed = plan->schedule.warmReplayed;
     oc->dropped = plan->schedule.warmDropped;
     (*cache)[model_key] = plan;
-    return familyInstance(tag, std::move(plan));
+    return design.instance(std::move(plan));
 }
 
 /** Percentile of a Distribution as integer nanoseconds. */
@@ -148,17 +129,16 @@ pctNs(const Distribution& d, double p)
 }  // namespace
 
 ServeClassBaseline
-unloadedBaseline(const std::string& design, const KernelTrace& trace,
+unloadedBaseline(const PolicyInfo& design, const KernelTrace& trace,
                  const ServeJobClass& cls, unsigned scaleDown,
                  const SystemConfig& slotSys, std::uint64_t seed,
                  SweepPlanCache* cache)
 {
-    const int tag = designTag(design);
     const DesignInstance di =
-        isG10Family(tag)
-            ? familyInstance(tag, compilePlan(tag, trace, cls, scaleDown,
-                                              slotSys, nullptr, cache))
-            : PolicyRegistry::instance().make(design, trace, slotSys);
+        design.g10 ? design.instance(compilePlan(*design.g10, trace, cls,
+                                                 scaleDown, slotSys,
+                                                 nullptr, cache))
+                   : design.make(trace, slotSys);
     RunConfig rc;
     rc.sys = slotSys;
     rc.iterations = cls.iterations;
@@ -183,7 +163,8 @@ ServeSim::ServeSim(const ServeSpec& spec, std::string design,
                    const std::vector<Bytes>& minGpu,
                    std::vector<ServeRequest> requests,
                    const std::vector<ServeClassBaseline>& baselines)
-    : spec_(spec), design_(std::move(design)), rate_(rate),
+    : spec_(spec), design_(std::move(design)),
+      info_(PolicyRegistry::instance().resolve(design_)), rate_(rate),
       traces_(traces), classes_(classes), minGpu_(minGpu),
       requests_(std::move(requests)), baselines_(baselines)
 {
@@ -211,7 +192,7 @@ ServeSim::run()
 {
     ServeCellResult out;
     out.design = design_;
-    out.designName = PolicyRegistry::instance().resolve(design_).name;
+    out.designName = info_.name;
     out.rate = rate_;
     out.jobs.resize(requests_.size());
     for (std::size_t i = 0; i < requests_.size(); ++i) {
@@ -287,8 +268,6 @@ ServeSim::run()
     };
     std::vector<Active> active;
     active.reserve(static_cast<std::size_t>(maxActive));
-    const int familyTag = designTag(design_);
-    const bool g10family = isG10Family(familyTag);
 
     // ---- Elastic capacity machinery ------------------------------
 
@@ -298,12 +277,12 @@ ServeSim::run()
     // scheduler replays the picks the capacity delta left valid and
     // only re-runs its greedy search on the uncovered pressure.
     auto replanAfterResize = [&](Active& a) {
-        if (!g10family)
+        if (!info_.g10)
             return;
         const auto* gp =
             static_cast<const G10Policy*>(a.design.policy.get());
         std::shared_ptr<const CompiledPlan> plan = compilePlan(
-            familyTag, traces_[a.classIndex],
+            *info_.g10, traces_[a.classIndex],
             classes_[a.classIndex], spec_.scaleDown, a.lease.sys,
             gp->compiledShared(), planCache_);
         const EvictionSchedule& ns = plan->schedule;
@@ -318,10 +297,9 @@ ServeSim::run()
                            a.rt->now());
         planCache[static_cast<int>(classes_[a.classIndex].model)] =
             plan;
-        std::unique_ptr<G10Policy> np =
-            makeFamilyPolicy(familyTag, std::move(plan));
-        a.rt->setPolicy(*np);
-        a.design.policy = std::move(np);
+        DesignInstance replanned = info_.instance(std::move(plan));
+        a.rt->setPolicy(*replanned.policy);
+        a.design = std::move(replanned);
     };
 
     // Post-change bookkeeping shared by the resize and split paths:
@@ -525,12 +503,12 @@ ServeSim::run()
         a.classIndex = r.classIndex;
         leaseForAdmission(a);
         CompileOutcome oc;
-        a.design = makeServeInstance(design_, traces_[r.classIndex],
+        a.design = makeServeInstance(info_, traces_[r.classIndex],
                                      cls, spec_.scaleDown,
                                      a.lease.sys, &planCache,
                                      planCache_, &oc);
         out.jobs[req].warmCompiled = oc.warm;
-        if (tp && g10family)
+        if (tp && info_.g10)
             tp->planCacheLookup(oc.warm);
         if (oc.warm) {
             ++m.warmCompiles;
@@ -774,6 +752,8 @@ ServeSim::run()
 
 ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
 {
+    for (const std::string& d : spec_.designs)
+        designs_.push_back(&PolicyRegistry::instance().resolve(d));
     checkServeSpec(spec_);
 
     if (spec_.sweepPlanCache)
@@ -882,7 +862,7 @@ ServeSweep::computeBaselines(ExperimentEngine& engine) const
         const std::size_t c = i / nd;
         const std::size_t d = i % nd;
         baselines[d][c] = unloadedBaseline(
-            spec_.designs[d], traces_[c], classes_[c], spec_.scaleDown,
+            *designs_[d], traces_[c], classes_[c], spec_.scaleDown,
             slotSys, spec_.seed, planCache_.get());
     });
     return baselines;

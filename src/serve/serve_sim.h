@@ -52,6 +52,7 @@
 
 namespace g10 {
 
+struct PolicyInfo;
 class SweepPlanCache;
 class TraceSink;
 
@@ -223,7 +224,7 @@ struct ServeClassBaseline
  * directly) under the key of a cell's first, slot-sized, cold
  * admission compile, so the cells that follow start from a hit.
  */
-ServeClassBaseline unloadedBaseline(const std::string& design,
+ServeClassBaseline unloadedBaseline(const PolicyInfo& design,
                                     const KernelTrace& trace,
                                     const ServeJobClass& cls,
                                     unsigned scaleDown,
@@ -345,7 +346,8 @@ class ServeSim
 
   private:
     const ServeSpec& spec_;
-    std::string design_;
+    std::string design_;       ///< as spelled in the spec (echoed)
+    const PolicyInfo& info_;   ///< design_'s registry entry
     double rate_;
     const std::vector<KernelTrace>& traces_;
     const std::vector<ServeJobClass>& classes_;
@@ -399,6 +401,7 @@ class ServeSweep
     std::vector<Bytes> minGpu_;            ///< per-class floors
     std::vector<TraceRequest> traceReqs_;  ///< ArrivalKind::Trace only
     std::vector<std::size_t> traceClass_;  ///< class of each trace req
+    std::vector<const PolicyInfo*> designs_;  ///< spec_.designs resolved
 
     /** Sweep-scoped compile cache (spec.sweepPlanCache); null = off. */
     std::unique_ptr<SweepPlanCache> planCache_;

@@ -207,8 +207,6 @@ checkServeSpec(const ServeSpec& spec, const SpecLoc& at)
 {
     if (spec.designs.empty())
         at.fail("serve sweep needs at least one design");
-    for (const std::string& d : spec.designs)
-        PolicyRegistry::instance().resolve(d);  // fatal on unknown
     if (spec.rates.empty() && !spec.ratesAuto)
         at.fail("serve sweep needs at least one arrival rate (or "
                 "rates = auto)");

@@ -246,7 +246,10 @@ const SpecFormat<ServeSpec>& serveFileFormat();
  * max_active, the rate bracket, trace path and job classes): an
  * inconsistent spec fails at @p at and exits 1. parseServeFile and
  * the ServeSweep constructor both call it, so file, demo, CLI-
- * overridden and code-built specs are held to the same rules.
+ * overridden and code-built specs are held to the same rules. Design
+ * names are not looked up here: the `designs` key resolves them in a
+ * file, and ServeSweep resolves a code-built spec's once, before
+ * this check.
  */
 void checkServeSpec(const ServeSpec& spec, const SpecLoc& at = {});
 

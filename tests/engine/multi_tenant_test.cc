@@ -241,8 +241,7 @@ TEST(MultiTenantGolden, WeightedSplitIsBitIdenticalThroughTheManager)
     // Golden pin for the PartitionManager refactor: these exact
     // values were captured from the slot-bitmap manager before leases
     // became byte-accounted/resizable. Any change to the weighted-
-    // split arithmetic (partitionShare, acquireWeighted) shows up
-    // here as a diff.
+    // split arithmetic (partitionShare) shows up here as a diff.
     WorkloadMix mix;
     mix.scaleDown = 64;
     mix.seed = 42;

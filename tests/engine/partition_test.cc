@@ -58,20 +58,6 @@ TEST(PartitionManager, SlotSystemSplitsEqually)
     EXPECT_EQ(pm.slotSystem().hostMemBytes, whole.hostMemBytes / 4);
 }
 
-TEST(PartitionManager, WeightedLeaseMatchesPartitionShare)
-{
-    SystemConfig whole = test::tinySystem();
-    PartitionManager pm(whole, 2);
-    PartitionManager::Lease big = pm.acquireWeighted(0.75);
-    PartitionManager::Lease small = pm.acquireWeighted(0.25);
-    EXPECT_EQ(big.sys.gpuMemBytes,
-              partitionShare(whole, 0.75).gpuMemBytes);
-    EXPECT_EQ(small.sys.hostMemBytes,
-              partitionShare(whole, 0.25).hostMemBytes);
-    pm.release(&big);
-    pm.release(&small);
-}
-
 TEST(PartitionManagerDeath, OverSubscriptionPanics)
 {
     PartitionManager pm(test::tinySystem(), 1);

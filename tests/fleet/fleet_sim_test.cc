@@ -268,6 +268,11 @@ TEST(FleetSimDeath, CodeBuiltSpecsGetTheFileChecks)
     spec.nodes[1].name = spec.nodes[0].name;
     EXPECT_EXIT(FleetSim fleet(spec), ::testing::ExitedWithCode(1),
                 "duplicate node name 'big0'");
+
+    spec = demoFleetSpec(64);
+    spec.design = "no-such-design";
+    EXPECT_EXIT(FleetSim fleet(spec), ::testing::ExitedWithCode(1),
+                "unknown design 'no-such-design' \\(registered: ");
 }
 
 }  // namespace

@@ -18,8 +18,7 @@ TEST(DesignPoint, NamesMatchPaperLegend)
     EXPECT_EQ(reg.resolve("deepum").name, "DeepUM+");
     EXPECT_EQ(reg.resolve("flashneuron").name, "FlashNeuron");
     EXPECT_EQ(reg.resolve("g10").name, "G10");
-    EXPECT_EQ(reg.resolve("g10").builtinTag,
-              static_cast<int>(DesignPoint::G10));
+    EXPECT_TRUE(reg.resolve("g10").builtin);
     EXPECT_EQ(allDesignNames().size(), 6u);
     EXPECT_EQ(sweepDesignNames().size(), 4u);
 }
@@ -73,8 +72,11 @@ TEST(G10Variants, GdsPlanNeverTargetsHost)
 {
     KernelTrace t = test::makeFwdBwdTrace(24, 8 * MiB, 1 * MSEC);
     SystemConfig sys = test::tinySystem();
-    auto gds = makeG10Gds(t, sys);
-    for (const auto& m : gds->compiled().schedule.migrations)
+    DesignInstance gds = PolicyRegistry::instance().make("g10gds", t, sys);
+    const auto& plan =
+        static_cast<const G10Policy&>(*gds.policy).compiled();
+    EXPECT_FALSE(plan.schedule.migrations.empty());
+    for (const auto& m : plan.schedule.migrations)
         EXPECT_EQ(m.dest, MemLoc::Ssd);
 }
 

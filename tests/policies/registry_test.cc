@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "api/experiment.h"
+#include "engine/partition.h"
 #include "policies/baselines.h"
 #include "policies/g10_policy.h"
 #include "policies/registry.h"
+#include "serve/plan_cache.h"
 #include "sim/runtime/sim_runtime.h"
 #include "tests/test_util.h"
 
@@ -32,7 +37,7 @@ TEST(PolicyRegistry, BuiltinsAreRegistered)
     EXPECT_EQ(designs[6]->name, "G10");
     for (std::size_t i = 0; i < 7; ++i) {
         EXPECT_FALSE(designs[i]->description.empty()) << i;
-        EXPECT_GE(designs[i]->builtinTag, 0) << i;
+        EXPECT_TRUE(designs[i]->builtin) << i;
     }
 }
 
@@ -56,21 +61,96 @@ TEST(PolicyRegistry, AliasAndSpellingResolution)
     EXPECT_EQ(reg.find("nonexistent-policy"), nullptr);
 }
 
-TEST(PolicyRegistry, BuiltinTagsNameTheDesignPoint)
+TEST(PolicyRegistry, FamilyEntriesDeclareTheirVariant)
 {
     PolicyRegistry& reg = PolicyRegistry::instance();
-    EXPECT_EQ(reg.resolve("uvm").builtinTag,
-              static_cast<int>(DesignPoint::BaseUvm));
-    EXPECT_EQ(reg.resolve("G10-Host").builtinTag,
-              static_cast<int>(DesignPoint::G10Host));
-    EXPECT_TRUE(isG10Family(reg.resolve("g10gds").builtinTag));
-    EXPECT_FALSE(isG10Family(reg.resolve("deepum").builtinTag));
+    // Exactly the three G10 designs declare a variant; G10-GDS alone
+    // forbids host destinations, full G10 alone has the page table.
+    std::vector<std::string> family;
+    for (const PolicyInfo* d : reg.registeredDesigns())
+        if (d->g10)
+            family.push_back(d->key);
+    EXPECT_EQ(family,
+              (std::vector<std::string>{"g10gds", "g10host", "g10"}));
+    EXPECT_FALSE(reg.resolve("g10gds").g10->allowHost);
+    EXPECT_TRUE(reg.resolve("g10host").g10->allowHost);
+    EXPECT_TRUE(reg.resolve("g10").g10->allowHost);
+    EXPECT_FALSE(reg.resolve("g10gds").g10->uvmExtension);
+    EXPECT_FALSE(reg.resolve("g10host").g10->uvmExtension);
+    EXPECT_TRUE(reg.resolve("g10").g10->uvmExtension);
+    EXPECT_FALSE(reg.resolve("deepum").g10.has_value());
 
     KernelTrace t = test::makeFwdBwdTrace(8, 4 * MiB, 500 * USEC);
     SystemConfig sys = test::tinySystem();
     DesignInstance inst = reg.make("Base UVM", t, sys);
     ASSERT_NE(inst.policy, nullptr);
     EXPECT_STREQ(inst.policy->name(), "Base UVM");
+}
+
+using Instr = std::tuple<KernelId, int, TensorId, int>;
+
+/** Every instruction of @p plan as (kernel, kind, tensor, dest). */
+std::vector<Instr>
+planInstrs(const CompiledPlan& plan)
+{
+    std::vector<Instr> out;
+    for (const MigrationInstr& m : plan.plan.instrs)
+        out.emplace_back(m.issueBefore, static_cast<int>(m.kind),
+                         m.tensor, static_cast<int>(m.dest));
+    return out;
+}
+
+TEST(PolicyRegistry, FamilyPathsAgreeOnNameFlagAndOptions)
+{
+    // The registry's factory, the serve path (a PolicyInfo's instance
+    // around a compilePlan plan) and compilePlan itself all read the
+    // entry's variant, so they agree on the display name, the page-
+    // table flag and the compile options (the plan compiled).
+    ServeJobClass cls;
+    cls.model = ModelKind::BertBase;
+    cls.batchSize = 1;
+    const unsigned scale = 64;
+    KernelTrace trace = buildModelScaled(cls.model, cls.batchSize, scale);
+    const SystemConfig sys = partitionShare(
+        SystemConfig().scaledDown(scale), 0.25);
+
+    PolicyRegistry& reg = PolicyRegistry::instance();
+    std::map<std::string, std::vector<Instr>> planOf;
+    int members = 0;
+    for (const PolicyInfo* d : reg.registeredDesigns()) {
+        if (!d->g10)
+            continue;
+        ++members;
+        SCOPED_TRACE(d->key);
+        DesignInstance made = reg.make(d->key, trace, sys);
+        SweepPlanCache cache;
+        std::shared_ptr<const CompiledPlan> compiled = compilePlan(
+            *d->g10, trace, cls, scale, sys, nullptr, &cache);
+        DesignInstance served = d->instance(compiled);
+
+        EXPECT_EQ(made.policy->name(), d->name);
+        EXPECT_EQ(served.policy->name(), d->name);
+        EXPECT_EQ(made.uvmExtension, d->g10->uvmExtension);
+        EXPECT_EQ(served.uvmExtension, d->g10->uvmExtension);
+
+        const auto& madePlan =
+            static_cast<const G10Policy&>(*made.policy).compiled();
+        EXPECT_EQ(planInstrs(madePlan), planInstrs(*compiled));
+        EXPECT_EQ(&static_cast<const G10Policy&>(*served.policy)
+                       .compiled(),
+                  compiled.get());
+        bool host = false;
+        for (const MigrationInstr& m : compiled->plan.instrs)
+            host = host || m.dest == MemLoc::Host;
+        if (!d->g10->allowHost)
+            EXPECT_FALSE(host);
+        planOf[d->key] = planInstrs(*compiled);
+    }
+    EXPECT_EQ(members, 3);
+    // Equal compile options, equal plans: G10 and G10-Host share one
+    // plan, and this workload makes G10-GDS's differ.
+    EXPECT_EQ(planOf["g10"], planOf["g10host"]);
+    EXPECT_NE(planOf["g10"], planOf["g10gds"]);
 }
 
 TEST(PolicyRegistryDeathTest, UnknownNameListsRegisteredDesigns)
@@ -99,7 +179,7 @@ TEST(PolicyRegistryDeathTest, DuplicateRegistrationIsFatal)
         ::testing::ExitedWithCode(1), "already registered");
 }
 
-TEST(PolicyRegistry, CustomNameHasNoBuiltinTag)
+TEST(PolicyRegistry, CustomEntryIsNeitherBuiltinNorFamily)
 {
     PolicyRegistry::instance().add(
         {"EnumLess", "enumless", {}, "custom",
@@ -109,8 +189,8 @@ TEST(PolicyRegistry, CustomNameHasNoBuiltinTag)
              return d;
          }});
     const PolicyInfo& info = PolicyRegistry::instance().resolve("enumless");
-    EXPECT_EQ(info.builtinTag, -1);
-    EXPECT_FALSE(isG10Family(info.builtinTag));
+    EXPECT_FALSE(info.builtin);
+    EXPECT_FALSE(info.g10.has_value());
 }
 
 /** A custom design defined entirely inside this test binary. */

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "api/report.h"
 #include "models/model_zoo.h"
-#include "policies/design_point.h"
 #include "policies/g10_policy.h"
 #include "serve/plan_cache.h"
 #include "serve/serve_sim.h"
@@ -28,7 +31,7 @@ toJson(const ServeSweepResult& r)
 TEST(PlanKey, OrderingDistinguishesEveryField)
 {
     PlanKey a;
-    a.options = 0;
+    a.allowHost = true;
     a.model = 1;
     a.batch = 32;
     a.scaleDown = 16;
@@ -42,7 +45,7 @@ TEST(PlanKey, OrderingDistinguishesEveryField)
     for (int field = 0; field < 6; ++field) {
         PlanKey c = a;
         switch (field) {
-          case 0: c.options = 1; break;
+          case 0: c.allowHost = false; break;
           case 1: c.model = 2; break;
           case 2: c.batch = 64; break;
           case 3: c.scaleDown = 32; break;
@@ -92,7 +95,6 @@ TEST(PlanCache, MemoizesByKeyAndCountsHits)
 {
     KernelTrace trace = buildModelScaled(ModelKind::BertBase, 1, 64);
     const SystemConfig sys = SystemConfig().scaledDown(64);
-    const int tag = static_cast<int>(DesignPoint::G10);
 
     SweepPlanCache cache;
     PlanKey key;
@@ -104,7 +106,7 @@ TEST(PlanCache, MemoizesByKeyAndCountsHits)
     int compiles = 0;
     auto compile = [&] {
         ++compiles;
-        return compileFamilyPlan(tag, trace, sys, nullptr);
+        return compileFamilyPlan(G10Variant{}, trace, sys, nullptr);
     };
 
     auto first = cache.getOrCompile(key, compile);
@@ -120,6 +122,54 @@ TEST(PlanCache, MemoizesByKeyAndCountsHits)
     cache.getOrCompile(other, compile);
     EXPECT_EQ(compiles, 2);
     EXPECT_EQ(cache.entries(), 2u);
+}
+
+TEST(PlanCache, ConcurrentMissersWaitForTheOneCompile)
+{
+    // A second lookup of a key whose compile is still running waits
+    // for that compile and counts as a hit: each key compiles once.
+    KernelTrace trace = buildModelScaled(ModelKind::BertBase, 1, 64);
+    const SystemConfig sys = SystemConfig().scaledDown(64);
+    SweepPlanCache cache;
+    PlanKey key;
+    key.sysFp = fingerprintSystemConfig(sys);
+
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<int> compiles{0};
+    auto latched = [&] {
+        ++compiles;
+        started.set_value();
+        released.wait();
+        return compileFamilyPlan(G10Variant{}, trace, sys, nullptr);
+    };
+    auto direct = [&] {
+        ++compiles;
+        return compileFamilyPlan(G10Variant{}, trace, sys, nullptr);
+    };
+
+    std::shared_ptr<const CompiledPlan> first, second;
+    std::thread a([&] { first = cache.getOrCompile(key, latched); });
+    started.get_future().wait();
+    std::thread b([&] { second = cache.getOrCompile(key, direct); });
+    // Hold the first compile until the second lookup has registered
+    // (bounded, so a cache that compiles twice fails instead of
+    // hanging).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (cache.hits() == 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    release.set_value();
+    a.join();
+    b.join();
+
+    EXPECT_EQ(compiles.load(), 1);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.entries(), 1u);
 }
 
 /** Auto-knee sweep at tiny scale; G10 + G10-Host so the two designs
@@ -163,6 +213,14 @@ TEST(PlanCache, SweepResultsAreBitIdenticalWithCacheOnAndOff)
     // distinct plans than lookups.
     EXPECT_LT(withCache.planCacheEntries,
               withCache.planCacheHits + withCache.planCacheMisses);
+    EXPECT_EQ(withCache.planCacheMisses, withCache.planCacheEntries);
+
+    // ...and G10-Host adds no plan of its own: the two-design sweep
+    // compiles exactly what a G10-only sweep does.
+    ServeSpec g10Only = autoKneeSpec();
+    g10Only.designs = {"g10"};
+    ServeSweepResult alone = ServeSweep(g10Only).run(engine);
+    EXPECT_EQ(withCache.planCacheMisses, alone.planCacheMisses);
 }
 
 }  // namespace

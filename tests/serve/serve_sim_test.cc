@@ -695,6 +695,11 @@ TEST(ServeSweepDeath, CodeBuiltSpecsGetTheFileChecks)
     spec.arrival.kind = ArrivalKind::Trace;
     EXPECT_EXIT(ServeSweep sweep(spec), ::testing::ExitedWithCode(1),
                 "needs 'trace = <file>'");
+
+    spec = tinySpec();
+    spec.designs.push_back("no-such-design");
+    EXPECT_EXIT(ServeSweep sweep(spec), ::testing::ExitedWithCode(1),
+                "unknown design 'no-such-design' \\(registered: ");
 }
 
 }  // namespace

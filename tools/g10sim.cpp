@@ -128,12 +128,16 @@ runConfig(const std::string& path, const tools::CliArgs& args)
     cfg.weightWatermark = file.weightWatermark;
     cfg.uvmExtension = file.uvmExtension;
 
-    const int listing = file.listing;
-    if (listing > 0 && isG10Family(design.builtinTag)) {
-        CompiledPlan plan = compileG10Plan(trace, sys);
-        printInstrumentedProgram(std::cout, *plan.vitality, plan.plan,
-                                 0, listing);
+    // The listing prints the plan the run replays: compile it once
+    // with the design's own variant and run that instance.
+    DesignInstance listed;
+    if (file.listing > 0 && design.g10) {
+        std::shared_ptr<const CompiledPlan> plan =
+            compileFamilyPlan(*design.g10, trace, sys);
+        printInstrumentedProgram(std::cout, *plan->vitality, plan->plan,
+                                 0, file.listing);
         std::cout << "\n";
+        listed = design.instance(std::move(plan));
     }
 
     // Observability: --attribution and --attribution-diff need the
@@ -145,8 +149,9 @@ runConfig(const std::string& path, const tools::CliArgs& args)
                      args.has("--attribution") || !diffBase.empty();
     obs.wantCounters = args.metrics;
 
-    RunResult result =
-        runExperimentResultOnTrace(trace, cfg, obs.tracerOrNull());
+    RunResult result = runExperimentResultOnTrace(
+        trace, cfg, obs.tracerOrNull(),
+        listed.policy != nullptr ? &listed : nullptr);
     int code = printRunResult(std::cout, result, format);
     if (args.has("--attribution")) {
         StallAttribution attr =
